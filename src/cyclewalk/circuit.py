@@ -17,7 +17,8 @@ __all__ = [
     "Circuit",
     "DepthReport",
     "lower_to_unitary",
-    "apply_gate_to_tensor",
+    "apply_matrix",
+    "apply_circuit",
     "depth_report",
     "to_text",
     "from_text",
@@ -71,19 +72,30 @@ class Circuit:
         return f"Circuit({self.name!r}, width={self.width}, gates={len(self.gates)})"
 
 
-def apply_gate_to_tensor(tensor: np.ndarray, gate: Gate, width: int) -> np.ndarray:
-    """Apply one gate to a state (or stacked-column) tensor.
+def apply_matrix(rows: np.ndarray, m: np.ndarray, qubits, width: int) -> np.ndarray:
+    """Apply a 2**k matrix on ``qubits`` to the leading index of ``rows``.
 
-    ``tensor`` has shape (2,)*width + rest, with axis 0 the most significant
-    qubit (width-1).  Barriers are no-ops.
+    ``rows`` has 2**width entries along axis 0 (a statevector, a unitary's
+    columns or a density matrix); the result has the shape of ``rows``.
+    ``qubits[0]`` is the most significant qubit of ``m``'s index.  This is
+    the one gate-application kernel: ``np.dot`` on the transposed view
+    reproduces ``np.tensordot`` bit for bit, which batched ``matmul`` does not.
     """
-    if gate.kind == "BARRIER":
-        return tensor
-    k = gate.n_qubits
-    m = gate_matrix(gate).reshape((2,) * (2 * k))
-    axes = [width - 1 - q for q in gate.qubits]
-    moved = np.tensordot(m, tensor, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(moved, list(range(k)), axes)
+    k = len(qubits)
+    axes = [width - 1 - q for q in qubits]
+    order = axes + [ax for ax in range(width + 1) if ax not in axes]
+    moved = rows.reshape((2,) * width + (-1,)).transpose(order)
+    out = np.dot(m, moved.reshape(1 << k, -1)).reshape(moved.shape)
+    back = sorted(range(width + 1), key=order.__getitem__)
+    return out.transpose(back).reshape(rows.shape)
+
+
+def apply_circuit(rows: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """Apply the circuit's gates in order to ``rows``; barriers are no-ops."""
+    for gate in circuit.gates:
+        if gate.kind != "BARRIER":
+            rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, circuit.width)
+    return rows
 
 
 def lower_to_unitary(circuit: Circuit) -> np.ndarray:
@@ -92,11 +104,7 @@ def lower_to_unitary(circuit: Circuit) -> np.ndarray:
         raise ValueError(
             f"refusing to lower width {circuit.width} > {MAX_LOWER_WIDTH} to a dense matrix"
         )
-    dim = 1 << circuit.width
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * circuit.width + (dim,))
-    for gate in circuit.gates:
-        tensor = apply_gate_to_tensor(tensor, gate, circuit.width)
-    return tensor.reshape(dim, dim)
+    return apply_circuit(np.eye(1 << circuit.width, dtype=complex), circuit)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise strengths and timing parameters (arbitrary time units)."""
+    """Noise strengths and timing parameters (arbitrary time units); all
+    finite, except ``t1`` and ``t2``, which may be ``math.inf`` (no relaxation)."""
 
     p1: float = 2e-4
     p2: float = 8e-3
@@ -44,13 +45,14 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"noise probability {name} must be in [0, 1], got {v}")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("relaxation times t1, t2 must be positive")
+        if not (0 < self.t1 <= math.inf and 0 < self.t2 <= math.inf):
+            raise ValueError(f"relaxation times t1={self.t1}, t2={self.t2} must be > 0 or inf")
         if self.t2 > 2.0 * self.t1 + 1e-12:
             raise ValueError(f"t2 must not exceed 2*t1 (t1={self.t1}, t2={self.t2})")
         for name in ("dur_1q", "dur_2q", "dur_idle_unit"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"duration {name} must be >= 0")
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"duration {name} must be finite and >= 0, got {v}")
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":

@@ -1,10 +1,13 @@
 """Circuit execution: statevector simulation, shot sampling, and exact
 density-matrix simulation under the parametrized noise model.
 
-Gate-by-gate amplitude application keeps statevector runs at O(4**w) per
-gate; density matrices are dense and limited to width 6.  Noisy runs apply
-a depolarizing channel after every gate and a thermal-relaxation channel
-over every scheduled idle window, per the noise model.
+Gates act through the one kernel ``circuit.apply_matrix``; density
+matrices are dense and limited to width 6.  Noisy runs apply a depolarizing
+channel after every gate and a thermal-relaxation channel over every
+scheduled idle window.  One ``run_noisy`` call builds each channel once, as
+a stack of full-width Kraus operators keyed by gate qubits or by (qubit,
+idle length), and drops the cache on return: at most w + w(w-1)
+depolarizing stacks plus one per distinct idle window.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, apply_gate_to_tensor
+from .circuit import Circuit, apply_circuit
+from .circuit import apply_matrix as _apply_matrix_rows
 from .gates import gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
 from .transpile import ScheduledCircuit, schedule
@@ -81,35 +85,30 @@ def run_exact(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"initial state has shape {initial.shape}, circuit needs ({dim},)"
         )
-    tensor = initial.astype(complex).reshape((2,) * circuit.width)
-    for gate in circuit.gates:
-        tensor = apply_gate_to_tensor(tensor, gate, circuit.width)
-    state = tensor.reshape(dim)
+    state = apply_circuit(initial.astype(complex), circuit)
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
     return state
 
 
-def _marginal_probabilities(
-    state: np.ndarray, measured_qubits: tuple[int, ...], width: int
-) -> np.ndarray:
-    """Probabilities over outcomes sum_i 2**i * bit(measured_qubits[i])."""
+def _marginal_probabilities(probs: np.ndarray, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """Marginal of the 2**width basis probabilities over outcomes
+    sum_i 2**i * bit(measured_qubits[i])."""
+    if probs.size < 1 or probs.size & (probs.size - 1):
+        raise ValueError(f"{probs.size} basis probabilities: size is not a power of two")
+    width = probs.size.bit_length() - 1
     for q in measured_qubits:
         if not 0 <= q < width:
             raise ValueError(f"measured qubit {q} outside width {width}")
-    probs = np.abs(state.reshape((2,) * width)) ** 2
-    keep = [width - 1 - q for q in measured_qubits]
+    probs = probs.reshape((2,) * width)
+    # outcome bit i is axis keep[-1 - i]: the last measured qubit leads
+    keep = [width - 1 - q for q in reversed(measured_qubits)]
     drop = tuple(ax for ax in range(width) if ax not in keep)
     marginal = probs.sum(axis=drop) if drop else probs
     # surviving axes come out in increasing original order; realign to `keep`
     remaining = sorted(keep)
-    marginal = np.transpose(marginal, [remaining.index(k) for k in keep])
-    out = np.zeros(1 << len(measured_qubits))
-    for idx in np.ndindex(*([2] * len(measured_qubits))):
-        outcome = sum(bit << i for i, bit in enumerate(idx))
-        out[outcome] = marginal[idx]
-    return out
+    return np.transpose(marginal, [remaining.index(k) for k in keep]).reshape(-1)
 
 
 def measure_positions(
@@ -123,8 +122,7 @@ def measure_positions(
     ``shots == 0`` returns exact probabilities; otherwise multinomial counts
     drawn with the given seed.
     """
-    width = int(np.log2(state.size))
-    probs = _marginal_probabilities(state, tuple(measured_qubits), width)
+    probs = _marginal_probabilities(np.abs(state) ** 2, tuple(measured_qubits))
     if shots == 0:
         return Distribution(outcomes={k: float(p) for k, p in enumerate(probs)})
     if shots < 0:
@@ -147,37 +145,39 @@ def validate_density(rho: np.ndarray) -> None:
     """Reject arrays that are not unit-trace Hermitian positive matrices."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-9:
         raise ValueError(f"density matrix trace is {np.trace(rho).real}, expected 1")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10:
+    if not np.linalg.norm(rho - rho.conj().T) <= 1e-10:
         raise ValueError("density matrix is not Hermitian")
     smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if smallest < -1e-9:
+    if not smallest >= -1e-9:
         raise ValueError(f"density matrix has negative eigenvalue {smallest}")
 
 
-def _apply_matrix_rows(rho_like: np.ndarray, m: np.ndarray, qubits, width: int):
-    """Apply a 2**k matrix to the row index of a (dim, dim) array."""
-    k = len(qubits)
-    tensor = rho_like.reshape((2,) * width + (rho_like.shape[1],))
-    mt = m.reshape((2,) * (2 * k))
-    axes = [width - 1 - q for q in qubits]
-    moved = np.tensordot(mt, tensor, axes=(list(range(k, 2 * k)), axes))
-    moved = np.moveaxis(moved, list(range(k)), axes)
-    return moved.reshape(rho_like.shape)
+def _apply_kraus(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k K rho K^dagger for a (n, dim, dim) stack of full-width Kraus operators."""
+    return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(0)
 
 
-def _apply_kraus(rho: np.ndarray, kraus: list[np.ndarray], qubits, width: int):
-    out = np.zeros_like(rho)
-    for k in kraus:
-        left = _apply_matrix_rows(rho, k, qubits, width)
-        out += _apply_matrix_rows(left.conj().T, k, qubits, width).conj().T
-    return out
+def _channel(
+    qubits: tuple[int, ...], idle: float | None, nm: NoiseModel, width: int
+) -> np.ndarray | None:
+    """Noise after a gate on ``qubits`` (``idle`` None) or over an idle window
+    of length ``idle``, as a full-width Kraus stack.  None marks the identity
+    channel, which both constructors return as a single operator."""
+    if idle is None:
+        kraus = depolarizing_kraus(nm.p1 if len(qubits) == 1 else nm.p2, len(qubits))
+    else:
+        kraus = thermal_relaxation_kraus(nm.t1, nm.t2, idle)
+    if len(kraus) == 1:
+        return None
+    eye = np.eye(1 << width, dtype=complex)
+    return np.stack([_apply_matrix_rows(eye, k, qubits, width) for k in kraus])
 
 
 def _check_density(rho: np.ndarray, where: str) -> None:
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > 1e-9:
+    if not abs(trace - 1.0) <= 1e-9:
         raise ArithmeticError(f"density trace drifted to {trace} {where}")
 
 
@@ -201,34 +201,28 @@ def run_noisy(
         raise ValueError(f"initial density has shape {initial.shape}, need {(dim, dim)}")
     validate_density(initial)
 
-    events: list[tuple[float, int, str, object]] = []
-    for seq, (gate, start) in enumerate(zip(circ.gates, sc.start_times)):
-        events.append((start, seq, "gate", gate))
-    base = len(events)
-    for offset, (qubit, t0, t1) in enumerate(sc.idle_windows):
-        if t1 - t0 >= nm.dur_idle_unit - 1e-12:
-            events.append((t0, base + offset, "idle", (qubit, t1 - t0)))
-    events.sort(key=lambda e: (e[0], e[1]))
-
+    # (start, order, gate or None, channel key: (qubits, idle length or None))
+    events = [
+        (start, seq, gate, (gate.qubits, None))
+        for seq, (gate, start) in enumerate(zip(circ.gates, sc.start_times))
+        if gate.kind != "BARRIER"
+    ]
+    events += [
+        (t0, len(circ.gates) + i, None, ((qubit,), t1 - t0))
+        for i, (qubit, t0, t1) in enumerate(sc.idle_windows)
+        if t1 - t0 >= nm.dur_idle_unit - 1e-12
+    ]
+    channels: dict[tuple, np.ndarray | None] = {}
     rho = initial.astype(complex)
-    for _, _, kind, payload in events:
-        if kind == "gate":
-            gate = payload
-            if gate.kind == "BARRIER":
-                continue
+    for _, _, gate, key in sorted(events, key=lambda e: e[:2]):
+        if gate is not None:
             u = gate_matrix(gate)
             rho = _apply_matrix_rows(rho, u, gate.qubits, circ.width)
             rho = _apply_matrix_rows(rho.conj().T, u, gate.qubits, circ.width).conj().T
-            p = nm.p1 if gate.n_qubits == 1 else nm.p2
-            if p > 0.0:
-                rho = _apply_kraus(
-                    rho, depolarizing_kraus(p, gate.n_qubits), gate.qubits, circ.width
-                )
-        else:
-            qubit, duration = payload
-            kraus = thermal_relaxation_kraus(nm.t1, nm.t2, duration)
-            if len(kraus) > 1:
-                rho = _apply_kraus(rho, kraus, (qubit,), circ.width)
+        if key not in channels:
+            channels[key] = _channel(*key, nm, circ.width)
+        if channels[key] is not None:
+            rho = _apply_kraus(rho, channels[key])
         _check_density(rho, "during noisy run")
     return 0.5 * (rho + rho.conj().T)
 
@@ -237,15 +231,13 @@ def readout_distribution(
     rho: np.ndarray, measured_qubits: tuple[int, ...], nm: NoiseModel
 ) -> Distribution:
     """Diagonal marginal over the measured qubits with readout bit flips."""
-    width = int(np.log2(rho.shape[0]))
     diag = np.real(np.diagonal(rho)).clip(min=0.0)
-    probs = _marginal_probabilities(np.sqrt(diag), tuple(measured_qubits), width)
+    probs = _marginal_probabilities(diag, tuple(measured_qubits))
     if nm.readout_flip > 0.0:
         f = nm.readout_flip
         confusion = np.array([[1 - f, f], [f, 1 - f]])
-        k = len(measured_qubits)
         full = np.eye(1)
-        for _ in range(k):
+        for _ in measured_qubits:
             full = np.kron(confusion, full)
         probs = full @ probs
     return Distribution(outcomes={k: float(p) for k, p in enumerate(probs)})

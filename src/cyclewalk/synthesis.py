@@ -24,6 +24,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .circuit import Circuit, lower_to_unitary
 from .gates import (
     Gate,
     H_MATRIX,
@@ -513,16 +514,10 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
 
 def assemble_stream(stream: Stream, width: int) -> np.ndarray:
     """Dense unitary of a stream (verification helper)."""
-    from .circuit import apply_gate_to_tensor
-
-    dim = 1 << width
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * width + (dim,))
+    circuit = Circuit(width)
     for item in stream:
         if item[0] == "u":
-            _, wire, matrix = item
-            gate = Gate("UNITARY", (wire,), matrix=matrix)
+            circuit.add("UNITARY", item[1], matrix=item[2])
         else:
-            _, hi, lo = item
-            gate = Gate("ECR", (hi, lo))
-        tensor = apply_gate_to_tensor(tensor, gate, width)
-    return tensor.reshape(dim, dim)
+            circuit.add("ECR", item[1], item[2])
+    return lower_to_unitary(circuit)

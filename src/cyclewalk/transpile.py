@@ -220,7 +220,7 @@ def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
     if circuit.width <= 6:
         residual = phase_aligned_distance(lower_to_unitary(out), lower_to_unitary(circuit))
-        if residual > SEMANTIC_TOL:
+        if not residual <= SEMANTIC_TOL:
             raise TranspileError(
                 f"transpiled circuit deviates from source (residual {residual:.2e})"
             )

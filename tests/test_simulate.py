@@ -13,15 +13,78 @@ from cyclewalk import (
     OptLevel,
     build_walk_circuit_4cycle,
     hellinger_fidelity,
+    insert_dd,
     lower_to_unitary,
     measure_positions,
     readout_distribution,
     run_exact,
     run_noisy,
+    schedule,
     state_to_density,
     transpile,
+    validate_density,
 )
+from cyclewalk.circuit import apply_matrix
+from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
+from cyclewalk.simulate import _check_density
+
+
+def kron_embed(m, qubits, width):
+    """Full-width operator of ``m`` on ``qubits`` built from np.kron products.
+
+    One qubit: I (x) m (x) I.  Two qubits: m = sum_rt |r><t| (x) B_rt with
+    B_rt the 2x2 blocks of m, each factor embedded on its own qubit.
+    """
+    def one(a, q):
+        return np.kron(np.kron(np.eye(1 << (width - 1 - q)), a), np.eye(1 << q))
+
+    if len(qubits) == 1:
+        return one(m, qubits[0])
+    hi, lo = qubits
+    out = np.zeros((1 << width, 1 << width), dtype=complex)
+    for r in range(2):
+        for t in range(2):
+            e = np.zeros((2, 2))
+            e[r, t] = 1.0
+            out += one(e, hi) @ one(m[2 * r:2 * r + 2, 2 * t:2 * t + 2], lo)
+    return out
+
+
+def reference_noisy(sc, rho, nm):
+    """Kraus-by-Kraus density evolution with kron-embedded operators."""
+    width = sc.circuit.width
+    events = [(t, i, g) for i, (g, t) in enumerate(zip(sc.circuit.gates, sc.start_times))]
+    events += [
+        (t0, len(events) + i, (q, t1 - t0))
+        for i, (q, t0, t1) in enumerate(sc.idle_windows)
+        if t1 - t0 >= nm.dur_idle_unit - 1e-12
+    ]
+    for _, _, what in sorted(events, key=lambda e: e[:2]):
+        if isinstance(what, tuple):
+            qubits = (what[0],)
+            kraus = thermal_relaxation_kraus(nm.t1, nm.t2, what[1])
+        else:
+            qubits = what.qubits
+            u = kron_embed(gate_matrix(what), qubits, width)
+            rho = u @ rho @ u.conj().T
+            kraus = depolarizing_kraus(nm.p1 if len(qubits) == 1 else nm.p2, len(qubits))
+        ops = [kron_embed(k, qubits, width) for k in kraus]
+        rho = sum(e @ rho @ e.conj().T for e in ops)
+    return rho
+
+
+def random_native_circuit(width, n_gates, rng):
+    c = Circuit(width)
+    for _ in range(n_gates):
+        if width >= 2 and rng.random() < 0.3:
+            c.add("ECR", *(int(x) for x in rng.choice(width, 2, replace=False)))
+        else:
+            q = int(rng.integers(width))
+            kind = str(rng.choice(["RZ", "SX", "X"]))
+            params = (float(rng.uniform(-3, 3)),) if kind == "RZ" else ()
+            c.add(kind, q, params=params)
+    return c
 
 
 def random_circuit(width, n_gates, rng):
@@ -47,6 +110,23 @@ def random_circuit(width, n_gates, rng):
     return c
 
 
+class TestApplyMatrix:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_kron_embedding_for_every_qubit_order(self, width):
+        rng = np.random.default_rng(100 + width)
+        targets = [(q,) for q in range(width)]
+        targets += [(a, b) for a in range(width) for b in range(width) if a != b]
+        dim = 1 << width
+        for qubits in targets:
+            k = 1 << len(qubits)
+            m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            full = kron_embed(m, qubits, width)
+            for rows in (rng.normal(size=dim) + 0j, rng.normal(size=(dim, dim)) + 0j):
+                got = apply_matrix(rows, m, qubits, width)
+                assert got.shape == rows.shape
+                assert np.abs(got - full @ rows).max() <= 1e-12
+
+
 class TestRunExact:
     def test_empty_circuit(self):
         psi = ground_state(3)
@@ -68,6 +148,10 @@ class TestRunExact:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             run_exact(Circuit(3), np.zeros(4, dtype=complex))
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ArithmeticError, match="norm"):
+            run_exact(Circuit(1), np.array([math.nan, 0.0], dtype=complex))
 
     def test_parrondo_return(self, schedule_4cycle):
         c = build_walk_circuit_4cycle(schedule_4cycle, 20)
@@ -103,6 +187,10 @@ class TestMeasurePositions:
         a = measure_positions(psi, (0, 1), shots=5000, seed=77)
         b = measure_positions(psi, (0, 1), shots=5000, seed=77)
         assert a == b
+
+    def test_size_not_power_of_two(self):
+        with pytest.raises(ValueError, match="6 basis probabilities: size is not a power of two"):
+            measure_positions(np.ones(6, dtype=complex) / math.sqrt(6), (0,))
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="measured qubit"):
@@ -141,6 +229,24 @@ class TestChannels:
         with pytest.raises(ValueError, match="t2"):
             NoiseModel(t1=100.0, t2=250.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"t1": math.nan, "t2": math.nan}, "relaxation times"),
+            ({"t2": math.nan}, "relaxation times"),
+            ({"dur_1q": math.nan}, "dur_1q"),
+            ({"dur_2q": math.inf}, "dur_2q"),
+            ({"dur_idle_unit": math.nan}, "dur_idle_unit"),
+            ({"p1": math.nan}, "p1"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**kwargs)
+
+    def test_infinite_relaxation_times_accepted(self):
+        assert NoiseModel(t1=math.inf, t2=math.inf).t1 == math.inf
+
 
 class TestRunNoisy:
     def test_zero_noise_matches_projector(self, schedule_4cycle):
@@ -178,6 +284,20 @@ class TestRunNoisy:
         with pytest.raises(ValueError, match="width"):
             run_noisy(Circuit(7), np.eye(128, dtype=complex) / 128, NoiseModel())
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_kron_kraus_reference(self, width):
+        # gate, depolarizing and idle-relaxation channels with XY4 pulses in
+        # the idle windows, against the Kraus-by-Kraus reference
+        rng = np.random.default_rng(200 + width)
+        nm = NoiseModel(p1=0.01, p2=0.05, t1=50.0, t2=30.0)
+        for _ in range(3):
+            c = random_native_circuit(width, 12, rng)
+            sc = insert_dd(schedule(c, nm), nm)
+            psi = unitary_group.rvs(1 << width, random_state=rng)[:, 0]
+            rho0 = state_to_density(psi)
+            want = reference_noisy(sc, rho0, nm)
+            assert np.abs(run_noisy(sc, rho0, nm) - want).max() <= 1e-12
+
     def test_noisy_fidelity_below_one_and_decreasing(self, schedule_4cycle):
         # fixed noise on linearly deepening circuits: fidelity to exact sits
         # below 1 and trends down (negative Mann-Kendall statistic)
@@ -210,6 +330,10 @@ class TestReadout:
         nm = NoiseModel(readout_flip=0.5, t1=math.inf, t2=math.inf, p1=0, p2=0)
         d = readout_distribution(rho, (0, 1), nm)
         assert all(v == pytest.approx(0.25) for v in d.outcomes.values())
+
+    def test_size_not_power_of_two(self):
+        with pytest.raises(ValueError, match="6 basis probabilities: size is not a power of two"):
+            readout_distribution(np.eye(6, dtype=complex) / 6, (0,), NoiseModel())
 
     def test_one_percent_flip_products(self):
         rho = np.zeros((4, 4), dtype=complex)
@@ -261,6 +385,16 @@ class TestValidateDensity:
 
         with pytest.raises(ValueError, match="negative"):
             validate_density(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="trace"):
+            validate_density(np.full((2, 2), math.nan, dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            validate_density(np.array([[0.5, math.nan], [0.0, 0.5]], dtype=complex))
+
+    def test_density_check_rejects_nan(self):
+        with pytest.raises(ArithmeticError, match="trace"):
+            _check_density(np.full((2, 2), math.nan, dtype=complex), "in test")
 
     def test_run_noisy_validates_input(self):
         c = Circuit(1)
