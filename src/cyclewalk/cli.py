@@ -2,27 +2,31 @@
 
 Subcommands: ``run`` (full experiment bundle from a config file),
 ``period-scan``, ``depth-report`` and ``dump-circuit``.  Exit codes:
-0 success, 2 configuration error, 1 runtime error.
+0 success; 2 configuration error, that is a usage error, a missing or
+malformed config file, an unknown section or key, or a field, flag or
+argument out of range, printed as ``config error: <section.key>: ...``;
+1 runtime error.  Every check of a value lives in ``cyclewalk.experiments``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _parse_coin,
+    _parse_noise,
+    _parse_sections,
     config_from_text,
-    default_coins,
     dump_circuit,
     run_depth_report,
     run_experiment,
     run_period_scan,
 )
-from .transpile import OptLevel
-from .walk import CoinParams
 
 CONFIG_EXIT = 2
 RUNTIME_EXIT = 1
@@ -41,8 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shots", type=int, help="override the shot count")
     run.add_argument("--noise", help="config file whose [noise] section to use")
     run.add_argument("--dd", choices=["none", "xy4"], help="dynamical decoupling")
-    run.add_argument("--opt", type=int, choices=[0, 1, 3], help="optimization level")
-    run.add_argument("--out", help="output directory")
+    run.add_argument(
+        "--opt", dest="opt_level", type=int, choices=[0, 1, 3], help="optimization level"
+    )
+    run.add_argument("--out", dest="out_dir", help="output directory")
     run.add_argument("--overlay", help="t,value CSV plotted alongside (e.g. hardware data)")
 
     scan = sub.add_parser("period-scan", help="find the walk period for one coin")
@@ -66,53 +72,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(ns: argparse.Namespace) -> ExperimentConfig:
-    path = Path(ns.config)
+def _read_file(path_str: str, what: str) -> str:
+    path = Path(path_str)
     if not path.exists():
-        raise ConfigError(f"config: file not found: {path}")
-    cfg = config_from_text(path.read_text())
-    updates = {}
-    if getattr(ns, "seed", None) is not None:
-        updates["seed"] = ns.seed
-    if getattr(ns, "shots", None) is not None:
-        updates["shots"] = ns.shots
-    if getattr(ns, "dd", None) is not None:
-        updates["dd"] = ns.dd
-    if getattr(ns, "opt", None) is not None:
-        updates["opt_level"] = OptLevel(ns.opt)
-    if getattr(ns, "out", None) is not None:
-        updates["out_dir"] = ns.out
-    if getattr(ns, "overlay", None) is not None:
-        updates["overlay"] = ns.overlay
-    if getattr(ns, "noise", None) is not None:
-        noise_path = Path(ns.noise)
-        if not noise_path.exists():
-            raise ConfigError(f"noise: file not found: {noise_path}")
-        text = noise_path.read_text()
-        if "[experiment]" not in text:
-            text = "[experiment]\ncycle = 4\n" + text
-        noise_cfg = config_from_text(text)
-        if noise_cfg.noise is None:
-            raise ConfigError(f"noise: {noise_path} has no [noise] section")
-        updates["noise"] = noise_cfg.noise
-    if not updates:
-        return cfg
-    from dataclasses import replace
-
-    try:
-        return replace(cfg, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{what}: file not found: {path}")
+    return path.read_text()
 
 
-def _parse_coin(text: str) -> CoinParams:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"coin: need 'r,a,b', got {text!r}")
-    try:
-        return CoinParams(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise ConfigError(f"coin: {exc}") from exc
+def _load_config(ns: argparse.Namespace) -> ExperimentConfig:
+    """The config file with every flag that is set replacing its field."""
+    cfg = config_from_text(_read_file(ns.config, "config"))
+    updates = {
+        f.name: getattr(ns, f.name)
+        for f in fields(ExperimentConfig)
+        if getattr(ns, f.name, None) is not None
+    }
+    if "noise" in updates:
+        updates["noise"] = _parse_noise(_parse_sections(_read_file(ns.noise, "noise")))
+        if updates["noise"] is None:
+            raise ConfigError(f"noise: {ns.noise} has no [noise] section")
+    return replace(cfg, **updates)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,9 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             for key in sorted(paths):
                 print(f"{key}: {paths[key]}")
         elif ns.command == "period-scan":
-            coin = _parse_coin(ns.coin)
-            if ns.cycle < 3:
-                raise ConfigError(f"cycle: must be >= 3, got {ns.cycle}")
+            coin = _parse_coin("coin", ns.coin)
             strict, loose, csv_text = run_period_scan(ns.cycle, coin, ns.t_max)
             print(f"strict: period={strict.period} residual={strict.residual:.3e}")
             print(
@@ -139,12 +116,6 @@ def main(argv: list[str] | None = None) -> int:
                 (out / "period_scan.csv").write_text(csv_text)
                 print(f"csv: {out / 'period_scan.csv'}")
         elif ns.command == "depth-report":
-            if ns.cycle not in (3, 4, 8):
-                raise ConfigError(f"cycle: must be 3, 4 or 8, got {ns.cycle}")
-            coins = default_coins(ns.cycle)
-            missing = sorted(set(ns.pattern) - set(coins))
-            if missing:
-                raise ConfigError(f"pattern: labels {missing} have no default coin")
             csv_text = run_depth_report(ns.cycle, ns.pattern, ns.t_max, ns.opt)
             if ns.out:
                 out = Path(ns.out)
@@ -155,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(csv_text, end="")
         elif ns.command == "dump-circuit":
             cfg = _load_config(ns)
-            if ns.t < 0:
-                raise ConfigError(f"t: must be >= 0, got {ns.t}")
             text = dump_circuit(cfg, ns.t, native=ns.native)
             if ns.out:
                 out = Path(ns.out)

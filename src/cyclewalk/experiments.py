@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +71,16 @@ def default_coins(cycle: int) -> dict[str, CoinParams]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment bundle."""
+    """Everything needed to reproduce one experiment bundle.
+
+    This dataclass is the config schema: its scalar fields are the
+    ``[experiment]`` keys, and ``__post_init__`` is the one place their
+    values are checked.
+    """
 
     cycle: int = 4
-    coins: dict[str, CoinParams] = field(default_factory=lambda: default_coins(4))
+    # empty means the cycle's default_coins
+    coins: dict[str, CoinParams] = field(default_factory=dict)
     pattern: str = "AABB"
     t_max: int = 25
     shots: int = 100_000
@@ -90,10 +96,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.cycle not in SUPPORTED_CYCLES:
             raise ConfigError(f"cycle: must be one of {SUPPORTED_CYCLES}, got {self.cycle}")
+        if not self.coins:
+            object.__setattr__(self, "coins", default_coins(self.cycle))
+        if self.opt_level not in tuple(OptLevel):
+            raise ConfigError(f"opt_level: must be 0, 1 or 3, got {self.opt_level}")
+        object.__setattr__(self, "opt_level", OptLevel(self.opt_level))
         if self.t_max < 1:
             raise ConfigError(f"t_max: must be >= 1, got {self.t_max}")
         if self.shots < 0:
             raise ConfigError(f"shots: must be >= 0, got {self.shots}")
+        if not self.pattern:
+            raise ConfigError("pattern: must not be empty")
         missing = sorted(set(self.pattern) - set(self.coins))
         if missing:
             raise ConfigError(f"pattern: labels {missing} have no coin binding")
@@ -117,108 +130,109 @@ def build_walk_circuit(cycle: int, schedule_: CoinSchedule, steps: int) -> Circu
 
 
 # ---------------------------------------------------------------------------
-# config file format (ini-style sections of key = value pairs)
+# config file format (ini-style sections of key = value pairs), read and
+# written from the dataclass fields: [experiment] holds ExperimentConfig's
+# scalar fields in field order (``out`` names ``out_dir``), [coins] binds
+# labels to "r, a, b" triples, [noise] holds NoiseModel's fields, and [meta]
+# (a manifest's provenance) is accepted and not read.
+
+_EXPERIMENT_KEYS = {
+    ("out" if f.name == "out_dir" else f.name): f
+    for f in fields(ExperimentConfig)
+    if f.name not in ("coins", "noise")
+}
+_NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
+_SECTION_KEYS = {"experiment": _EXPERIMENT_KEYS, "noise": _NOISE_KEYS}
+
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "cycle": str(cfg.cycle),
-        "pattern": cfg.pattern,
-        "t_max": str(cfg.t_max),
-        "shots": str(cfg.shots),
-        "seed": str(cfg.seed),
-        "opt_level": str(int(cfg.opt_level)),
-        "dd": cfg.dd,
-        "out": cfg.out_dir,
-    }
-    if cfg.overlay:
-        parser["experiment"]["overlay"] = cfg.overlay
+    exp = {}
+    for key, f in _EXPERIMENT_KEYS.items():
+        value = getattr(cfg, f.name)
+        if value == f.default == "":
+            continue  # an unset optional path (overlay) is left out
+        exp[key] = value if isinstance(value, str) else str(int(value))
+    parser["experiment"] = exp
     parser["coins"] = {
         label: f"{p.r!r}, {p.a!r}, {p.b!r}" for label, p in sorted(cfg.coins.items())
     }
     if cfg.noise is not None:
-        nm = cfg.noise
-        parser["noise"] = {
-            "p1": repr(nm.p1),
-            "p2": repr(nm.p2),
-            "t1": repr(nm.t1),
-            "t2": repr(nm.t2),
-            "dur_1q": repr(nm.dur_1q),
-            "dur_2q": repr(nm.dur_2q),
-            "dur_idle_unit": repr(nm.dur_idle_unit),
-            "readout_flip": repr(nm.readout_flip),
-        }
+        parser["noise"] = {key: repr(getattr(cfg.noise, key)) for key in _NOISE_KEYS}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def _parse_field(section, key, cast, where):
-    if key not in section:
-        raise ConfigError(f"{where}.{key}: missing")
-    raw = section[key]
+def _parse_value(where: str, raw: str, cast):
     try:
         return cast(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}.{key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"{where}: cannot parse {raw!r}") from exc
 
 
-def config_from_text(text: str) -> ExperimentConfig:
+def _parse_sections(text: str) -> configparser.ConfigParser:
+    """Config text as sections; every section and key must be in the schema."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config: {exc}") from exc
+    for name in parser.sections():
+        if name in _SECTION_KEYS:
+            for key in parser[name]:
+                if key not in _SECTION_KEYS[name]:
+                    raise ConfigError(f"{name}.{key}: unknown key")
+        elif name not in ("coins", "meta"):
+            raise ConfigError(f"[{name}]: unknown section")
+    return parser
+
+
+def _parse_coin(where: str, text: str) -> CoinParams:
+    """A coin written as the triple 'r, a, b'."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 3:
+        raise ConfigError(f"{where}: need 'r, a, b', got {text!r}")
+    try:
+        return CoinParams(*(float(p) for p in parts))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _parse_noise(parser: configparser.ConfigParser) -> NoiseModel | None:
+    """The [noise] section as a NoiseModel; None when there is no such section."""
+    if "noise" not in parser:
+        return None
+    kwargs = {
+        key: _parse_value(f"noise.{key}", raw, float) for key, raw in parser["noise"].items()
+    }
+    try:
+        return NoiseModel(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+
+
+def config_from_text(text: str) -> ExperimentConfig:
+    parser = _parse_sections(text)
     if "experiment" not in parser:
         raise ConfigError("config: missing [experiment] section")
     exp = parser["experiment"]
-    coins: dict[str, CoinParams] = {}
-    if "coins" in parser:
-        for label, triple in parser["coins"].items():
-            parts = [p.strip() for p in triple.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"coins.{label}: need 'r, a, b', got {triple!r}")
-            try:
-                coins[label.upper()] = CoinParams(*(float(p) for p in parts))
-            except ValueError as exc:
-                raise ConfigError(f"coins.{label}: {exc}") from exc
-    cycle = _parse_field(exp, "cycle", int, "experiment")
-    if not coins:
-        coins = default_coins(cycle)
-    noise = None
-    if "noise" in parser:
-        ns = parser["noise"]
-        kwargs = {}
-        for key in ("p1", "p2", "t1", "t2", "dur_1q", "dur_2q", "dur_idle_unit", "readout_flip"):
-            if key in ns:
-                kwargs[key] = _parse_field(ns, key, float, "noise")
-        try:
-            noise = NoiseModel(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from exc
-    opt_raw = _parse_field(exp, "opt_level", int, "experiment") if "opt_level" in exp else 3
-    try:
-        opt = OptLevel(opt_raw)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.opt_level: must be 0, 1 or 3, got {opt_raw}") from exc
-    try:
-        return ExperimentConfig(
-            cycle=cycle,
-            coins=coins,
-            pattern=exp.get("pattern", "AABB"),
-            t_max=_parse_field(exp, "t_max", int, "experiment") if "t_max" in exp else 25,
-            shots=_parse_field(exp, "shots", int, "experiment") if "shots" in exp else 100_000,
-            seed=_parse_field(exp, "seed", int, "experiment") if "seed" in exp else 1234,
-            opt_level=opt,
-            noise=noise,
-            dd=exp.get("dd", "none"),
-            out_dir=exp.get("out", "results"),
-            overlay=exp.get("overlay", ""),
+    kwargs = {
+        f.name: _parse_value(
+            f"experiment.{key}", exp[key], str if isinstance(f.default, str) else int
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        for key, f in _EXPERIMENT_KEYS.items()
+        if key in exp
+    }
+    coins = parser["coins"] if "coins" in parser else {}
+    kwargs["coins"] = {
+        label.upper(): _parse_coin(f"coins.{label}", triple) for label, triple in coins.items()
+    }
+    kwargs["noise"] = _parse_noise(parser)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"experiment.{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +487,10 @@ def run_period_scan(
     Returns (strict, phase_insensitive, csv_text); both finders are run and
     cross-checked.
     """
+    if cycle < 3:
+        raise ConfigError(f"cycle: must be >= 3, got {cycle}")
+    if t_max < 1:
+        raise ConfigError(f"t_max: must be >= 1, got {t_max}")
     u = step_operator(cycle, coin, "exact")
     strict = find_period_power(u, t_max)
     loose = find_period_power(u, t_max, phase_insensitive=True)
@@ -500,8 +518,8 @@ def run_depth_report(
     ``opt_level`` "logical" reports the untranspiled circuit in the native
     columns as well; otherwise the circuit is transpiled at that level.
     """
-    coins = coins or default_coins(cycle)
-    sched = parrondo_schedule(pattern, coins, t_max)
+    cfg = ExperimentConfig(cycle=cycle, coins=coins or {}, pattern=pattern, t_max=t_max)
+    sched = cfg.schedule()
     lines = ["t,logical_depth,native_depth,count_1q,count_2q"]
     for t in range(1, t_max + 1):
         circuit = build_walk_circuit(cycle, sched, t)
@@ -518,6 +536,8 @@ def run_depth_report(
 
 def dump_circuit(cfg: ExperimentConfig, steps: int, native: bool = False) -> str:
     """Text-format dump of the configured walk circuit at the given step count."""
+    if steps < 0:
+        raise ConfigError(f"t: must be >= 0, got {steps}")
     circuit = build_walk_circuit(cfg.cycle, cfg.schedule(), steps)
     if native:
         circuit = transpile(circuit, cfg.opt_level)

@@ -126,9 +126,6 @@ class Gate:
     def n_qubits(self) -> int:
         return len(self.qubits)
 
-    def is_native(self) -> bool:
-        return self.kind in NATIVE_KINDS
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
             return NotImplemented

@@ -10,7 +10,6 @@ alphabets with missing outcomes treated as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "classify_fidelity",
     "state_distance_phase_aligned",
     "trace_distance",
-    "FidelitySeries",
 ]
 
 _NORM_TOL = 1e-6
@@ -81,41 +79,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     diff = rho - sigma
     eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return float(0.5 * np.sum(np.abs(eigenvalues)))
-
-
-@dataclass(frozen=True)
-class FidelitySeries:
-    """Per-step fidelity values between two labelled sources."""
-
-    steps: tuple[int, ...]
-    values: tuple[float, ...]
-    labels: tuple[str, str]
-
-    def __post_init__(self) -> None:
-        if len(self.steps) != len(self.values):
-            raise ValueError("steps and values must have matching lengths")
-        for v in self.values:
-            if not 0.0 <= v <= 1.0 + 1e-12:
-                raise ValueError(f"fidelity {v} outside [0, 1]")
-
-    def to_csv(self) -> str:
-        lines = [f"# compare={self.labels[0]}:{self.labels[1]}", "t,fidelity"]
-        for t, v in zip(self.steps, self.values):
-            lines.append(f"{t},{v!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "FidelitySeries":
-        labels = ("a", "b")
-        steps: list[int] = []
-        values: list[float] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("# compare="):
-                a, b = line.split("=", 1)[1].split(":")
-                labels = (a, b)
-            elif line and not line.startswith(("#", "t,")):
-                t, v = line.split(",")
-                steps.append(int(t))
-                values.append(float(v))
-        return cls(steps=tuple(steps), values=tuple(values), labels=labels)

@@ -59,15 +59,6 @@ class NoiseModel:
         """Zero gate noise and infinitely slow relaxation; timing kept."""
         return cls(p1=0.0, p2=0.0, t1=math.inf, t2=math.inf)
 
-    def is_noiseless(self) -> bool:
-        return (
-            self.p1 == 0.0
-            and self.p2 == 0.0
-            and math.isinf(self.t1)
-            and math.isinf(self.t2)
-            and self.readout_flip == 0.0
-        )
-
 
 def gate_duration(gate: Gate, nm: NoiseModel) -> float:
     if gate.kind in ("RZ", "PHASE", "BARRIER"):

@@ -54,29 +54,6 @@ class Distribution:
             raise ValueError("cannot normalize a distribution with zero shots")
         return {k: v / self.shots for k, v in self.outcomes.items()}
 
-    def to_csv(self) -> str:
-        header = f"# shots={self.shots if self.shots is not None else 'exact'}"
-        lines = [header, "outcome,count_or_prob"]
-        for k in sorted(self.outcomes):
-            lines.append(f"{k},{self.outcomes[k]!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Distribution":
-        shots: int | None = None
-        outcomes: dict[int, float] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                value = line.split("=", 1)[1].strip()
-                shots = None if value == "exact" else int(value)
-            elif not line.startswith("outcome"):
-                key, val = line.split(",")
-                outcomes[int(key)] = float(val)
-        return cls(outcomes=outcomes, shots=shots)
-
 
 def run_exact(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates to a statevector; norm-checked result."""

@@ -19,6 +19,7 @@ gate count is structure-determined, never angle-determined.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -281,16 +282,25 @@ def _u(wire: int, matrix: np.ndarray) -> tuple:
     return ("u", wire, matrix)
 
 
-def cx_stream(control: int, target: int) -> Stream:
-    """CNOT as locals around one ECR (exact up to a global phase).
+@functools.cache
+def _cx_locals() -> tuple[np.ndarray, np.ndarray]:
+    """The constant (control, target) locals of cx_stream.
 
     Derived from ECR = (I (x) X) exp(-i pi/4 X (x) Z) and
-    CX = e^{i pi/4} exp(i pi/4 Z1 X0) (RZ(pi/2) (x) RX(pi/2)).
+    CX = e^{i pi/4} exp(i pi/4 Z1 X0) (RZ(pi/2) (x) RX(pi/2)).  Built on
+    first use, not at import: a process's first expm call raises its peak
+    RSS by about 1 MB, which code that never synthesises need not pay.
     """
     rx_half = scipy.linalg.expm(-0.25j * math.pi * X_MATRIX)
+    return H_MATRIX @ rz_matrix(math.pi / 2), X_MATRIX @ H_MATRIX @ rx_half
+
+
+def cx_stream(control: int, target: int) -> Stream:
+    """CNOT as locals around one ECR (exact up to a global phase)."""
+    control_local, target_local = _cx_locals()
     return [
-        _u(control, H_MATRIX @ rz_matrix(math.pi / 2)),
-        _u(target, X_MATRIX @ H_MATRIX @ rx_half),
+        _u(control, control_local),
+        _u(target, target_local),
         ("ecr", control, target),
         _u(control, H_MATRIX),
         _u(target, H_MATRIX),

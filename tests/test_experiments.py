@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from cyclewalk import (
     run_period_scan,
 )
 from cyclewalk.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(
+    [*(ROOT / "demos" / "configs").glob("*.cfg"), *(ROOT / "perfbench" / "configs").glob("*.cfg")]
+)
 
 
 def small_config(tmp_path, **overrides):
@@ -47,6 +53,21 @@ class TestConfig:
         cfg = small_config(tmp_path)
         assert config_from_text(config_to_text(cfg)) == cfg
 
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_parse_and_round_trip(self, path):
+        cfg = config_from_text(path.read_text())
+        assert config_from_text(config_to_text(cfg)) == cfg
+
+    def test_manifest_with_meta_parses_back(self, tmp_path):
+        cfg = small_config(tmp_path, t_max=1, shots=0)
+        manifest = run_experiment(cfg)["manifest"].read_text()
+        assert "[meta]" in manifest
+        assert config_from_text(manifest) == cfg
+
+    def test_default_coins_follow_cycle(self):
+        assert ExperimentConfig(cycle=3).coins == default_coins(3)
+        assert config_from_text("[experiment]\ncycle = 8\n").coins == default_coins(8)
+
     def test_bad_cycle(self):
         with pytest.raises(ConfigError, match="cycle"):
             ExperimentConfig(cycle=5)
@@ -66,6 +87,17 @@ class TestConfig:
             config_from_text("[experiment]\ncycle = 4\n[coins]\na = 0.5\n")
         with pytest.raises(ConfigError, match="noise"):
             config_from_text("[experiment]\ncycle = 4\n[noise]\np1 = 2.0\n")
+        cases = {
+            "[experiment]\nshot = 0\n": "experiment.shot: unknown key",
+            "[experiment]\ncycle = 4\n[nosie]\np1 = 0.1\n": r"\[nosie\]: unknown section",
+            "[experiment]\ncycle = 4\n[noise]\np3 = 0.1\n": "noise.p3: unknown key",
+            "[experiment]\nopt_level = 2\n": "experiment.opt_level: must be 0, 1 or 3",
+            "[experiment]\npattern =\n": "experiment.pattern: must not be empty",
+            "[experiment]\ncycle = 4\n[noise]\nt1 = soon\n": "noise.t1: cannot parse",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ConfigError, match=message):
+                config_from_text(text)
 
     def test_default_coins_per_cycle(self):
         assert default_coins(4)["A"] == CoinParams(0.998489)
@@ -128,6 +160,11 @@ class TestPeriodScan:
         _, loose8, _ = run_period_scan(8, CoinParams(0.5), 100)
         assert loose8.period == 24
 
+    @pytest.mark.parametrize("cycle, t_max", [(2, 100), (4, 0)])
+    def test_out_of_range_is_config_error(self, cycle, t_max):
+        with pytest.raises(ConfigError, match="cycle" if cycle < 3 else "t_max"):
+            run_period_scan(cycle, CoinParams(0.5), t_max)
+
     def test_3cycle_regressions(self):
         assert run_period_scan(3, CoinParams(2 / 3), 100)[1].period == 8
         assert run_period_scan(3, CoinParams((5 - math.sqrt(5)) / 6), 100)[1].period == 10
@@ -146,6 +183,15 @@ class TestDepthReport:
         csv_text = run_depth_report(4, "AABB", t_max=8, opt_level=3)
         depths = {int(r.split(",")[2]) for r in csv_text.splitlines()[1:]}
         assert len(depths) == 1
+
+    @pytest.mark.parametrize(
+        "pattern, t_max, message",
+        [("", 3, "pattern: must not be empty"), ("AABB", 0, "t_max: must be >= 1"),
+         ("AAC", 3, "pattern: labels")],
+    )
+    def test_out_of_range_is_config_error(self, pattern, t_max, message):
+        with pytest.raises(ConfigError, match=message):
+            run_depth_report(4, pattern, t_max=t_max)
 
     def test_l0_native_depth_increases(self):
         csv_text = run_depth_report(4, "AABB", t_max=8, opt_level=0)
@@ -183,6 +229,10 @@ class TestDumpCircuit:
         assert body[3] == f"CP 2 1 {4 * math.pi / 3!r}"
         assert body[4] == f"CP 2 0 {8 * math.pi / 3!r}"
 
+    def test_negative_steps_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="t: must be >= 0"):
+            dump_circuit(small_config(tmp_path), -1)
+
     def test_native_dump_is_native_only(self, tmp_path):
         cfg = small_config(tmp_path)
         text = dump_circuit(cfg, 2, native=True)
@@ -205,12 +255,63 @@ class TestCli:
         bad.write_text("[experiment]\ncycle = 5\n")
         assert main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[experiment]\ncycle = 4\npattern =\n", "experiment.pattern: must not be empty"),
+            ("[experiment]\ncycle = 4\nshot = 0\n", "experiment.shot: unknown key"),
+            ("[experiment]\ncycle = 4\n[nosie]\np1 = 0.1\n", "[nosie]: unknown section"),
+        ],
+        ids=["empty-pattern", "unknown-key", "unknown-section"],
+    )
+    def test_rejected_config_exits_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(config_to_text(small_config(tmp_path, t_max=3, shots=100)))
         out2 = tmp_path / "other"
         assert main(["run", "--config", str(cfg_path), "--out", str(out2), "--shots", "50"]) == 0
         assert (out2 / "probability.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["period-scan", "--cycle", "4", "--coin", "0.5,0,0", "--t-max", "0"],
+            ["period-scan", "--cycle", "2", "--coin", "0.5,0,0"],
+            ["depth-report", "--cycle", "4", "--pattern", ""],
+            ["depth-report", "--cycle", "4", "--t-max", "0"],
+            ["depth-report", "--cycle", "5"],
+        ],
+        ids=["scan-t-max-0", "scan-cycle-2", "depth-empty-pattern", "depth-t-max-0",
+             "depth-cycle-5"],
+    )
+    def test_out_of_range_arguments_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "noise_text",
+        ["[noise]\np1 = 0.001\n", "[experiment]\nseed = 3\n\n[noise]\np1 = 0.001\n"],
+        ids=["noise-only", "config-without-cycle"],
+    )
+    def test_noise_file(self, tmp_path, noise_text):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config_to_text(small_config(tmp_path, t_max=2, shots=0)))
+        noise_path = tmp_path / "noise.cfg"
+        noise_path.write_text(noise_text)
+        assert main(["run", "--config", str(cfg_path), "--noise", str(noise_path)]) == 0
+        out = tmp_path / "out"
+        assert (out / "probability.csv").read_text().splitlines()[0] == "t,exact,noisy"
+        assert config_from_text((out / "manifest").read_text()).noise == NoiseModel(p1=0.001)
+
+    def test_noise_file_without_noise_section(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config_to_text(small_config(tmp_path, t_max=2, shots=0)))
+        assert main(["run", "--config", str(cfg_path), "--noise", str(cfg_path)]) == 2
 
     def test_period_scan_output(self, capsys):
         assert main(["period-scan", "--cycle", "4", "--coin", "0.5,0,0"]) == 0

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from cyclewalk import (
     Distribution,
-    FidelitySeries,
     classify_fidelity,
     hellinger_distance,
     hellinger_fidelity,
@@ -117,17 +116,3 @@ class TestTraceDistance:
         b = np.diag([0.0, 1.0]).astype(complex)
         assert trace_distance(a, b) == pytest.approx(1.0)
 
-
-class TestFidelitySeries:
-    def test_csv_round_trip(self):
-        s = FidelitySeries(steps=(1, 2, 3), values=(1.0, 0.99, 0.5), labels=("sampled", "exact"))
-        rt = FidelitySeries.from_csv(s.to_csv())
-        assert rt == s
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="lengths"):
-            FidelitySeries(steps=(1,), values=(0.5, 0.6), labels=("a", "b"))
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError, match="outside"):
-            FidelitySeries(steps=(1,), values=(1.5,), labels=("a", "b"))

@@ -347,16 +347,6 @@ class TestReadout:
 
 
 class TestDistribution:
-    def test_csv_round_trip_probabilities(self):
-        d = Distribution({0: 0.5, 1: 0.25, 3: 0.25})
-        assert Distribution.from_csv(d.to_csv()) == d
-
-    def test_csv_round_trip_counts(self):
-        d = Distribution({0: 600, 1: 400}, shots=1000)
-        rt = Distribution.from_csv(d.to_csv())
-        assert rt.shots == 1000
-        assert rt.outcomes == d.outcomes
-
     def test_zero_shot_normalization_error(self):
         with pytest.raises(ValueError, match="zero shots"):
             Distribution({0: 0}, shots=0).probabilities()
