@@ -117,7 +117,7 @@ class Gate:
             defect = np.linalg.norm(
                 self.matrix @ self.matrix.conj().T - np.eye(2)
             )
-            if defect > 1e-12:
+            if not (defect <= 1e-12):
                 raise ValueError(f"UNITARY payload is not unitary (defect {defect:.2e})")
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} does not take a matrix payload")

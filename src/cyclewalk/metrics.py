@@ -32,7 +32,7 @@ def _as_probabilities(dist: Distribution | dict) -> dict[int, float]:
     else:
         probs = dict(dist)
     total = sum(probs.values())
-    if abs(total - 1.0) > _NORM_TOL:
+    if not (abs(total - 1.0) <= _NORM_TOL):
         raise ValueError(f"distribution is not normalized (sums to {total})")
     return probs
 

@@ -22,6 +22,8 @@ __all__ = ["PeriodResult", "EigendecompositionError", "find_period_power", "find
 
 DEFAULT_T_MAX = 1000
 DEFAULT_TOL = 1e-8
+# steps whose residuals the finders compute in one vectorised block
+BLOCK = 128
 
 
 class EigendecompositionError(RuntimeError):
@@ -48,8 +50,41 @@ class PeriodResult:
 
 def _check_unitary(u: np.ndarray) -> None:
     defect = unitarity_defect(u)
-    if defect > 1e-8:
+    if not (defect <= 1e-8):
         raise ValueError(f"operator is not unitary (defect {defect:.2e})")
+
+
+def _unit_phase(z: np.ndarray, floor: float) -> np.ndarray:
+    """z / |z| elementwise, and 1 where |z| <= floor."""
+    size = np.hypot(z.real, z.imag)  # the same bits as abs() of one complex
+    big = size > floor
+    return np.where(big, z, 1.0) / np.where(big, size, 1.0)
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """||M||_F of each matrix M in a stack, summed in np.linalg.norm's order for one matrix."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    squares = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    return np.sqrt(squares[:, 0, 0])
+
+
+def _search(residuals_of, t_max: int, tol: float) -> PeriodResult:
+    """The first t <= t_max whose residual is below tol.
+
+    ``residuals_of(start, n)`` returns the residuals of t = start .. start+n-1;
+    it is called for consecutive blocks of at most BLOCK steps, so working
+    memory does not grow with t_max and a short period returns early.
+    """
+    best = np.inf
+    for start in range(1, t_max + 1, BLOCK):
+        residuals = residuals_of(start, min(BLOCK, t_max + 1 - start))
+        hits = np.flatnonzero(residuals < tol)
+        if hits.size:
+            i = int(hits[0])
+            return PeriodResult(period=start + i, residual=float(residuals[i]), bound=t_max)
+        best = min(best, float(residuals.min()))
+    return PeriodResult(period=None, residual=best, bound=t_max)
 
 
 def find_period_power(
@@ -58,32 +93,36 @@ def find_period_power(
     tol: float = DEFAULT_TOL,
     phase_insensitive: bool = False,
 ) -> PeriodResult:
-    """Search for the smallest T <= t_max with U^T = I by repeated squaring-free powers.
+    """Search for the smallest T <= t_max with U^T = I by direct matrix powers.
 
-    In phase-insensitive mode the comparison allows a common phase, fixed
-    from the largest-magnitude diagonal entry of U^T.  The residual is the
+    Each power is one product U @ U^(T-1), never a squaring or a function of
+    the spectrum, and a block of consecutive powers is checked at once.  In
+    phase-insensitive mode the comparison allows a common phase, fixed from
+    the largest-magnitude diagonal entry of U^T.  The residual is the
     Frobenius distance ||U^T - e^{i gamma} I||_F.
     """
     _check_unitary(u)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     dim = u.shape[0]
-    eye = np.eye(dim)
+    block = np.empty((min(BLOCK, t_max), dim, dim), dtype=complex)
     power = np.eye(dim, dtype=complex)
-    best = np.inf
-    for t in range(1, t_max + 1):
-        power = u @ power
+
+    def residuals_of(start: int, n: int) -> np.ndarray:
+        nonlocal power
+        powers = block[:n]
+        for out in powers:
+            power = np.matmul(u, power, out=out)
+        power = power.copy()  # the block becomes U^t - e^{i gamma} I below
+        diagonals = powers.reshape(n, -1)[:, :: dim + 1]
         if phase_insensitive:
-            k = int(np.argmax(np.abs(np.diagonal(power))))
-            phase = power[k, k] / abs(power[k, k]) if abs(power[k, k]) > 0 else 1.0
+            lead = diagonals[np.arange(n), np.argmax(np.abs(diagonals), axis=1)]
+            diagonals -= _unit_phase(lead, 0.0)[:, None]
         else:
-            phase = 1.0
-        residual = float(np.linalg.norm(power - phase * eye))
-        if residual < best:
-            best = residual
-        if residual < tol:
-            return PeriodResult(period=t, residual=residual, bound=t_max)
-    return PeriodResult(period=None, residual=best, bound=t_max)
+            diagonals -= 1.0
+        return _frobenius(powers)
+
+    return _search(residuals_of, t_max, tol)
 
 
 def find_period_eigen(
@@ -98,6 +137,7 @@ def find_period_eigen(
     e^{i gamma}.  For each candidate T the common phase is the least-squares
     fit over all eigenvalues (their normalized mean); strict mode forces
     gamma = 0.  The reported residual is max_j |lambda_j^T - e^{i gamma}|.
+    A block of consecutive candidates is checked at once.
     """
     _check_unitary(u)
     if t_max < 1:
@@ -106,18 +146,14 @@ def find_period_eigen(
         eigenvalues = np.linalg.eigvals(u)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigenvalue computation failed: {exc}") from exc
-    angles = np.angle(eigenvalues)
-    best = np.inf
-    for t in range(1, t_max + 1):
-        powered = np.exp(1j * angles * t)
+    turns = 1j * np.angle(eigenvalues)
+
+    def residuals_of(start: int, n: int) -> np.ndarray:
+        powered = np.exp(turns * np.arange(start, start + n)[:, None])
         if phase_insensitive:
-            mean = np.mean(powered)
-            phase = mean / abs(mean) if abs(mean) > 1e-12 else 1.0
+            phase = _unit_phase(np.mean(powered, axis=1), 1e-12)[:, None]
         else:
             phase = 1.0
-        residual = float(np.max(np.abs(powered - phase)))
-        if residual < best:
-            best = residual
-        if residual < tol:
-            return PeriodResult(period=t, residual=residual, bound=t_max)
-    return PeriodResult(period=None, residual=best, bound=t_max)
+        return np.max(np.abs(powered - phase), axis=1)
+
+    return _search(residuals_of, t_max, tol)

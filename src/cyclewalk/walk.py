@@ -245,7 +245,7 @@ def evolve(
     for i in range(schedule.length):
         current = ops[schedule.label_at(i)] @ current
         norm = np.linalg.norm(current)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not (abs(norm - 1.0) <= NORM_TOL):
             raise ArithmeticError(f"state norm drifted to {norm} at step {i + 1}")
         trajectory.append(current)
     return trajectory

@@ -31,6 +31,8 @@ class TestGateValidation:
     def test_unitary_payload_checked(self):
         with pytest.raises(ValueError, match="not unitary"):
             Gate("UNITARY", (0,), matrix=np.array([[1, 0], [0, 2]], dtype=complex))
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate("UNITARY", (0,), matrix=np.array([[1, 0], [0, math.nan]], dtype=complex))
 
     def test_circuit_width_check(self):
         c = Circuit(2)

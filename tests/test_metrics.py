@@ -51,6 +51,8 @@ class TestHellinger:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
             hellinger_distance({0: 0.5}, {0: 1.0})
+        with pytest.raises(ValueError, match="not normalized"):
+            hellinger_fidelity({0: math.nan, 1: 0.5}, {0: 0.5, 1: 0.5})
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(51)

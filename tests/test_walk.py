@@ -189,6 +189,12 @@ class TestEvolve:
         for state in traj:
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
+    def test_nan_state_rejected(self, schedule_4cycle):
+        state = initial_state(0, 0, 4)
+        state[1] = math.nan
+        with pytest.raises(ArithmeticError, match="norm"):
+            evolve(state, schedule_4cycle, 4)
+
     def test_dimension_mismatch(self, schedule_4cycle):
         with pytest.raises(ValueError, match="dimension"):
             evolve(initial_state(0, 0, 4, "exact"), schedule_4cycle, 8, "exact")
