@@ -7,11 +7,12 @@ circuit metadata (``measured``), not a gate, so lowering stays unitary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate, gate_matrix
+from .gates import TWO_QUBIT_KINDS, Gate, gate_matrix
 
 __all__ = [
     "Circuit",
@@ -22,6 +23,7 @@ __all__ = [
     "depth_report",
     "to_text",
     "from_text",
+    "CircuitFormatError",
 ]
 
 MAX_LOWER_WIDTH = 12
@@ -81,13 +83,18 @@ def apply_matrix(rows: np.ndarray, m: np.ndarray, qubits, width: int) -> np.ndar
     the one gate-application kernel: ``np.dot`` on the transposed view
     reproduces ``np.tensordot`` bit for bit, which batched ``matmul`` does not.
     """
-    k = len(qubits)
+    order, back = _axis_orders(tuple(qubits), width)
+    moved = rows.reshape((2,) * width + (-1,)).transpose(order)
+    out = np.dot(m, moved.reshape(1 << len(qubits), -1)).reshape(moved.shape)
+    return out.transpose(back).reshape(rows.shape)
+
+
+@functools.cache
+def _axis_orders(qubits: tuple[int, ...], width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """apply_matrix's axis permutation (target axes first) and its inverse."""
     axes = [width - 1 - q for q in qubits]
     order = axes + [ax for ax in range(width + 1) if ax not in axes]
-    moved = rows.reshape((2,) * width + (-1,)).transpose(order)
-    out = np.dot(m, moved.reshape(1 << k, -1)).reshape(moved.shape)
-    back = sorted(range(width + 1), key=order.__getitem__)
-    return out.transpose(back).reshape(rows.shape)
+    return tuple(order), tuple(sorted(range(width + 1), key=order.__getitem__))
 
 
 def apply_circuit(rows: np.ndarray, circuit: Circuit) -> np.ndarray:
@@ -179,37 +186,67 @@ def to_text(circuit: Circuit, start_times=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+class CircuitFormatError(ValueError):
+    """Malformed circuit text; the message names the line number and its text."""
+
+
+def _integer(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad {what} {token!r}") from None
+
+
+def _parse_header(line: str) -> Circuit:
+    fields = {}
+    for item in line.split():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"header item {item!r} is not key=value")
+        if key not in ("width", "name", "measure"):
+            raise ValueError(f"unknown header key {key!r}")
+        fields[key] = value
+    if "width" not in fields:
+        raise ValueError("missing width in header")
+    measured = ()
+    if fields.get("measure"):
+        measured = tuple(_integer(q, "measured qubit") for q in fields["measure"].split(","))
+    return Circuit(_integer(fields["width"], "width"), fields.get("name", "circuit"), measured)
+
+
+def _parse_gate(line: str) -> Gate:
+    tokens = [t for t in line.split() if not t.startswith("@t=")]
+    if not tokens:
+        raise ValueError("no gate kind")
+    kind, rest = tokens[0], tokens[1:]
+    if kind == "BARRIER":
+        return Gate(kind, tuple(_integer(t, "qubit") for t in rest))
+    n_qubits = 2 if kind in TWO_QUBIT_KINDS else 1
+    qubits = tuple(_integer(t, "qubit") for t in rest[:n_qubits])
+    values = [float(t) for t in rest[n_qubits:]]
+    if kind == "UNITARY":
+        if len(values) != 8:
+            raise ValueError("UNITARY line needs 8 floats")
+        flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
+        return Gate(kind, qubits, matrix=flat.reshape(2, 2))
+    return Gate(kind, qubits, tuple(values))
+
+
 def from_text(text: str) -> Circuit:
     """Parse the serialization produced by :func:`to_text`.
 
     ``@t=`` annotations are accepted and ignored, so scheduled dumps parse
-    back to their plain circuit.
+    back to their plain circuit.  A malformed line raises
+    :class:`CircuitFormatError` naming its line number.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise ValueError("empty circuit text")
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    if "width" not in fields:
-        raise ValueError(f"missing width in header {lines[0]!r}")
-    measured = ()
-    if fields.get("measure"):
-        measured = tuple(int(q) for q in fields["measure"].split(","))
-    circuit = Circuit(int(fields["width"]), fields.get("name", "circuit"), measured)
-    for line in lines[1:]:
-        tokens = [t for t in line.split() if not t.startswith("@t=")]
-        kind = tokens[0]
-        rest = tokens[1:]
-        n_qubits = 2 if kind in ("CP", "ECR") else 1
-        if kind == "BARRIER":
-            circuit.add(kind, *(int(t) for t in rest))
-            continue
-        qubits = tuple(int(t) for t in rest[:n_qubits])
-        values = [float(t) for t in rest[n_qubits:]]
-        if kind == "UNITARY":
-            if len(values) != 8:
-                raise ValueError(f"UNITARY line needs 8 floats: {line!r}")
-            flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-            circuit.add(kind, *qubits, matrix=flat.reshape(2, 2))
-        else:
-            circuit.add(kind, *qubits, params=tuple(values))
+        raise CircuitFormatError("empty circuit text")
+    n, line = lines[0]
+    try:
+        circuit = _parse_header(line)
+        for n, line in lines[1:]:
+            circuit.append(_parse_gate(line))
+    except ValueError as exc:
+        raise CircuitFormatError(f"line {n}: {exc}: {line.strip()!r}") from exc
     return circuit

@@ -11,6 +11,7 @@ than dur_idle_unit are treated as scheduling slack and accrue no noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,16 @@ _PAULIS_1Q = (
 )
 
 
+@functools.cache
+def _pauli_strings(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """The 4**n n-qubit Pauli strings, identity first.  Built once per n and
+    never handed out: callers get scaled copies."""
+    strings = [np.eye(1, dtype=complex)]
+    for _ in range(n_qubits):
+        strings = [np.kron(a, s) for a in strings for s in _PAULIS_1Q]
+    return tuple(strings)
+
+
 def depolarizing_kraus(p: float, n_qubits: int) -> list[np.ndarray]:
     """Kraus operators of the n-qubit depolarizing channel of strength p.
 
@@ -85,9 +96,7 @@ def depolarizing_kraus(p: float, n_qubits: int) -> list[np.ndarray]:
     if p == 0.0:
         return [np.eye(2**n_qubits, dtype=complex)]
     dim4 = 4**n_qubits
-    strings = [np.eye(1, dtype=complex)]
-    for _ in range(n_qubits):
-        strings = [np.kron(a, s) for a in strings for s in _PAULIS_1Q]
+    strings = _pauli_strings(n_qubits)
     out = [math.sqrt(1.0 - p + p / dim4) * strings[0]]
     w = math.sqrt(p / dim4)
     out.extend(w * s for s in strings[1:])

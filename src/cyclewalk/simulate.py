@@ -6,8 +6,11 @@ matrices are dense and limited to width 6.  Noisy runs apply a depolarizing
 channel after every gate and a thermal-relaxation channel over every
 scheduled idle window.  One ``run_noisy`` call builds each channel once, as
 a stack of full-width Kraus operators keyed by gate qubits or by (qubit,
-idle length), and drops the cache on return: at most w + w(w-1)
-depolarizing stacks plus one per distinct idle window.
+idle length): at most w + w(w-1) depolarizing stacks plus one per distinct
+idle window.  It also folds each distinct gate into the channel after it,
+F_k = K_k U (U alone when that channel is the identity), so that every gate
+event is one Kraus product: at most 16 operators of 4**w entries per
+distinct gate.  Both caches are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit, apply_circuit
 from .circuit import apply_matrix as _apply_matrix_rows
-from .gates import gate_matrix
+from .gates import Gate, gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
 from .transpile import ScheduledCircuit, schedule
 
@@ -132,8 +135,15 @@ def validate_density(rho: np.ndarray) -> None:
 
 
 def _apply_kraus(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_k K rho K^dagger for a (n, dim, dim) stack of full-width Kraus operators."""
-    return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(0)
+    """sum_k K rho K^dagger for a (n, dim, dim) stack of full-width Kraus operators.
+
+    Two products: every K rho at once, then [K_1 rho ... K_n rho] times
+    [K_1 ... K_n]^dagger, which sums over k inside the second product.
+    """
+    n, dim, _ = stack.shape
+    left = (stack.reshape(n * dim, dim) @ rho).reshape(n, dim, dim)
+    wide = stack.transpose(1, 0, 2).reshape(dim, n * dim)
+    return left.transpose(1, 0, 2).reshape(dim, n * dim) @ wide.conj().T
 
 
 def _channel(
@@ -190,16 +200,20 @@ def run_noisy(
         if t1 - t0 >= nm.dur_idle_unit - 1e-12
     ]
     channels: dict[tuple, np.ndarray | None] = {}
+    folded: dict[Gate, np.ndarray] = {}
+    eye = np.eye(dim, dtype=complex)
     rho = initial.astype(complex)
     for _, _, gate, key in sorted(events, key=lambda e: e[:2]):
-        if gate is not None:
-            u = gate_matrix(gate)
-            rho = _apply_matrix_rows(rho, u, gate.qubits, circ.width)
-            rho = _apply_matrix_rows(rho.conj().T, u, gate.qubits, circ.width).conj().T
-        if key not in channels:
-            channels[key] = _channel(*key, nm, circ.width)
-        if channels[key] is not None:
-            rho = _apply_kraus(rho, channels[key])
+        stack = folded.get(gate) if gate is not None else None
+        if stack is None:
+            if key not in channels:
+                channels[key] = _channel(*key, nm, circ.width)
+            stack = channels[key]
+            if gate is not None:
+                u = _apply_matrix_rows(eye, gate_matrix(gate), gate.qubits, circ.width)
+                stack = folded[gate] = u[None] if stack is None else stack @ u
+        if stack is not None:
+            rho = _apply_kraus(rho, stack)
         _check_density(rho, "during noisy run")
     return 0.5 * (rho + rho.conj().T)
 

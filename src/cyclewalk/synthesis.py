@@ -19,7 +19,6 @@ gate count is structure-determined, never angle-determined.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -282,25 +281,30 @@ def _u(wire: int, matrix: np.ndarray) -> tuple:
     return ("u", wire, matrix)
 
 
-@functools.cache
-def _cx_locals() -> tuple[np.ndarray, np.ndarray]:
-    """The constant (control, target) locals of cx_stream.
+def _rx(theta: float) -> np.ndarray:
+    """RX(theta) = exp(-i theta X / 2) in closed form."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
 
-    Derived from ECR = (I (x) X) exp(-i pi/4 X (x) Z) and
-    CX = e^{i pi/4} exp(i pi/4 Z1 X0) (RZ(pi/2) (x) RX(pi/2)).  Built on
-    first use, not at import: a process's first expm call raises its peak
-    RSS by about 1 MB, which code that never synthesises need not pay.
-    """
-    rx_half = scipy.linalg.expm(-0.25j * math.pi * X_MATRIX)
-    return H_MATRIX @ rz_matrix(math.pi / 2), X_MATRIX @ H_MATRIX @ rx_half
+
+def _ry(theta: float) -> np.ndarray:
+    """RY(theta) = exp(-i theta Y / 2) in closed form."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+# The constant (control, target) locals of cx_stream, derived from
+# ECR = (I (x) X) exp(-i pi/4 X (x) Z) and
+# CX = e^{i pi/4} exp(i pi/4 Z1 X0) (RZ(pi/2) (x) RX(pi/2)).
+_CX_CONTROL_LOCAL = H_MATRIX @ rz_matrix(math.pi / 2)
+_CX_TARGET_LOCAL = X_MATRIX @ H_MATRIX @ _rx(math.pi / 2)
 
 
 def cx_stream(control: int, target: int) -> Stream:
     """CNOT as locals around one ECR (exact up to a global phase)."""
-    control_local, target_local = _cx_locals()
     return [
-        _u(control, control_local),
-        _u(target, target_local),
+        _u(control, _CX_CONTROL_LOCAL),
+        _u(target, _CX_TARGET_LOCAL),
         ("ecr", control, target),
         _u(control, H_MATRIX),
         _u(target, H_MATRIX),
@@ -340,10 +344,6 @@ def _merged_cz_cx_stream(hi: int, lo: int) -> Stream:
         + cz_stream(hi, lo)
         + [_u(lo, _ZX_BASIS), _u(hi, phase_matrix(math.pi / 2))]
     )
-
-
-def _rx(theta: float) -> np.ndarray:
-    return scipy.linalg.expm(-0.5j * theta * X_MATRIX)
 
 
 def kak_stream(u4: np.ndarray, hi: int, lo: int) -> Stream:
@@ -398,7 +398,7 @@ def mux_rotation_stream(
     if axis == "z":
         rot = rz_matrix
     elif axis == "y":
-        rot = lambda t: scipy.linalg.expm(-0.5j * t * _PAULI["Y"])  # noqa: E731
+        rot = _ry
     else:
         raise ValueError(f"unsupported rotation axis {axis!r}")
     if k == 0:

@@ -192,11 +192,11 @@ def _peephole(gates: list[Gate]) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # whole-circuit resynthesis (L3)
 
-def _resynthesize(circuit: Circuit) -> list[Gate]:
-    unitary = lower_to_unitary(circuit)
-    if circuit.width == 1:
+def _resynthesize(unitary: np.ndarray, width: int) -> list[Gate]:
+    """Fixed-shape native gates for the dense unitary of a width <= 3 circuit."""
+    if width == 1:
         stream: Stream = [_u(0, unitary)]
-    elif circuit.width == 2:
+    elif width == 2:
         stream = kak_stream(unitary, 1, 0)
     else:
         stream = qsd_stream(unitary, [2, 1, 0])
@@ -206,8 +206,10 @@ def _resynthesize(circuit: Circuit) -> list[Gate]:
 def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
     """Rewrite a circuit over the native gate set at the given level."""
     level = OptLevel(level)
+    # the source unitary, lowered once: the L3 input and the check's reference
+    source = lower_to_unitary(circuit) if circuit.width <= 6 else None
     if level == OptLevel.L3 and circuit.width <= 3:
-        gates = _resynthesize(circuit)
+        gates = _resynthesize(source, circuit.width)
     else:
         gates = [g for src in circuit.gates for g in _decompose_gate(src)]
         if level >= OptLevel.L1:
@@ -218,8 +220,8 @@ def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
     bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS | {"BARRIER"}]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
-    if circuit.width <= 6:
-        residual = phase_aligned_distance(lower_to_unitary(out), lower_to_unitary(circuit))
+    if source is not None:
+        residual = phase_aligned_distance(lower_to_unitary(out), source)
         if not residual <= SEMANTIC_TOL:
             raise TranspileError(
                 f"transpiled circuit deviates from source (residual {residual:.2e})"

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import Circuit, Gate, depth_report, from_text, lower_to_unitary, to_text
+from cyclewalk import (
+    Circuit,
+    CircuitFormatError,
+    Gate,
+    depth_report,
+    from_text,
+    lower_to_unitary,
+    to_text,
+)
 from cyclewalk.gates import ECR_MATRIX, SX_MATRIX, X_MATRIX, canonical_angle, gate_matrix
 
 
@@ -182,3 +190,21 @@ class TestSerialization:
     def test_header_required(self):
         with pytest.raises(ValueError, match="width"):
             from_text("name=x\nH 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("width=3 name=x foo\nH 0\n", "line 1: header item 'foo' is not key=value"),
+            ("width=two\n", "line 1: bad width 'two'"),
+            ("width=2 mesure=0\n", "line 1: unknown header key 'mesure'"),
+            ("\nwidth=2\nH 0\n\nFOO 1\n", "line 5: unknown gate kind 'FOO': 'FOO 1'"),
+            ("width=2\nH q0\n", "line 2: bad qubit 'q0': 'H q0'"),
+            ("width=2\nCP 0\n", r"line 2: CP takes exactly 2 qubits, got \(0,\): 'CP 0'"),
+            ("width=2\nRZ 0\n", r"line 2: RZ takes 1 parameter\(s\), got 0: 'RZ 0'"),
+            ("width=2\nH 3\n", "line 2: gate H on qubit 3 outside circuit width 2"),
+        ],
+        ids=["header-item", "header-width", "header-key", "unknown-kind", "qubit-token", "qubits", "params", "range"],
+    )
+    def test_malformed_line_is_located(self, text, message):
+        with pytest.raises(CircuitFormatError, match=message):
+            from_text(text)

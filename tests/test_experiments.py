@@ -169,6 +169,24 @@ class TestPeriodScan:
         assert run_period_scan(3, CoinParams(2 / 3), 100)[1].period == 8
         assert run_period_scan(3, CoinParams((5 - math.sqrt(5)) / 6), 100)[1].period == 10
 
+    def test_split_at_the_tolerance_is_accepted(self, capsys):
+        # power residual 1.1e-8 at t = 2 against eigen 5.5e-9, one tol of 1e-8:
+        # the power method passes at t = 2 with tol widened by 2 sqrt(dim)
+        assert main(["period-scan", "--cycle", "3", "--coin", "1e-17,0,0"]) == 0
+        _, loose, csv_text = run_period_scan(3, CoinParams(1e-17), 1000)
+        assert loose.period is None
+        assert "phase_insensitive,,1.09" in csv_text
+
+    def test_genuine_disagreement_raises(self, monkeypatch):
+        import cyclewalk.experiments as experiments
+
+        monkeypatch.setattr(
+            experiments, "find_period_eigen",
+            lambda u, t_max, **kw: experiments.PeriodResult(3, 0.0, t_max),
+        )
+        with pytest.raises(ArithmeticError, match="power 8 vs eigen 3"):
+            run_period_scan(4, CoinParams(0.5), 100)
+
 
 class TestDepthReport:
     def test_logical_3cycle_formula(self):

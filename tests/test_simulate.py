@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from conftest import ground_state
@@ -27,7 +28,7 @@ from cyclewalk import (
 from cyclewalk.circuit import apply_matrix
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
-from cyclewalk.simulate import _check_density
+from cyclewalk.simulate import _apply_kraus, _check_density
 
 
 def kron_embed(m, qubits, width):
@@ -298,6 +299,20 @@ class TestRunNoisy:
             want = reference_noisy(sc, rho0, nm)
             assert np.abs(run_noisy(sc, rho0, nm) - want).max() <= 1e-12
 
+    def test_unitary_payloads_fold_apart(self):
+        # UNITARY gates on one qubit share a hash; the fold cache tells them
+        # apart by payload
+        rng = np.random.default_rng(17)
+        a, b = (unitary_group.rvs(2, random_state=rng) for _ in range(2))
+        c = Circuit(2)
+        for m in (a, b, a, b):
+            c.add("UNITARY", 0, matrix=m)
+            c.add("ECR", 1, 0)
+        nm = NoiseModel(p1=0.01, p2=0.05, t1=50.0, t2=30.0)
+        sc = schedule(c, nm)
+        rho0 = state_to_density(ground_state(2))
+        assert np.abs(run_noisy(sc, rho0, nm) - reference_noisy(sc, rho0, nm)).max() <= 1e-12
+
     def test_noisy_fidelity_below_one_and_decreasing(self, schedule_4cycle):
         # fixed noise on linearly deepening circuits: fidelity to exact sits
         # below 1 and trends down (negative Mann-Kendall statistic)
@@ -391,3 +406,66 @@ class TestValidateDensity:
         c.add("X", 0)
         with pytest.raises(ValueError, match="Hermitian|trace|negative"):
             run_noisy(c, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), NoiseModel())
+
+
+@pytest.mark.parametrize("n_ops", [1, 4, 16])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_apply_kraus_matches_operator_sum(n_ops, width):
+    # a mixed-unitary channel, so every entry stays of order 1
+    rng = np.random.default_rng(10 * width + n_ops)
+    dim = 1 << width
+    stack = np.stack([unitary_group.rvs(dim, random_state=rng) for _ in range(n_ops)])
+    stack /= math.sqrt(n_ops)
+    rho = state_to_density(unitary_group.rvs(dim, random_state=rng)[:, 0])
+    want = sum(k @ rho @ k.conj().T for k in stack)
+    assert np.abs(_apply_kraus(rho, stack) - want).max() <= 1e-14
+
+
+@st.composite
+def native_circuits(draw):
+    width = draw(st.integers(1, 3))
+    c = Circuit(width)
+    for _ in range(draw(st.integers(0, 12))):
+        if width >= 2 and draw(st.booleans()):
+            c.add("ECR", *draw(st.permutations(range(width)))[:2])
+        else:
+            kind = draw(st.sampled_from(["RZ", "SX", "X"]))
+            params = (draw(st.floats(-math.pi, math.pi)),) if kind == "RZ" else ()
+            c.add(kind, draw(st.integers(0, width - 1)), params=params)
+    return c
+
+
+@st.composite
+def noise_models(draw):
+    prob = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    t1 = draw(st.one_of(st.just(math.inf), st.floats(1.0, 1e3)))
+    if math.isinf(t1):
+        t2 = draw(st.one_of(st.just(math.inf), st.floats(1.0, 1e3)))
+    else:
+        t2 = 2.0 * t1 * draw(st.floats(1e-3, 1.0))
+    return NoiseModel(p1=draw(prob), p2=draw(prob), t1=t1, t2=t2)
+
+
+def _repeated_gates():
+    c = Circuit(3)
+    for _ in range(3):
+        c.add("SX", 0).add("RZ", 1, params=(0.25,)).add("ECR", 2, 1).add("X", 2)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_circuits(), noise_models(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(_repeated_gates(), NoiseModel.noiseless(), True, 0)  # the U alone folds
+@example(_repeated_gates(), NoiseModel(), False, 1)  # fold-cache hits
+@example(_repeated_gates(), NoiseModel(p1=0.0, p2=0.0), True, 2)
+def test_run_noisy_matches_reference_on_random_noise(circuit, nm, dd, seed):
+    sc = schedule(circuit, nm)
+    if dd:
+        sc = insert_dd(sc, nm)
+    psi = unitary_group.rvs(1 << circuit.width, random_state=seed)[:, 0]
+    rho0 = state_to_density(psi)
+    rho = run_noisy(sc, rho0, nm)
+    assert np.abs(rho - reference_noisy(sc, rho0, nm)).max() <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12

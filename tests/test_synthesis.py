@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import unitary_group
 
 from conftest import phase_aligned
 
-from cyclewalk.gates import ECR_MATRIX, H_MATRIX, rz_matrix, u3_matrix
+from cyclewalk import OptLevel, build_walk_circuit_3cycle, build_walk_circuit_4cycle, transpile
+from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, rz_matrix, u3_matrix
 from cyclewalk.synthesis import (
+    _rx,
+    _ry,
     assemble_stream,
     cp_template,
     cx_stream,
@@ -149,3 +155,25 @@ class TestStreams:
     def test_minimal_emission_drops_identity_rotations(self):
         gates = stream_to_gates([("u", 0, np.eye(2, dtype=complex))], fixed_shape=False)
         assert gates == []
+
+
+class TestClosedFormRotations:
+    Y = np.array([[0, -1j], [1j, 0]])
+
+    def test_match_expm_on_an_angle_grid(self):
+        for theta in np.linspace(-4 * math.pi, 4 * math.pi, 257):
+            assert np.abs(_rx(theta) - scipy.linalg.expm(-0.5j * theta * X_MATRIX)).max() <= 1e-15
+            assert np.abs(_ry(theta) - scipy.linalg.expm(-0.5j * theta * self.Y)).max() <= 1e-15
+
+    @pytest.mark.parametrize("level", [OptLevel.L1, OptLevel.L3])
+    def test_walk_transpiles_never_call_expm(self, monkeypatch, schedule_3cycle, schedule_4cycle, level):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis called scipy.linalg.expm")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        for build, sched in (
+            (build_walk_circuit_3cycle, schedule_3cycle),
+            (build_walk_circuit_4cycle, schedule_4cycle),
+        ):
+            for steps in (1, 7):
+                transpile(build(sched, steps), level)

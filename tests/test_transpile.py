@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -188,6 +189,21 @@ class TestTranspile:
         c.add("RZ", 0, params=(-1.1,))
         out = transpile(c, OptLevel.L1)
         assert len(out.gates) == 0  # angles cancel exactly
+
+    @pytest.mark.parametrize("level", [OptLevel.L1, OptLevel.L3])
+    def test_source_lowered_once(self, monkeypatch, schedule_4cycle, level):
+        # one lowering of the source (L3 input and check reference), one of the output;
+        # the package attribute ``transpile`` is the function, so import the module by name
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        calls = []
+        lower = transpile_module.lower_to_unitary
+        monkeypatch.setattr(
+            transpile_module, "lower_to_unitary", lambda c: calls.append(c) or lower(c)
+        )
+        source = build_walk_circuit_4cycle(schedule_4cycle, 3)
+        native = transpile(source, level)
+        assert len(calls) == 2
+        assert calls[0] is source and calls[1] is native
 
     def test_semantic_guard_raises_on_tamper(self):
         # non-unitary payloads cannot arise through the public API; the
