@@ -504,7 +504,7 @@ def run_period_scan(
         first = min(p for p in (loose.period, eigen.period) if p is not None)
         missed = find_period_eigen if loose.period == first else find_period_power
         wide = 2 * math.sqrt(u.shape[0]) * DEFAULT_TOL
-        if not missed(u, first, tol=wide, phase_insensitive=True).found:
+        if missed(u, first, tol=wide, phase_insensitive=True).period != first:
             raise ArithmeticError(
                 f"period finders disagree: power {loose.period} vs eigen {eigen.period}"
             )

@@ -7,10 +7,16 @@ channel after every gate and a thermal-relaxation channel over every
 scheduled idle window.  One ``run_noisy`` call builds each channel once, as
 a stack of full-width Kraus operators keyed by gate qubits or by (qubit,
 idle length): at most w + w(w-1) depolarizing stacks plus one per distinct
-idle window.  It also folds each distinct gate into the channel after it,
-F_k = K_k U (U alone when that channel is the identity), so that every gate
-event is one Kraus product: at most 16 operators of 4**w entries per
-distinct gate.  Both caches are dropped when the call returns.
+idle window.  Up to width ``FOLD_MAX_WIDTH`` = 4 it also folds each distinct
+gate into the channel after it, F_k = K_k U (U alone when that channel is the
+identity), so that every gate event is one Kraus product.  The fold cache
+holds n_K * 4**w complex entries per distinct gate of the circuit (n_K = 1
+for the identity channel, 4 for a 1q and 16 for a 2q depolarizing channel):
+at most 64 KB per distinct gate.  The largest call of the 4-cycle demo
+holds 472 KB, that of the width-4 8-cycle bundle 1.0 MB.  Wider circuits
+apply each gate to its own qubits and then the channel stack: there the fold
+would cost 256 KB to 1 MB per distinct gate and save little per event.  Both
+caches are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ __all__ = [
 ]
 
 MAX_DENSITY_WIDTH = 6
+# widest circuit whose gates run_noisy folds into their noise channels
+FOLD_MAX_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -203,15 +211,20 @@ def run_noisy(
     folded: dict[Gate, np.ndarray] = {}
     eye = np.eye(dim, dtype=complex)
     rho = initial.astype(complex)
+    fold = circ.width <= FOLD_MAX_WIDTH
     for _, _, gate, key in sorted(events, key=lambda e: e[:2]):
-        stack = folded.get(gate) if gate is not None else None
-        if stack is None:
-            if key not in channels:
-                channels[key] = _channel(*key, nm, circ.width)
-            stack = channels[key]
-            if gate is not None:
+        if key not in channels:
+            channels[key] = _channel(*key, nm, circ.width)
+        stack = channels[key]
+        if gate is not None and fold:
+            if gate not in folded:
                 u = _apply_matrix_rows(eye, gate_matrix(gate), gate.qubits, circ.width)
-                stack = folded[gate] = u[None] if stack is None else stack @ u
+                folded[gate] = u[None] if stack is None else stack @ u
+            stack = folded[gate]
+        elif gate is not None:
+            u = gate_matrix(gate)
+            rho = _apply_matrix_rows(rho, u, gate.qubits, circ.width)
+            rho = _apply_matrix_rows(rho.conj().T, u, gate.qubits, circ.width).conj().T
         if stack is not None:
             rho = _apply_kraus(rho, stack)
         _check_density(rho, "during noisy run")

@@ -187,6 +187,18 @@ class TestPeriodScan:
         with pytest.raises(ArithmeticError, match="power 8 vs eigen 3"):
             run_period_scan(4, CoinParams(0.5), 100)
 
+    def test_split_must_close_at_the_other_period(self, monkeypatch):
+        # eigen misses power's period 8 and, with the wider tol, passes at
+        # t = 4 instead: the finders still disagree
+        import cyclewalk.experiments as experiments
+
+        monkeypatch.setattr(
+            experiments, "find_period_eigen",
+            lambda u, t_max, **kw: experiments.PeriodResult(16 if t_max > 8 else 4, 0.0, t_max),
+        )
+        with pytest.raises(ArithmeticError, match="power 8 vs eigen 16"):
+            run_period_scan(4, CoinParams(0.5), 100)
+
 
 class TestDepthReport:
     def test_logical_3cycle_formula(self):

@@ -28,7 +28,7 @@ from cyclewalk import (
 from cyclewalk.circuit import apply_matrix
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
-from cyclewalk.simulate import _apply_kraus, _check_density
+from cyclewalk.simulate import FOLD_MAX_WIDTH, _apply_kraus, _check_density
 
 
 def kron_embed(m, qubits, width):
@@ -285,7 +285,7 @@ class TestRunNoisy:
         with pytest.raises(ValueError, match="width"):
             run_noisy(Circuit(7), np.eye(128, dtype=complex) / 128, NoiseModel())
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
     def test_matches_kron_kraus_reference(self, width):
         # gate, depolarizing and idle-relaxation channels with XY4 pulses in
         # the idle windows, against the Kraus-by-Kraus reference
@@ -298,6 +298,17 @@ class TestRunNoisy:
             rho0 = state_to_density(psi)
             want = reference_noisy(sc, rho0, nm)
             assert np.abs(run_noisy(sc, rho0, nm) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("width", [FOLD_MAX_WIDTH, FOLD_MAX_WIDTH + 1])
+    def test_noiseless_gates_on_both_sides_of_the_fold_width(self, width):
+        # identity channels: U alone folded at FOLD_MAX_WIDTH, U rho U^dagger
+        # on the gate's qubits above it
+        rng = np.random.default_rng(300 + width)
+        nm = NoiseModel.noiseless()
+        c = random_native_circuit(width, 20, rng)
+        sc = schedule(c, nm)
+        rho0 = state_to_density(unitary_group.rvs(1 << width, random_state=rng)[:, 0])
+        assert np.abs(run_noisy(sc, rho0, nm) - reference_noisy(sc, rho0, nm)).max() <= 1e-12
 
     def test_unitary_payloads_fold_apart(self):
         # UNITARY gates on one qubit share a hash; the fold cache tells them
