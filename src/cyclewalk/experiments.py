@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import string
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -99,6 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"cycle: must be one of {SUPPORTED_CYCLES}, got {self.cycle}")
         if not self.coins:
             object.__setattr__(self, "coins", default_coins(self.cycle))
+        for label in self.coins:
+            # the config file stores a label as a case-folded ini key
+            if len(label) != 1 or label not in string.ascii_uppercase:
+                raise ConfigError(f"coins: label {label!r} must be one letter A-Z")
         if self.opt_level not in tuple(OptLevel):
             raise ConfigError(f"opt_level: must be 0, 1 or 3, got {self.opt_level}")
         object.__setattr__(self, "opt_level", OptLevel(self.opt_level))
@@ -115,6 +120,12 @@ class ExperimentConfig:
             raise ConfigError(f"dd: must be 'none' or 'xy4', got {self.dd!r}")
         if self.dd == "xy4" and self.noise is None:
             raise ConfigError("dd: xy4 requires a noise section (DD acts on idle windows)")
+        for key, path in (("out", self.out_dir), ("overlay", self.overlay)):
+            # an ini value is one line, read back stripped
+            if path != path.strip() or len(path.splitlines()) > 1:
+                raise ConfigError(
+                    f"{key}: {path!r} must be one line with no surrounding whitespace"
+                )
 
     def schedule(self) -> CoinSchedule:
         return parrondo_schedule(self.pattern, self.coins, self.t_max)
@@ -147,7 +158,7 @@ _SECTION_KEYS = {"experiment": _EXPERIMENT_KEYS, "noise": _NOISE_KEYS}
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     exp = {}
     for key, f in _EXPERIMENT_KEYS.items():
         value = getattr(cfg, f.name)
@@ -174,7 +185,7 @@ def _parse_value(where: str, raw: str, cast):
 
 def _parse_sections(text: str) -> configparser.ConfigParser:
     """Config text as sections; every section and key must be in the schema."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -111,6 +111,8 @@ class Gate:
             raise ValueError(
                 f"{self.kind} takes {expected} parameter(s), got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
         if self.kind == "UNITARY":
             if self.matrix is None or self.matrix.shape != (2, 2):
                 raise ValueError("UNITARY gate needs a 2x2 matrix payload")

@@ -2,25 +2,29 @@
 density-matrix simulation under the parametrized noise model.
 
 Gates act through the one kernel ``circuit.apply_matrix``; density
-matrices are dense and limited to width 6.  Noisy runs apply a depolarizing
+matrices are dense and limited to width ``MAX_DENSITY_WIDTH`` = 4, the width
+of the widest walk circuit (the 8-cycle).  Noisy runs apply a depolarizing
 channel after every gate and a thermal-relaxation channel over every
-scheduled idle window.  One ``run_noisy`` call builds each channel once, as
-a stack of full-width Kraus operators keyed by gate qubits or by (qubit,
-idle length): at most w + w(w-1) depolarizing stacks plus one per distinct
-idle window.  Up to width ``FOLD_MAX_WIDTH`` = 4 it also folds each distinct
-gate into the channel after it, F_k = K_k U (U alone when that channel is the
-identity), so that every gate event is one Kraus product.  The fold cache
-holds n_K * 4**w complex entries per distinct gate of the circuit (n_K = 1
-for the identity channel, 4 for a 1q and 16 for a 2q depolarizing channel):
-at most 64 KB per distinct gate.  The largest call of the 4-cycle demo
-holds 472 KB, that of the width-4 8-cycle bundle 1.0 MB.  Wider circuits
-apply each gate to its own qubits and then the channel stack: there the fold
-would cost 256 KB to 1 MB per distinct gate and save little per event.  Both
-caches are dropped when the call returns.
+scheduled idle window.
+
+``run_noisy`` merges each run of one-qubit gates on a wire, up to the next
+two-qubit gate or kept idle window on that wire, into one event: the product
+U = g_n ... g_1 followed by the depolarizing channel D_p with
+1 - p = (1 - p1)**n.  This is exact, because a depolarizing channel commutes
+with every unitary on its qubits and two of them compose to one whose 1 - p
+multiply (Nielsen & Chuang 8.3.4).  A two-qubit gate is a run of its own
+with p2.  One call builds each channel once, as a stack of full-width Kraus
+operators keyed by (qubits, run length) or by (qubit, idle length), and
+folds each distinct run into its channel, F_k = K_k U (U alone when the
+channel is the identity), so that every event is one Kraus product.  The
+fold cache holds n_K * 4**w complex entries per distinct run (n_K = 1 for
+the identity channel, 4 for a 1q and 16 for a 2q depolarizing channel): at
+most 64 KB per run.  Both caches are dropped when the call returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +45,7 @@ __all__ = [
     "readout_distribution",
 ]
 
-MAX_DENSITY_WIDTH = 6
-# widest circuit whose gates run_noisy folds into their noise channels
-FOLD_MAX_WIDTH = 4
+MAX_DENSITY_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,10 @@ def _apply_kraus(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return left.transpose(1, 0, 2).reshape(dim, n * dim) @ wide.conj().T
 
 
-def _channel(
-    qubits: tuple[int, ...], idle: float | None, nm: NoiseModel, width: int
-) -> np.ndarray | None:
-    """Noise after a gate on ``qubits`` (``idle`` None) or over an idle window
-    of length ``idle``, as a full-width Kraus stack.  None marks the identity
-    channel, which both constructors return as a single operator."""
-    if idle is None:
-        kraus = depolarizing_kraus(nm.p1 if len(qubits) == 1 else nm.p2, len(qubits))
-    else:
-        kraus = thermal_relaxation_kraus(nm.t1, nm.t2, idle)
+def _channel(kraus: list[np.ndarray], qubits: tuple[int, ...], width: int) -> np.ndarray | None:
+    """The Kraus operators ``kraus`` on ``qubits`` as a full-width stack.  None
+    marks the identity channel, which both constructors return as a single
+    operator."""
     if len(kraus) == 1:
         return None
     eye = np.eye(1 << width, dtype=complex)
@@ -174,6 +170,43 @@ def _check_density(rho: np.ndarray, where: str) -> None:
     trace = np.trace(rho).real
     if not abs(trace - 1.0) <= 1e-9:
         raise ArithmeticError(f"density trace drifted to {trace} {where}")
+
+
+def _noisy_events(
+    sc: ScheduledCircuit, nm: NoiseModel
+) -> Iterator[tuple[tuple[int, ...], tuple[Gate, ...] | float]]:
+    """The noisy events of ``sc`` in an order equivalent to its schedule:
+    (qubits, gates) for a gate run or (qubits, idle length) for an idle window.
+
+    A two-qubit gate is a run of its own.  Consecutive one-qubit gates on a
+    wire form one run, emitted just before the next two-qubit gate or kept
+    idle window on that wire, or at the end.  Moving the run there is exact,
+    because the events in between act on other wires.  Idle windows shorter
+    than ``dur_idle_unit`` are not events, so they do not break a run.
+    """
+    circ = sc.circuit
+    events: list[tuple[float, int, Gate | tuple[int, float]]] = [
+        (start, seq, gate)
+        for seq, (gate, start) in enumerate(zip(circ.gates, sc.start_times))
+        if gate.kind != "BARRIER"
+    ]
+    events += [
+        (t0, len(circ.gates) + i, (qubit, t1 - t0))
+        for i, (qubit, t0, t1) in enumerate(sc.idle_windows)
+        if t1 - t0 >= nm.dur_idle_unit - 1e-12
+    ]
+    runs: dict[int, list[Gate]] = {}
+    for _, _, what in sorted(events, key=lambda e: e[:2]):
+        if isinstance(what, Gate) and what.n_qubits == 1:
+            runs.setdefault(what.qubits[0], []).append(what)
+            continue
+        qubits = what.qubits if isinstance(what, Gate) else (what[0],)
+        for q in qubits:
+            if q in runs:
+                yield (q,), tuple(runs.pop(q))
+        yield qubits, (what,) if isinstance(what, Gate) else what[1]
+    for q, run in runs.items():
+        yield (q,), tuple(run)
 
 
 def run_noisy(
@@ -188,43 +221,39 @@ def run_noisy(
     whose start times (e.g. with DD pulses inserted) are trusted as given.
     """
     sc = circuit if isinstance(circuit, ScheduledCircuit) else schedule(circuit, nm)
-    circ = sc.circuit
-    if circ.width > MAX_DENSITY_WIDTH:
+    width = sc.circuit.width
+    if width > MAX_DENSITY_WIDTH:
         raise ValueError(f"density simulation capped at width {MAX_DENSITY_WIDTH}")
-    dim = 1 << circ.width
+    dim = 1 << width
     if initial.shape != (dim, dim):
         raise ValueError(f"initial density has shape {initial.shape}, need {(dim, dim)}")
     validate_density(initial)
 
-    # (start, order, gate or None, channel key: (qubits, idle length or None))
-    events = [
-        (start, seq, gate, (gate.qubits, None))
-        for seq, (gate, start) in enumerate(zip(circ.gates, sc.start_times))
-        if gate.kind != "BARRIER"
-    ]
-    events += [
-        (t0, len(circ.gates) + i, None, ((qubit,), t1 - t0))
-        for i, (qubit, t0, t1) in enumerate(sc.idle_windows)
-        if t1 - t0 >= nm.dur_idle_unit - 1e-12
-    ]
+    # channel keys carry their kind: a 10-gate run must not find the stack of
+    # an idle window of length 10.0, and 10 == 10.0
     channels: dict[tuple, np.ndarray | None] = {}
-    folded: dict[Gate, np.ndarray] = {}
+    folded: dict[tuple[Gate, ...], np.ndarray] = {}
     eye = np.eye(dim, dtype=complex)
     rho = initial.astype(complex)
-    fold = circ.width <= FOLD_MAX_WIDTH
-    for _, _, gate, key in sorted(events, key=lambda e: e[:2]):
-        if key not in channels:
-            channels[key] = _channel(*key, nm, circ.width)
-        stack = channels[key]
-        if gate is not None and fold:
-            if gate not in folded:
-                u = _apply_matrix_rows(eye, gate_matrix(gate), gate.qubits, circ.width)
-                folded[gate] = u[None] if stack is None else stack @ u
-            stack = folded[gate]
-        elif gate is not None:
-            u = gate_matrix(gate)
-            rho = _apply_matrix_rows(rho, u, gate.qubits, circ.width)
-            rho = _apply_matrix_rows(rho.conj().T, u, gate.qubits, circ.width).conj().T
+    for qubits, what in _noisy_events(sc, nm):
+        if isinstance(what, tuple):
+            stack = folded.get(what)
+            if stack is None:
+                key = ("gates", qubits, len(what))
+                if key not in channels:
+                    p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** len(what)
+                    channels[key] = _channel(depolarizing_kraus(p, len(qubits)), qubits, width)
+                u = gate_matrix(what[0])
+                for gate in what[1:]:
+                    u = gate_matrix(gate) @ u
+                u = _apply_matrix_rows(eye, u, qubits, width)
+                stack = folded[what] = u[None] if channels[key] is None else channels[key] @ u
+        else:
+            key = ("idle", qubits, what)
+            if key not in channels:
+                kraus = thermal_relaxation_kraus(nm.t1, nm.t2, what)
+                channels[key] = _channel(kraus, qubits, width)
+            stack = channels[key]
         if stack is not None:
             rho = _apply_kraus(rho, stack)
         _check_density(rho, "during noisy run")

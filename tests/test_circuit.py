@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclewalk import (
     Circuit,
@@ -12,10 +13,26 @@ from cyclewalk import (
     lower_to_unitary,
     to_text,
 )
-from cyclewalk.gates import ECR_MATRIX, SX_MATRIX, X_MATRIX, canonical_angle, gate_matrix
+from cyclewalk.gates import (
+    ECR_MATRIX,
+    NATIVE_KINDS,
+    SX_MATRIX,
+    X_MATRIX,
+    canonical_angle,
+    gate_matrix,
+)
 
 
 class TestGateValidation:
+    @pytest.mark.parametrize("kind, qubits, params", [
+        ("RZ", (0,), (math.nan,)),
+        ("CP", (0, 1), (math.inf,)),
+        ("U3", (0,), (0.1, -math.inf, 0.2)),
+    ])
+    def test_non_finite_parameters(self, kind, qubits, params):
+        with pytest.raises(ValueError, match="must be finite"):
+            Gate(kind, qubits, params)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
             Gate("CNOT", (0, 1))
@@ -202,9 +219,57 @@ class TestSerialization:
             ("width=2\nCP 0\n", r"line 2: CP takes exactly 2 qubits, got \(0,\): 'CP 0'"),
             ("width=2\nRZ 0\n", r"line 2: RZ takes 1 parameter\(s\), got 0: 'RZ 0'"),
             ("width=2\nH 3\n", "line 2: gate H on qubit 3 outside circuit width 2"),
+            (
+                "width=2\nRZ 0 nan\n",
+                r"line 2: RZ parameters must be finite, got \(nan,\): 'RZ 0 nan'",
+            ),
         ],
-        ids=["header-item", "header-width", "header-key", "unknown-kind", "qubit-token", "qubits", "params", "range"],
+        ids=[
+            "header-item", "header-width", "header-key", "unknown-kind", "qubit-token", "qubits",
+            "params", "range", "non-finite",
+        ],
     )
     def test_malformed_line_is_located(self, text, message):
         with pytest.raises(CircuitFormatError, match=message):
             from_text(text)
+
+
+@st.composite
+def scheduled_native_circuits(draw):
+    """A native circuit with barriers, a header name and measured qubits, and
+    one start time per gate."""
+    width = draw(st.integers(1, 6))
+    name = draw(st.text(min_size=1).filter(lambda s: not any(ch.isspace() for ch in s)))
+    measured = tuple(draw(st.lists(st.integers(0, width - 1), max_size=width)))
+    c = Circuit(width, name=name, measured=measured)
+    kinds = sorted(NATIVE_KINDS | {"BARRIER"})
+    if width == 1:
+        kinds.remove("ECR")
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "ECR":
+            c.add(kind, *draw(st.permutations(range(width)))[:2])
+        elif kind == "BARRIER":
+            c.add(kind, *draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True)))
+        else:
+            # every finite angle: Gate rejects NaN and infinite parameters
+            angle = st.floats(allow_nan=False, allow_infinity=False)
+            params = (draw(angle),) if kind == "RZ" else ()
+            c.add(kind, draw(st.integers(0, width - 1)), params=params)
+    n = len(c.gates)
+    times = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n))
+    return c, times
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheduled_native_circuits())
+def test_text_round_trip_on_random_native_circuits(case):
+    c, times = case
+    text = to_text(c, start_times=times)
+    back = from_text(text)
+    assert (back.width, back.name, back.measured, back.gates) == (
+        c.width, c.name, c.measured, c.gates
+    )
+    assert to_text(back) == to_text(c)
+    stamps = [tok for line in text.splitlines() for tok in line.split() if tok.startswith("@t=")]
+    assert [float(tok[3:]) for tok in stamps] == times

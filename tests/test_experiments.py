@@ -1,8 +1,11 @@
 import math
+import string
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclewalk import (
     CoinParams,
@@ -20,6 +23,7 @@ from cyclewalk import (
     run_period_scan,
 )
 from cyclewalk.cli import main
+from cyclewalk.experiments import SUPPORTED_CYCLES
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted(
@@ -42,6 +46,55 @@ def small_config(tmp_path, **overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+@st.composite
+def noise_models(draw):
+    """Any valid NoiseModel: probabilities in [0, 1], t1 and t2 positive or
+    infinite with t2 <= 2 t1, finite non-negative durations."""
+    prob = st.floats(0.0, 1.0)
+    time = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    t1 = draw(st.one_of(st.just(math.inf), time))
+    t2_max = math.inf if math.isinf(t1) else min(2.0 * t1, sys.float_info.max)
+    t2 = draw(st.one_of(st.just(t2_max), st.floats(0.0, t2_max, exclude_min=True)))
+    duration = st.floats(min_value=0.0, allow_infinity=False)
+    return NoiseModel(
+        p1=draw(prob), p2=draw(prob), t1=t1, t2=t2, dur_1q=draw(duration),
+        dur_2q=draw(duration), dur_idle_unit=draw(duration), readout_flip=draw(prob),
+    )
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig with explicit coins: labels are letters A-Z,
+    and the two paths are single lines with no surrounding whitespace."""
+    letters = st.sampled_from(string.ascii_uppercase)
+    labels = draw(st.lists(letters, min_size=1, max_size=4, unique=True))
+    phase = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+    coins = {
+        label: CoinParams(draw(st.floats(0.0, 1.0)), draw(phase), draw(phase)) for label in labels
+    }
+    noise = draw(st.one_of(st.none(), noise_models()))
+    paths = st.text().filter(lambda p: p == p.strip() and len(p.splitlines()) <= 1)
+    return ExperimentConfig(
+        cycle=draw(st.sampled_from(SUPPORTED_CYCLES)),
+        coins=coins,
+        pattern="".join(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8))),
+        t_max=draw(st.integers(min_value=1)),
+        shots=draw(st.integers(min_value=0)),
+        seed=draw(st.integers()),
+        opt_level=draw(st.sampled_from(OptLevel)),
+        noise=noise,
+        dd=draw(st.sampled_from(["none"] if noise is None else ["none", "xy4"])),
+        out_dir=draw(paths),
+        overlay=draw(paths),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(experiment_configs())
+def test_config_text_round_trip(cfg):
+    assert config_from_text(config_to_text(cfg)) == cfg
 
 
 class TestConfig:
@@ -75,6 +128,23 @@ class TestConfig:
     def test_unbound_pattern_label(self):
         with pytest.raises(ConfigError, match="pattern"):
             ExperimentConfig(pattern="AAC")
+
+    @pytest.mark.parametrize("label", ["a", "1", "AB", "%"])
+    def test_coin_label_must_be_a_letter(self, label):
+        with pytest.raises(ConfigError, match="coins: label"):
+            ExperimentConfig(coins={label: CoinParams(0.5)}, pattern=label)
+
+    @pytest.mark.parametrize("path", [" results", "results\n", "a\nb", "a\u2028b"])
+    def test_path_must_be_one_stripped_line(self, path):
+        with pytest.raises(ConfigError, match="out: .* must be one line"):
+            ExperimentConfig(out_dir=path)
+        with pytest.raises(ConfigError, match="overlay: .* must be one line"):
+            ExperimentConfig(overlay=path)
+
+    def test_percent_signs_round_trip(self, tmp_path):
+        # values are not interpolated
+        cfg = small_config(tmp_path, out_dir=str(tmp_path / "100%"), overlay="a%(b)s.csv")
+        assert config_from_text(config_to_text(cfg)) == cfg
 
     def test_dd_requires_noise(self):
         with pytest.raises(ConfigError, match="dd"):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cyclewalk import (
     NoiseModel,
     OptLevel,
     build_walk_circuit_4cycle,
+    config_from_text,
     hellinger_fidelity,
     insert_dd,
     lower_to_unitary,
@@ -26,9 +28,12 @@ from cyclewalk import (
     validate_density,
 )
 from cyclewalk.circuit import apply_matrix
+from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
-from cyclewalk.simulate import FOLD_MAX_WIDTH, _apply_kraus, _check_density
+from cyclewalk.simulate import _apply_kraus, _check_density
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def kron_embed(m, qubits, width):
@@ -73,6 +78,17 @@ def reference_noisy(sc, rho, nm):
         ops = [kron_embed(k, qubits, width) for k in kraus]
         rho = sum(e @ rho @ e.conj().T for e in ops)
     return rho
+
+
+def apply_channel(kraus, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def random_density(n_qubits, rng):
+    """A full-rank mixed state: a random spectrum in a random eigenbasis."""
+    u = unitary_group.rvs(2**n_qubits, random_state=rng)
+    spectrum = rng.random(2**n_qubits)
+    return (u * (spectrum / spectrum.sum())) @ u.conj().T
 
 
 def random_native_circuit(width, n_gates, rng):
@@ -248,6 +264,42 @@ class TestChannels:
     def test_infinite_relaxation_times_accepted(self):
         assert NoiseModel(t1=math.inf, t2=math.inf).t1 == math.inf
 
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("p", [0.01, 0.37, 1.0])
+    def test_depolarizing_commutes_with_every_unitary(self, n_qubits, p):
+        # D_p(U rho U^dagger) = U D_p(rho) U^dagger: a run of one-qubit gates
+        # can take one channel after its product
+        rng = np.random.default_rng(500 + n_qubits)
+        kraus = depolarizing_kraus(p, n_qubits)
+        for _ in range(5):
+            u = unitary_group.rvs(2**n_qubits, random_state=rng)
+            rho = random_density(n_qubits, rng)
+            lhs = apply_channel(kraus, u @ rho @ u.conj().T)
+            rhs = u @ apply_channel(kraus, rho) @ u.conj().T
+            assert np.abs(lhs - rhs).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("pa, pb", [(2e-4, 2e-4), (0.01, 0.3), (0.5, 1.0), (0.0, 0.2)])
+    def test_depolarizing_channels_compose(self, n_qubits, pa, pb):
+        # D_pb after D_pa is D_p with 1 - p = (1 - pa)(1 - pb)
+        rng = np.random.default_rng(600 + n_qubits)
+        rho = random_density(n_qubits, rng)
+        twice = apply_channel(
+            depolarizing_kraus(pb, n_qubits), apply_channel(depolarizing_kraus(pa, n_qubits), rho)
+        )
+        once = apply_channel(depolarizing_kraus(1.0 - (1.0 - pa) * (1.0 - pb), n_qubits), rho)
+        assert np.abs(twice - once).max() <= 1e-14
+
+    @pytest.mark.parametrize("t", [1, 25])
+    def test_run_noisy_matches_reference_on_the_4cycle_bundle(self, t):
+        # the transpiled, scheduled circuits of the shipped L3 bundle
+        cfg = config_from_text((ROOT / "demos" / "configs" / "parrondo_4cycle.cfg").read_text())
+        circuit = build_walk_circuit(cfg.cycle, cfg.schedule(), t)
+        sc = schedule(transpile(circuit, cfg.opt_level), cfg.noise)
+        rho0 = state_to_density(ground_state(circuit.width))
+        want = reference_noisy(sc, rho0, cfg.noise)
+        assert np.abs(run_noisy(sc, rho0, cfg.noise) - want).max() <= 1e-12
+
 
 class TestRunNoisy:
     def test_zero_noise_matches_projector(self, schedule_4cycle):
@@ -283,9 +335,9 @@ class TestRunNoisy:
 
     def test_width_cap(self):
         with pytest.raises(ValueError, match="width"):
-            run_noisy(Circuit(7), np.eye(128, dtype=complex) / 128, NoiseModel())
+            run_noisy(Circuit(5), np.eye(32, dtype=complex) / 32, NoiseModel())
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_matches_kron_kraus_reference(self, width):
         # gate, depolarizing and idle-relaxation channels with XY4 pulses in
         # the idle windows, against the Kraus-by-Kraus reference
@@ -299,10 +351,9 @@ class TestRunNoisy:
             want = reference_noisy(sc, rho0, nm)
             assert np.abs(run_noisy(sc, rho0, nm) - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("width", [FOLD_MAX_WIDTH, FOLD_MAX_WIDTH + 1])
-    def test_noiseless_gates_on_both_sides_of_the_fold_width(self, width):
-        # identity channels: U alone folded at FOLD_MAX_WIDTH, U rho U^dagger
-        # on the gate's qubits above it
+    def test_noiseless_gates_fold_the_unitary_alone(self):
+        # identity channels: each run's product U is its own one-operator stack
+        width = 4
         rng = np.random.default_rng(300 + width)
         nm = NoiseModel.noiseless()
         c = random_native_circuit(width, 20, rng)
@@ -434,15 +485,18 @@ def test_apply_kraus_matches_operator_sum(n_ops, width):
 
 @st.composite
 def native_circuits(draw):
-    width = draw(st.integers(1, 3))
+    """Widths 1-4; ECR gates between runs of 1 to 8 one-qubit gates on a wire."""
+    width = draw(st.integers(1, 4))
     c = Circuit(width)
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 8))):
         if width >= 2 and draw(st.booleans()):
             c.add("ECR", *draw(st.permutations(range(width)))[:2])
-        else:
+            continue
+        q = draw(st.integers(0, width - 1))
+        for _ in range(draw(st.integers(1, 8))):
             kind = draw(st.sampled_from(["RZ", "SX", "X"]))
             params = (draw(st.floats(-math.pi, math.pi)),) if kind == "RZ" else ()
-            c.add(kind, draw(st.integers(0, width - 1)), params=params)
+            c.add(kind, q, params=params)
     return c
 
 
@@ -458,10 +512,34 @@ def noise_models(draw):
 
 
 def _repeated_gates():
+    # the runs (SX, RZ) on q0 and (X, SX) on q1 recur three times
     c = Circuit(3)
     for _ in range(3):
-        c.add("SX", 0).add("RZ", 1, params=(0.25,)).add("ECR", 2, 1).add("X", 2)
+        c.add("SX", 0).add("RZ", 0, params=(0.25,)).add("ECR", 0, 1)
+        c.add("X", 1).add("SX", 1).add("ECR", 1, 2)
     return c
+
+
+def _run_beside_equal_idle():
+    # q0 runs 10 gates, then idles for exactly 10.0 while q1 and q2 work:
+    # the merged channel of the run and the idle channel must not share a key
+    c = Circuit(3)
+    for _ in range(5):
+        c.add("SX", 0).add("X", 0)
+    c.add("ECR", 1, 2).add("ECR", 2, 1).add("ECR", 0, 1)
+    return c
+
+
+def _run_into_dd_window():
+    # q0's run (SX, RZ) continues into the first XY4 pulse, and the idle
+    # gaps between the pulses break the runs that follow
+    c = Circuit(3)
+    c.add("SX", 0).add("RZ", 0, params=(0.7,))
+    c.add("ECR", 1, 2).add("ECR", 2, 1).add("ECR", 0, 1)
+    return c
+
+
+_NOISE = NoiseModel(p1=0.01, p2=0.05, t1=50.0, t2=30.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,6 +547,9 @@ def _repeated_gates():
 @example(_repeated_gates(), NoiseModel.noiseless(), True, 0)  # the U alone folds
 @example(_repeated_gates(), NoiseModel(), False, 1)  # fold-cache hits
 @example(_repeated_gates(), NoiseModel(p1=0.0, p2=0.0), True, 2)
+@example(_run_beside_equal_idle(), _NOISE, False, 3)  # 10 gates vs idle 10.0
+@example(_run_into_dd_window(), _NOISE, True, 4)  # runs broken by idle windows
+@example(_repeated_gates(), NoiseModel(p1=1.0, p2=0.05, t1=50.0, t2=30.0), True, 5)
 def test_run_noisy_matches_reference_on_random_noise(circuit, nm, dd, seed):
     sc = schedule(circuit, nm)
     if dd:
