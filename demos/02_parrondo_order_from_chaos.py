@@ -42,9 +42,7 @@ def main() -> None:
             print(f"{pattern * (4 // len(pattern)):>4s}  t=1..25 |{spark(values)}| "
                   f"peak {peak:.6f} at t={peak_t}")
         path = out / f"parrondo_{cycle}cycle.svg"
-        path.write_text(
-            svg_line_chart(series, "time step", "return probability", y_range=(0.0, 1.05))
-        )
+        path.write_text(svg_line_chart(series, "return probability"))
         print(f"wrote {path.name}")
         print()
     print("AABB peaks at exactly 1 when t = 20; neither pure sequence ever")

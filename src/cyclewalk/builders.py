@@ -6,16 +6,19 @@ position = sum_k 2**k q_k.  One Fourier block opens the circuit and one
 inverse block closes it; every step in between is a coin gate plus phase
 kicks on the position qubits and controlled phase kicks from the coin.
 
-The Fourier blocks inside the walk circuits are the no-swap variants, whose
-lowered unitary is the bit-reversed Fourier matrix; the per-step phase
-assignments are stated for that frame, and the matrix oracle in the test
-suite pins the whole product against the dense walk operator.
+Both Fourier blocks are bit-reversed (no swap network).  The 2**n-cycle
+block is the Hadamard/controlled-phase ladder, whose lowered unitary is the
+bit-reversed Fourier matrix; the per-step phase assignments are stated for
+that frame, and the matrix oracle in the test suite pins the whole product
+against the dense walk operator.
 
-The 3-node blocks realize the 4x4 Fourier matrix with node 3 isolated as a
-fixed gate template: four layers of two U3 gates separated by three
+The 3-node blocks realize the bit-reversed 4x4 Fourier matrix with node 3
+isolated (P @ fourier_3cycle_matrix(), P swapping basis states 1 and 2) as
+a fixed gate template: four layers of two U3 gates separated by three
 controlled-phase gates (8 one-qubit and 3 two-qubit gates, depth 7).  The
-template parameters were solved offline by least squares against the target
-matrix and are frozen here; a regression test asserts the residual.
+template parameters were solved offline by least squares against that
+matrix and are frozen here; ``TestFourier3Cycle.test_matches_target_entrywise``
+in ``tests/test_builders.py`` pins them entrywise.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from .walk import CoinSchedule, coin_operator
 __all__ = [
     "fourier_matrix",
     "fourier_3cycle_matrix",
-    "build_qft_even",
-    "build_qft_3cycle",
     "build_walk_circuit_even",
     "build_walk_circuit_4cycle",
     "build_walk_circuit_3cycle",
@@ -71,65 +72,21 @@ def _qft_noswap_gates(n: int, inverse: bool = False) -> list[Gate]:
     return gates
 
 
-def _cx_gates(control: int, target: int) -> list[Gate]:
-    return [
-        Gate("H", (target,)),
-        Gate("CP", (control, target), (PI,)),
-        Gate("H", (target,)),
-    ]
-
-
 def _inverse_gate(g: Gate) -> Gate:
-    if g.kind in ("H", "X", "ID", "BARRIER", "ECR"):
+    """Inverse of a Fourier-block gate (H, CP or U3)."""
+    if g.kind == "H":
         return g
-    if g.kind in ("RZ", "PHASE", "CP"):
-        return Gate(g.kind, g.qubits, (-g.params[0],))
-    if g.kind == "U3":
-        theta, phi, lam = g.params
-        return Gate("U3", g.qubits, (theta, 2 * PI - lam, 2 * PI - phi))
-    if g.kind == "UNITARY":
-        return Gate("UNITARY", g.qubits, matrix=g.matrix.conj().T)
-    if g.kind == "SX":
-        return Gate("UNITARY", g.qubits, matrix=np.conj(np.array(
-            [[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2).T)
-    raise ValueError(f"cannot invert gate kind {g.kind!r}")
-
-
-def build_qft_even(n_qubits: int) -> Circuit:
-    """Fourier transform circuit whose unitary is omega^{jk}/sqrt(N) entrywise.
-
-    The ladder produces the bit-reversed transform; an explicit swap network
-    (each swap expanded into three CX-equivalent blocks) restores natural
-    ordering.
-    """
-    if n_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {n_qubits}")
-    circuit = Circuit(n_qubits, name=f"qft{n_qubits}")
-    circuit.extend(_qft_noswap_gates(n_qubits))
-    for q in range(n_qubits // 2):
-        a, b = q, n_qubits - 1 - q
-        circuit.extend(_cx_gates(a, b) + _cx_gates(b, a) + _cx_gates(a, b))
-    return circuit
+    if g.kind == "CP":
+        return Gate("CP", g.qubits, (-g.params[0],))
+    theta, phi, lam = g.params
+    return Gate("U3", g.qubits, (theta, 2 * PI - lam, 2 * PI - phi))
 
 
 # ---------------------------------------------------------------------------
-# 3-node Fourier templates (frozen solved constants)
+# 3-node Fourier block (frozen solved constants)
 
 # rows: layer0 hi, layer0 lo, layer1 hi, layer1 lo, ..., layer3 lo
-# layers execute first to last with CP(_FOURIER3_*_CPS[k]) between them.
-_FOURIER3_U3S = (
-    (1.0129458639237618, 7.108706960111572, -0.532253328767764),
-    (1.515203344123922, 2.1234058232652826, -7.169235525270539),
-    (1.4878212809095919, 0.6682228219312949, -1.800795657404696),
-    (2.5845894620142054, 0.5107743944310201, -0.6266832589546999),
-    (2.439319921486314, -1.8492247423339991, -4.948617645987761),
-    (2.283771251266569, -4.135864861046233, -3.792602035750613),
-    (1.9176468319374511, 4.5731567338940415, -6.389141915486349),
-    (0.6068899120146033, -3.0941148296906804, 9.285871593658369),
-)
-_FOURIER3_CPS = (4.61161127706629, -5.20311920710792, 2.8059217694689007)
-
-# same template solved for the bit-reversed target (used inside walk circuits)
+# layers execute first to last with CP(_FOURIER3_BITREV_CPS[k]) between them.
 _FOURIER3_BITREV_U3S = (
     (3.4908336087579825, 8.927227487112901, 3.900235221133833),
     (2.439454886560015, 4.431653097428904, -8.57573376969868),
@@ -143,27 +100,16 @@ _FOURIER3_BITREV_U3S = (
 _FOURIER3_BITREV_CPS = (10.072883568064194, -10.074853537546987, 3.8897179772189334)
 
 
-def _fourier3_gates(
-    hi: int, lo: int, bit_reversed: bool, inverse: bool = False
-) -> list[Gate]:
-    u3s = _FOURIER3_BITREV_U3S if bit_reversed else _FOURIER3_U3S
-    cps = _FOURIER3_BITREV_CPS if bit_reversed else _FOURIER3_CPS
+def _fourier3_gates(hi: int, lo: int, inverse: bool = False) -> list[Gate]:
     gates: list[Gate] = []
     for layer in range(4):
         if layer > 0:
-            gates.append(Gate("CP", (hi, lo), (cps[layer - 1],)))
-        gates.append(Gate("U3", (hi,), tuple(u3s[2 * layer])))
-        gates.append(Gate("U3", (lo,), tuple(u3s[2 * layer + 1])))
+            gates.append(Gate("CP", (hi, lo), (_FOURIER3_BITREV_CPS[layer - 1],)))
+        gates.append(Gate("U3", (hi,), tuple(_FOURIER3_BITREV_U3S[2 * layer])))
+        gates.append(Gate("U3", (lo,), tuple(_FOURIER3_BITREV_U3S[2 * layer + 1])))
     if inverse:
         gates = [_inverse_gate(g) for g in reversed(gates)]
     return gates
-
-
-def build_qft_3cycle() -> Circuit:
-    """2-qubit circuit lowering to the 3-node Fourier matrix (node 3 fixed)."""
-    circuit = Circuit(2, name="qft3cycle")
-    circuit.extend(_fourier3_gates(hi=1, lo=0, bit_reversed=False))
-    return circuit
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +163,7 @@ def build_walk_circuit_3cycle(schedule: CoinSchedule, steps: int) -> Circuit:
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     circuit = Circuit(3, name=f"walk3cycle-t{steps}", measured=(0, 1))
-    circuit.extend(_fourier3_gates(hi=1, lo=0, bit_reversed=True))
+    circuit.extend(_fourier3_gates(hi=1, lo=0))
     circuit.add("BARRIER", 0, 1, 2)
     for step in range(steps):
         circuit.append(_coin_gate(schedule, step, 2))
@@ -226,5 +172,5 @@ def build_walk_circuit_3cycle(schedule: CoinSchedule, steps: int) -> Circuit:
         circuit.add("CP", 2, 1, params=(4 * PI / 3,))
         circuit.add("CP", 2, 0, params=(8 * PI / 3,))
     circuit.add("BARRIER", 0, 1, 2)
-    circuit.extend(_fourier3_gates(hi=1, lo=0, bit_reversed=True, inverse=True))
+    circuit.extend(_fourier3_gates(hi=1, lo=0, inverse=True))
     return circuit

@@ -94,6 +94,17 @@ def _load_config(ns: argparse.Namespace) -> ExperimentConfig:
     return replace(cfg, **updates)
 
 
+def _emit(text: str, out_dir: str | None, filename: str, label: str) -> None:
+    """Write ``text`` to ``out_dir/filename`` and print its path, else print it."""
+    if not out_dir:
+        print(text, end="")
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / filename).write_text(text)
+    print(f"{label}: {out / filename}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -111,29 +122,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"phase-insensitive: period={loose.period} residual={loose.residual:.3e}"
             )
             if ns.out:
-                out = Path(ns.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "period_scan.csv").write_text(csv_text)
-                print(f"csv: {out / 'period_scan.csv'}")
+                _emit(csv_text, ns.out, "period_scan.csv", "csv")
         elif ns.command == "depth-report":
             csv_text = run_depth_report(ns.cycle, ns.pattern, ns.t_max, ns.opt)
-            if ns.out:
-                out = Path(ns.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "depth_report.csv").write_text(csv_text)
-                print(f"csv: {out / 'depth_report.csv'}")
-            else:
-                print(csv_text, end="")
+            _emit(csv_text, ns.out, "depth_report.csv", "csv")
         elif ns.command == "dump-circuit":
-            cfg = _load_config(ns)
-            text = dump_circuit(cfg, ns.t, native=ns.native)
-            if ns.out:
-                out = Path(ns.out)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "circuit.txt").write_text(text)
-                print(f"circuit: {out / 'circuit.txt'}")
-            else:
-                print(text, end="")
+            text = dump_circuit(_load_config(ns), ns.t, native=ns.native)
+            _emit(text, ns.out, "circuit.txt", "circuit")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

@@ -34,7 +34,6 @@ from .simulate import (
     readout_distribution,
     run_exact,
     run_noisy,
-    state_to_density,
 )
 from .transpile import OptLevel, ScheduledCircuit, insert_dd, schedule, transpile
 from .walk import CoinParams, CoinSchedule, parrondo_schedule, step_operator
@@ -253,26 +252,14 @@ def config_from_text(text: str) -> ExperimentConfig:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def svg_line_chart(
-    series: dict[str, tuple[list[float], list[float]]],
-    x_label: str,
-    y_label: str,
-    y_range: tuple[float, float] | None = None,
-) -> str:
+def svg_line_chart(series: dict[str, tuple[list[float], list[float]]], y_label: str) -> str:
+    """Line chart of y in [0, 1.05] against the time step."""
     width, height, margin = 640, 420, 56
-    xs_all = [x for xs, _ in series.values() for x in xs]
-    ys_all = [y for _, ys in series.values() for y in ys]
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
+    xs_all = [x for xs, _ in series.values() for x in xs] or [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
-    if y_range is not None:
-        y_lo, y_hi = y_range
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
+    y_lo, y_hi = 0.0, 1.05
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
 
     def px(x: float) -> float:
         return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
@@ -305,7 +292,7 @@ def svg_line_chart(
         )
     parts.append(
         f'<text x="{width / 2:.0f}" y="{height - 12}" font-size="13" '
-        f'text-anchor="middle">{x_label}</text>'
+        f'text-anchor="middle">time step</text>'
     )
     parts.append(
         f'<text x="16" y="{height / 2:.0f}" font-size="13" text-anchor="middle" '
@@ -409,20 +396,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     paths["fidelity_csv"].write_text(header + "\n" + _table_csv("t", steps, fid_cols))
     paths["probability_svg"] = out / "probability.svg"
     paths["probability_svg"].write_text(
-        svg_line_chart(
-            prob_series,
-            "time step",
-            "probability at start",
-            y_range=(0.0, 1.05),
-        )
+        svg_line_chart(prob_series, "probability at start")
     )
     paths["fidelity_svg"] = out / "fidelity.svg"
     paths["fidelity_svg"].write_text(
         svg_line_chart(
             {k: ([float(t) for t in steps], v) for k, v in fid_cols.items()},
-            "time step",
             "Hellinger fidelity vs exact",
-            y_range=(0.0, 1.05),
         )
     )
     paths["manifest"] = out / "manifest"
@@ -531,14 +511,13 @@ def run_depth_report(
     pattern: str,
     t_max: int = 25,
     opt_level: OptLevel | int | str = "logical",
-    coins: dict[str, CoinParams] | None = None,
 ) -> str:
     """CSV of circuit size vs steps: t, logical_depth, native_depth, count_1q, count_2q.
 
     ``opt_level`` "logical" reports the untranspiled circuit in the native
     columns as well; otherwise the circuit is transpiled at that level.
     """
-    cfg = ExperimentConfig(cycle=cycle, coins=coins or {}, pattern=pattern, t_max=t_max)
+    cfg = ExperimentConfig(cycle=cycle, pattern=pattern, t_max=t_max)
     sched = cfg.schedule()
     lines = ["t,logical_depth,native_depth,count_1q,count_2q"]
     for t in range(1, t_max + 1):

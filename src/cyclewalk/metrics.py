@@ -2,9 +2,9 @@
 
 Hellinger distance h(P, Q) = sqrt(sum_k (sqrt(p_k) - sqrt(q_k))**2) / sqrt(2)
 and the derived fidelity (1 - h**2)**2 compare measured position
-distributions; phase-aligned vector distance and trace distance compare
-states.  Distributions are compared over the union of their outcome
-alphabets with missing outcomes treated as zero.
+distributions; trace distance compares density matrices.  Distributions
+are compared over the union of their outcome alphabets with missing
+outcomes treated as zero.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .simulate import Distribution
 __all__ = [
     "hellinger_distance",
     "hellinger_fidelity",
-    "classify_fidelity",
-    "state_distance_phase_aligned",
     "trace_distance",
 ]
 
@@ -53,23 +51,6 @@ def hellinger_fidelity(p: Distribution | dict, q: Distribution | dict) -> float:
     """(1 - h**2)**2: 1 for identical distributions, 0 for disjoint ones."""
     h2 = hellinger_distance(p, q) ** 2
     return (1.0 - h2) ** 2
-
-
-def classify_fidelity(fidelity: float) -> str:
-    """Qualitative reading: > 0.95 alike, > 0.5 similar, else distinct."""
-    if fidelity > 0.95:
-        return "almost alike"
-    if fidelity > 0.5:
-        return "similar"
-    return "distinct"
-
-
-def state_distance_phase_aligned(a: np.ndarray, b: np.ndarray) -> float:
-    """min over global phase of ||a - e^{i g} b||_2 = sqrt(2 - 2|<a|b>|)."""
-    if a.shape != b.shape:
-        raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    overlap = abs(np.vdot(a, b))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

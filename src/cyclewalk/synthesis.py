@@ -31,12 +31,9 @@ from .gates import (
     H_MATRIX,
     SX_MATRIX,
     X_MATRIX,
-    ECR_MATRIX,
-    gate_matrix,
     canonical_angle,
     phase_matrix,
     rz_matrix,
-    u3_matrix,
 )
 
 __all__ = [
@@ -56,9 +53,6 @@ _EPS = 1e-12
 
 # ---------------------------------------------------------------------------
 # one qubit
-
-_V_HALF = SX_MATRIX  # shorthand used in comments: V(b) = SX RZ(b) SX
-
 
 def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     """Angles (a, b, c, delta) with u = e^{i delta} RZ(a) SX RZ(b) SX RZ(c).
@@ -438,14 +432,10 @@ def _demux_stream(
     d = np.exp(1j * delta)
     w_block = np.diag(d) @ v.conj().T @ b_block
     stream: Stream = []
-    stream += _two_qubit_block_stream(w_block, lower)
+    stream += kak_stream(w_block, *lower)
     stream += mux_rotation_stream("z", select, lower, -2.0 * delta)
-    stream += _two_qubit_block_stream(v, lower)
+    stream += kak_stream(v, *lower)
     return stream
-
-
-def _two_qubit_block_stream(u4: np.ndarray, wires: list[int]) -> Stream:
-    return kak_stream(u4, wires[0], wires[1])
 
 
 def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
@@ -471,34 +461,22 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
 # stream emission and verification
 
 def _emit_matrix(wire: int, matrix: np.ndarray, fixed_shape: bool) -> list[Gate]:
-    a, b, c, _ = zxzxz_angles(matrix)
-    if fixed_shape:
-        return [
-            Gate("RZ", (wire,), (canonical_angle(c),)),
-            Gate("SX", (wire,)),
-            Gate("RZ", (wire,), (canonical_angle(b),)),
-            Gate("SX", (wire,)),
-            Gate("RZ", (wire,), (canonical_angle(a),)),
-        ]
-    gates: list[Gate] = []
-    if abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
+    """RZ SX RZ SX RZ for a 2x2 unitary; unless ``fixed_shape``, a diagonal
+    matrix becomes one RZ and zero-angle RZs are dropped."""
+    if not fixed_shape and abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
         angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
-        if abs(angle) > 1e-12:
-            gates.append(Gate("RZ", (wire,), (angle,)))
+        return [Gate("RZ", (wire,), (angle,))] if abs(angle) > 1e-12 else []
+    a, b, c, _ = zxzxz_angles(matrix)
+    gates = [
+        Gate("RZ", (wire,), (canonical_angle(c),)),
+        Gate("SX", (wire,)),
+        Gate("RZ", (wire,), (canonical_angle(b),)),
+        Gate("SX", (wire,)),
+        Gate("RZ", (wire,), (canonical_angle(a),)),
+    ]
+    if fixed_shape:
         return gates
-    for kind, param in (
-        ("RZ", canonical_angle(c)),
-        ("SX", None),
-        ("RZ", canonical_angle(b)),
-        ("SX", None),
-        ("RZ", canonical_angle(a)),
-    ):
-        if kind == "RZ":
-            if abs(param) > 1e-12:
-                gates.append(Gate("RZ", (wire,), (param,)))
-        else:
-            gates.append(Gate("SX", (wire,)))
-    return gates
+    return [g for g in gates if g.kind == "SX" or abs(g.params[0]) > 1e-12]
 
 
 def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:

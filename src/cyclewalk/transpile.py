@@ -9,11 +9,12 @@ Levels:
   rotations and cancels adjacent ECR pairs, to a fixed point.
 * L3 resynthesizes the whole circuit from its dense unitary (width <= 3)
   with a fixed-shape emission, so native gate count and depth depend only
-  on the circuit width, never on the step count.  The L1 pipeline is the
-  fallback for wider circuits.
+  on the circuit width, never on the step count.  Wider circuits run the
+  L1 pipeline, and the result is named after L1.
 
 Every transpile result is verified against the input unitary up to global
-phase; a residual above 1e-8 raises TranspileError.
+phase; a residual above 1e-8 raises TranspileError.  The check lowers both
+circuits to dense matrices, so a circuit wider than MAX_LOWER_WIDTH raises.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ __all__ = [
     "transpile",
     "ScheduledCircuit",
     "schedule",
-    "scheduled_to_text",
     "insert_dd",
-    "XY4_SEQUENCE",
 ]
 
 SEMANTIC_TOL = 1e-8
@@ -204,15 +203,20 @@ def _resynthesize(unitary: np.ndarray, width: int) -> list[Gate]:
 
 
 def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
-    """Rewrite a circuit over the native gate set at the given level."""
+    """Rewrite a circuit over the native gate set at the given level.
+
+    L3 above width 3 runs L1, and the result's name ends in ``-native1``.
+    """
     level = OptLevel(level)
+    if level == OptLevel.L3 and circuit.width > 3:
+        level = OptLevel.L1
     # the source unitary, lowered once: the L3 input and the check's reference
-    source = lower_to_unitary(circuit) if circuit.width <= 6 else None
-    if level == OptLevel.L3 and circuit.width <= 3:
+    source = lower_to_unitary(circuit)
+    if level == OptLevel.L3:
         gates = _resynthesize(source, circuit.width)
     else:
         gates = [g for src in circuit.gates for g in _decompose_gate(src)]
-        if level >= OptLevel.L1:
+        if level == OptLevel.L1:
             gates = _peephole(gates)
     out = Circuit(circuit.width, name=f"{circuit.name}-native{int(level)}",
                   measured=circuit.measured)
@@ -220,12 +224,11 @@ def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
     bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS | {"BARRIER"}]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
-    if source is not None:
-        residual = phase_aligned_distance(lower_to_unitary(out), source)
-        if not residual <= SEMANTIC_TOL:
-            raise TranspileError(
-                f"transpiled circuit deviates from source (residual {residual:.2e})"
-            )
+    residual = phase_aligned_distance(lower_to_unitary(out), source)
+    if not residual <= SEMANTIC_TOL:
+        raise TranspileError(
+            f"transpiled circuit deviates from source (residual {residual:.2e})"
+        )
     return out
 
 
@@ -291,18 +294,8 @@ def schedule(circuit: Circuit, nm: NoiseModel) -> ScheduledCircuit:
     )
 
 
-def scheduled_to_text(sc: ScheduledCircuit) -> str:
-    """Circuit text format with an ``@t=<start>`` annotation per gate."""
-    from .circuit import to_text
-
-    return to_text(sc.circuit, start_times=sc.start_times)
-
-
 # ---------------------------------------------------------------------------
 # dynamical decoupling
-
-XY4_SEQUENCE = "xy4"
-
 
 def _y_pulse(qubit: int) -> list[Gate]:
     # Y realized natively as RZ(-pi/2) X RZ(pi/2), up to global phase
@@ -313,27 +306,16 @@ def _y_pulse(qubit: int) -> list[Gate]:
     ]
 
 
-def insert_dd(
-    sc: ScheduledCircuit,
-    nm: NoiseModel,
-    sequence: str = XY4_SEQUENCE,
-    min_window: float | None = None,
-) -> ScheduledCircuit:
+def insert_dd(sc: ScheduledCircuit, nm: NoiseModel) -> ScheduledCircuit:
     """Fill idle windows with the XY4 train Y-d-X-d-Y-d-X-d.
 
-    Each window of length at least ``min_window`` (default 4 * dur_1q, the
-    minimum that fits the four pulses) receives four equally spaced pulses;
-    the free-evolution gaps d all equal (window - 4 * dur_1q) / 4.  Shorter
-    windows are left untouched.  The pulse block multiplies to the identity
-    up to a global phase, so the noiseless unitary is unchanged.
+    Each window of length at least 4 * dur_1q, the minimum that fits the
+    four pulses, receives four equally spaced pulses; the free-evolution gaps
+    d all equal (window - 4 * dur_1q) / 4.  Shorter windows are left
+    untouched.  The pulse block multiplies to the identity up to a global
+    phase, so the noiseless unitary is unchanged.
     """
-    if sequence != XY4_SEQUENCE:
-        raise ValueError(f"unsupported DD sequence {sequence!r}")
     d = nm.dur_1q
-    if min_window is None:
-        min_window = 4.0 * d
-    if min_window < 4.0 * d - 1e-12:
-        raise ValueError(f"min_window {min_window} cannot fit four pulses of {d}")
     entries = [
         (start, seq, gate, dur)
         for seq, (gate, start, dur) in enumerate(
@@ -343,7 +325,7 @@ def insert_dd(
     seq = len(entries)
     for qubit, t0, t1 in sc.idle_windows:
         length = t1 - t0
-        if length < min_window - 1e-12:
+        if length < 4.0 * d - 1e-12:
             continue
         gap = (length - 4.0 * d) / 4.0
         cursor = t0

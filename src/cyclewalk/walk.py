@@ -28,7 +28,6 @@ __all__ = [
     "CoinParams",
     "CoinSchedule",
     "coin_operator",
-    "hadamard_coin",
     "shift_operator",
     "step_operator",
     "circulant_step_operator",
@@ -79,11 +78,6 @@ def coin_operator(p: CoinParams) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def hadamard_coin() -> np.ndarray:
-    """The Hadamard coin, i.e. ``coin_operator(CoinParams(0.5, 0, 0))``."""
-    return coin_operator(CoinParams(0.5))
 
 
 def padded_dim(n_nodes: int) -> int:

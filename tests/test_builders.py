@@ -8,8 +8,6 @@ from conftest import phase_aligned
 from cyclewalk import (
     CoinParams,
     Circuit,
-    build_qft_3cycle,
-    build_qft_even,
     build_walk_circuit_3cycle,
     build_walk_circuit_4cycle,
     build_walk_circuit_even,
@@ -23,7 +21,7 @@ from cyclewalk import (
     step_operator,
     to_text,
 )
-from cyclewalk.builders import _qft_noswap_gates
+from cyclewalk.builders import _fourier3_gates, _qft_noswap_gates
 
 
 def walk_operator_product(cycle, schedule, steps):
@@ -35,24 +33,39 @@ def walk_operator_product(cycle, schedule, steps):
     return out
 
 
+def block_unitary(width, gates):
+    c = Circuit(width)
+    c.extend(gates)
+    return lower_to_unitary(c)
+
+
+def bit_reversal(n):
+    """Permutation matrix sending basis state j to its n-bit reversal."""
+    dim = 2**n
+    rev = [int(format(j, f"0{n}b")[::-1], 2) for j in range(dim)]
+    return np.eye(dim)[rev]
+
+
 class TestFourierEven:
+    """The no-swap ladder lowers to the bit-reversed Fourier matrix."""
+
     def test_single_qubit_is_hadamard(self):
-        c = build_qft_even(1)
-        assert len(c.gates) == 1 and c.gates[0].kind == "H"
-        assert np.allclose(lower_to_unitary(c), fourier_matrix(2), atol=1e-14)
+        gates = _qft_noswap_gates(1)
+        assert len(gates) == 1 and gates[0].kind == "H"
+        assert np.allclose(block_unitary(1, gates), fourier_matrix(2), atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_entrywise_fourier(self, n):
-        got = lower_to_unitary(build_qft_even(n))
+        got = block_unitary(n, _qft_noswap_gates(n))
         dim = 2**n
         omega = np.exp(2j * math.pi / dim)
         expected = np.array(
             [[omega ** (j * k) for k in range(dim)] for j in range(dim)]
         ) / math.sqrt(dim)
-        assert np.linalg.norm(got - expected) < 1e-10
+        assert np.linalg.norm(got - bit_reversal(n) @ expected) < 1e-10
 
     def test_unitary(self):
-        q = lower_to_unitary(build_qft_even(2))
+        q = block_unitary(2, _qft_noswap_gates(2))
         assert np.allclose(q @ q.conj().T, np.eye(4), atol=1e-12)
 
     def test_inverse_composition(self):
@@ -61,15 +74,13 @@ class TestFourierEven:
         c.extend(_qft_noswap_gates(2, inverse=True))
         assert phase_aligned(lower_to_unitary(c), np.eye(4)) < 1e-10
 
-    def test_needs_a_qubit(self):
-        with pytest.raises(ValueError):
-            build_qft_even(0)
-
 
 class TestFourier3Cycle:
     def test_matches_target_entrywise(self):
-        got = lower_to_unitary(build_qft_3cycle())
-        assert np.linalg.norm(got - fourier_3cycle_matrix()) < 1e-9
+        # the frozen constants realize the bit-reversed block: P swaps basis
+        # states 1 and 2 of the natural-order target
+        got = block_unitary(2, _fourier3_gates(1, 0))
+        assert np.linalg.norm(got - bit_reversal(2) @ fourier_3cycle_matrix()) < 1e-9
 
     def test_isolated_node_column(self):
         q = fourier_3cycle_matrix()
@@ -81,13 +92,15 @@ class TestFourier3Cycle:
         assert np.allclose(q @ q.conj().T, np.eye(4), atol=1e-12)
 
     def test_template_budget(self):
-        rep = depth_report(build_qft_3cycle())
+        c = Circuit(2)
+        c.extend(_fourier3_gates(1, 0))
+        rep = depth_report(c)
         assert rep.counts_1q == 8
         assert rep.counts_2q == 3
         assert rep.depth == 7
 
     def test_template_gates_are_u3_and_cp(self):
-        kinds = {g.kind for g in build_qft_3cycle().gates}
+        kinds = {g.kind for g in _fourier3_gates(1, 0)}
         assert kinds == {"U3", "CP"}
 
 

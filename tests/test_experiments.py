@@ -463,8 +463,7 @@ class TestOverlay:
 
 class TestScheduledDump:
     def test_start_time_annotations(self, tmp_path):
-        from cyclewalk import NoiseModel, OptLevel, schedule, transpile
-        from cyclewalk.transpile import scheduled_to_text
+        from cyclewalk import NoiseModel, OptLevel, schedule, to_text, transpile
         from cyclewalk import from_text as parse_circuit
 
         cfg = small_config(tmp_path)
@@ -472,7 +471,7 @@ class TestScheduledDump:
 
         native = transpile(build_walk_circuit(4, cfg.schedule(), 2), OptLevel.L1)
         sc = schedule(native, NoiseModel())
-        text = scheduled_to_text(sc)
+        text = to_text(sc.circuit, start_times=sc.start_times)
         assert "@t=" in text
         rt = parse_circuit(text)
         assert len(rt.gates) == len(native.gates)

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from cyclewalk import (
     Distribution,
-    classify_fidelity,
     hellinger_distance,
     hellinger_fidelity,
-    state_distance_phase_aligned,
     trace_distance,
 )
 
@@ -77,35 +75,6 @@ class TestHellinger:
         q = {k: 1.0 / len(weights) for k in range(len(weights))}
         assert 0.0 <= hellinger_distance(p, q) <= 1.0
         assert 0.0 <= hellinger_fidelity(p, q) <= 1.0
-
-
-class TestClassification:
-    def test_thresholds(self):
-        assert classify_fidelity(0.96) == "almost alike"
-        assert classify_fidelity(0.95) == "similar"  # strictly greater required
-        assert classify_fidelity(0.51) == "similar"
-        assert classify_fidelity(0.5) == "distinct"
-        assert classify_fidelity(0.1) == "distinct"
-
-
-class TestStateDistance:
-    def test_identical(self):
-        # the sqrt(2 - 2|<a|b>|) form floors out around sqrt(eps) ~ 1e-8
-        a = np.array([1, 1j]) / math.sqrt(2)
-        assert state_distance_phase_aligned(a, a) == pytest.approx(0.0, abs=1e-7)
-
-    def test_global_phase_invariance(self):
-        a = np.array([0.6, 0.8j])
-        assert state_distance_phase_aligned(a, 1j * a) == pytest.approx(0.0, abs=1e-7)
-
-    def test_orthogonal(self):
-        a = np.array([1.0, 0.0], dtype=complex)
-        b = np.array([0.0, 1.0], dtype=complex)
-        assert state_distance_phase_aligned(a, b) == pytest.approx(math.sqrt(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            state_distance_phase_aligned(np.zeros(2), np.zeros(4))
 
 
 class TestTraceDistance:

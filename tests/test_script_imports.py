@@ -1,21 +1,25 @@
-"""Every ``from cyclewalk... import name`` in the demos and the benchmark
-scripts resolves, so an API removal cannot break a script unnoticed.
+"""Every ``from cyclewalk... import name`` in the demos, the benchmark
+scripts and the README's library tour resolves, and so does every name in
+``cyclewalk.__all__``, so an API removal cannot break a script unnoticed.
 
-The scripts are parsed, not run.
+The scripts are parsed, not run; the README tour is also run.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+import cyclewalk
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
-def cyclewalk_imports(path: Path) -> list[tuple[str, str]]:
-    tree = ast.parse(path.read_text(), filename=str(path))
+def cyclewalk_imports(source: str, filename: str) -> list[tuple[str, str]]:
+    tree = ast.parse(source, filename=filename)
     return [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -26,6 +30,23 @@ def cyclewalk_imports(path: Path) -> list[tuple[str, str]]:
     ]
 
 
+def resolves(module: str, name: str) -> bool:
+    """``from module import name`` succeeds: an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def readme_tour() -> str:
+    """The README's fenced ``python`` block."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return block
+
+
 def test_scripts_found():
     assert any(p.parent.name == "demos" for p in SCRIPTS)
     assert any(p.parent.name == "perfbench" for p in SCRIPTS)
@@ -33,5 +54,20 @@ def test_scripts_found():
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_cyclewalk_imports_resolve(path):
-    for module, name in cyclewalk_imports(path):
-        assert hasattr(importlib.import_module(module), name), f"{path.name}: {module}.{name}"
+    for module, name in cyclewalk_imports(path.read_text(), str(path)):
+        assert resolves(module, name), f"{path.name}: {module}.{name}"
+
+
+def test_public_names_resolve():
+    missing = [name for name in cyclewalk.__all__ if not hasattr(cyclewalk, name)]
+    assert missing == []
+
+
+def test_readme_tour_imports_resolve_and_it_runs(capsys):
+    tour = readme_tour()
+    imports = cyclewalk_imports(tour, "README.md")
+    assert imports
+    for module, name in imports:
+        assert resolves(module, name), f"README: {module}.{name}"
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

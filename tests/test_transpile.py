@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from conftest import phase_aligned, ground_state
@@ -15,13 +16,16 @@ from cyclewalk import (
     OptLevel,
     build_walk_circuit_3cycle,
     build_walk_circuit_4cycle,
+    build_walk_circuit_even,
     coin_operator,
     decompose_1q,
     decompose_cp,
+    default_coins,
     depth_report,
     insert_dd,
     lower_to_unitary,
     measure_positions,
+    parrondo_schedule,
     run_exact,
     run_noisy,
     schedule,
@@ -31,7 +35,8 @@ from cyclewalk import (
     trace_distance,
     readout_distribution,
 )
-from cyclewalk.gates import NATIVE_KINDS, gate_matrix
+from cyclewalk.circuit import MAX_LOWER_WIDTH
+from cyclewalk.gates import NATIVE_KINDS, gate_matrix, u3_matrix
 from cyclewalk.transpile import TranspileError
 
 
@@ -210,6 +215,91 @@ class TestTranspile:
         # guard is exercised through the error type being exported
         assert issubclass(TranspileError, RuntimeError)
 
+    def test_wide_circuit_is_verified(self, monkeypatch):
+        # above width 6 the output is checked too: a peephole pass that loses
+        # a gate must not go unnoticed
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        peephole = transpile_module._peephole
+        monkeypatch.setattr(transpile_module, "_peephole", lambda gates: peephole(gates)[:-1])
+        c = Circuit(7)
+        for q in range(7):
+            c.add("H", q)
+        for q in range(6):
+            c.add("CP", q, q + 1, params=(0.3 * (q + 1),))
+        with pytest.raises(TranspileError, match="deviates"):
+            transpile(c, OptLevel.L1)
+
+    def test_too_wide_to_verify_raises(self):
+        with pytest.raises(ValueError, match="refusing to lower"):
+            transpile(Circuit(MAX_LOWER_WIDTH + 1), OptLevel.L0)
+
+    def test_l3_above_width_3_is_named_l1(self):
+        # the 8-cycle circuit is 4 qubits wide, so L3 runs the L1 pipeline
+        sched = parrondo_schedule("AABB", default_coins(8), 3)
+        source = build_walk_circuit_even(3, sched, 3)
+        l3 = transpile(source, OptLevel.L3)
+        assert l3.name.endswith("-native1")
+        assert l3.gates == transpile(source, OptLevel.L1).gates
+
+
+_ANGLES = st.one_of(
+    st.floats(-4 * math.pi, 4 * math.pi),
+    st.just(0.0),
+    st.integers(-3, 3).map(lambda k: 2 * math.pi * k),
+)
+
+
+@st.composite
+def logical_unitaries(draw):
+    """A 2x2 unitary: diagonal, anti-diagonal or general, with a global phase."""
+    a, b, c = draw(_ANGLES), draw(_ANGLES), draw(_ANGLES)
+    shape = draw(st.sampled_from(["diagonal", "anti-diagonal", "general"]))
+    if shape == "diagonal":
+        return np.diag([np.exp(1j * a), np.exp(1j * b)])
+    if shape == "anti-diagonal":
+        return np.array([[0, np.exp(1j * a)], [np.exp(1j * b), 0]])
+    return np.exp(1j * draw(_ANGLES)) * u3_matrix(a, b, c)
+
+
+@st.composite
+def logical_circuits(draw):
+    """A circuit of width 1-3 over every logical gate kind."""
+    width = draw(st.integers(1, 3))
+    c = Circuit(width)
+    kinds = ["H", "X", "SX", "ID", "RZ", "PHASE", "U3", "UNITARY", "BARRIER"]
+    if width > 1:
+        kinds += ["CP", "ECR"]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("CP", "ECR"):
+            qubits = draw(st.permutations(range(width)))[:2]
+            c.add(kind, *qubits, params=(draw(_ANGLES),) if kind == "CP" else ())
+        elif kind == "BARRIER":
+            c.add(kind, *range(width))
+        elif kind == "UNITARY":
+            c.add(kind, draw(st.integers(0, width - 1)), matrix=draw(logical_unitaries()))
+        else:
+            n_params = {"RZ": 1, "PHASE": 1, "U3": 3}.get(kind, 0)
+            params = tuple(draw(_ANGLES) for _ in range(n_params))
+            c.add(kind, draw(st.integers(0, width - 1)), params=params)
+    return c
+
+
+def _shape(circuit):
+    return [(g.kind, g.qubits) for g in circuit.gates]
+
+
+@settings(max_examples=60, deadline=None)
+@given(logical_circuits())
+def test_transpile_is_native_and_exact_on_random_circuits(c):
+    source = lower_to_unitary(c)
+    for level in (OptLevel.L0, OptLevel.L1, OptLevel.L3):
+        native = transpile(c, level)
+        assert all(g.kind in NATIVE_KINDS or g.kind == "BARRIER" for g in native.gates)
+        assert phase_aligned(lower_to_unitary(native), source) <= 1e-8
+    # L3 emits the same gate shape for every circuit of a width
+    assert _shape(transpile(c, OptLevel.L3)) == _shape(transpile(Circuit(c.width), OptLevel.L3))
+
 
 class TestSchedule:
     def test_single_wire_has_no_idle(self):
@@ -283,18 +373,6 @@ class TestInsertDd:
         assert phase_aligned(
             lower_to_unitary(out.circuit), lower_to_unitary(sc.circuit)
         ) < 1e-9
-
-    def test_min_window_must_fit_pulses(self):
-        nm = NoiseModel()
-        sc = schedule(self._window_circuit(4.0), nm)
-        with pytest.raises(ValueError, match="fit"):
-            insert_dd(sc, nm, min_window=2.0)
-
-    def test_unknown_sequence(self):
-        nm = NoiseModel()
-        sc = schedule(self._window_circuit(4.0), nm)
-        with pytest.raises(ValueError, match="sequence"):
-            insert_dd(sc, nm, sequence="cpmg")
 
     def test_trace_distance_not_worse_under_idle_noise(self, schedule_3cycle):
         nm = NoiseModel(p1=0.0, p2=0.0, t1=60.0, t2=40.0)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from cyclewalk import (
     CoinParams,
     coin_operator,
-    hadamard_coin,
     shift_operator,
     step_operator,
     circulant_step_operator,
@@ -25,7 +24,6 @@ class TestCoinOperator:
     def test_hadamard(self):
         expected = np.array([[1, 1], [1, -1]]) * INV_SQRT2
         assert np.allclose(coin_operator(CoinParams(0.5)), expected, atol=1e-15)
-        assert np.allclose(hadamard_coin(), expected, atol=1e-15)
 
     def test_reflective_limit(self):
         assert np.allclose(coin_operator(CoinParams(1.0)), np.diag([1, -1]), atol=1e-15)
