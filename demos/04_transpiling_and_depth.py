@@ -2,7 +2,8 @@
 
 Logical depth grows linearly for both cycles (14 + 3t on the 3-cycle).
 After lowering to {ID, RZ, SX, X, ECR}: level 0 decomposes gate by gate,
-level 1 adds peephole fusion and cancellation (still linear), and level 3
+level 1 fuses each per-wire one-qubit run once and keeps a resynthesis only
+when it is strictly shorter (still linear), and level 3
 resynthesizes the whole three-qubit unitary, so its size is one constant
 regardless of t - the step count is no longer visible in the circuit.
 """

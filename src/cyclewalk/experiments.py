@@ -344,6 +344,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     fidelity.svg (Hellinger fidelity of sampled and noisy against exact),
     and a manifest sufficient to regenerate everything.
     """
+    overlay = _read_overlay(cfg.overlay) if cfg.overlay else None
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -384,8 +385,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
         fid_cols["noisy"] = f_noisy
 
     prob_series = {k: ([float(t) for t in steps], v) for k, v in prob_cols.items()}
-    if cfg.overlay:
-        label, xs, ys = _read_overlay(cfg.overlay)
+    if overlay is not None:
+        label, xs, ys = overlay
         prob_series[label] = (xs, ys)
 
     paths: dict[str, Path] = {}
@@ -419,8 +420,9 @@ def _ground_state(width: int) -> np.ndarray:
 def _read_overlay(path_str: str) -> tuple[str, list[float], list[float]]:
     """User-supplied t,value CSV plotted alongside the computed curves.
 
-    An optional ``# label=<name>`` comment names the series; non-numeric
-    header rows are skipped.
+    An optional ``# label=<name>`` comment names the series.  Rows before
+    the first numeric row are headers and skipped; every later row must be
+    two finite numbers, else ConfigError names the line.
     """
     path = Path(path_str)
     if not path.exists():
@@ -428,7 +430,7 @@ def _read_overlay(path_str: str) -> tuple[str, list[float], list[float]]:
     label = path.stem
     xs: list[float] = []
     ys: list[float] = []
-    for line in path.read_text().splitlines():
+    for n, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -436,11 +438,14 @@ def _read_overlay(path_str: str) -> tuple[str, list[float], list[float]]:
             if "label=" in line:
                 label = line.split("label=", 1)[1].strip()
             continue
-        parts = line.split(",")
         try:
-            x, y = float(parts[0]), float(parts[1])
-        except (ValueError, IndexError):
-            continue  # header row
+            x, y = (float(v) for v in line.split(","))
+        except ValueError:
+            if not xs:
+                continue  # header row
+            raise ConfigError(f"overlay: {path} line {n}: need t,value, got {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"overlay: {path} line {n}: values must be finite, got {line!r}")
         xs.append(x)
         ys.append(y)
     if not xs:

@@ -46,6 +46,7 @@ TWO_QUBIT_KINDS = frozenset({"CP", "ECR"})
 NATIVE_KINDS = frozenset({"ID", "RZ", "SX", "X", "ECR"})
 
 _PARAM_COUNT = {"RZ": 1, "PHASE": 1, "CP": 1, "U3": 3}
+_MAX_ANGLE = 1e6
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,6 +114,14 @@ class Gate:
             )
         if not all(map(math.isfinite, self.params)):
             raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
+        # canonical_angle reduces by the float 2*pi, 2.45e-16 short of the true
+        # value, so a reduced angle drifts by |theta| * 3.9e-17: at most 4e-11
+        # at this bound, far inside the transpile check's 1e-8
+        if any(abs(p) > _MAX_ANGLE for p in self.params):
+            raise ValueError(
+                f"{self.kind} parameters must be at most {_MAX_ANGLE:g} in magnitude, "
+                f"got {self.params}"
+            )
         if self.kind == "UNITARY":
             if self.matrix is None or self.matrix.shape != (2, 2):
                 raise ValueError("UNITARY gate needs a 2x2 matrix payload")

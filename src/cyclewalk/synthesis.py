@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# A rotation whose canonical angle is below this in magnitude is emitted as
+# no gate; the one rule for dropping zero angles, also used by transpile.
+ZERO_ANGLE = 1e-12
 
 # ---------------------------------------------------------------------------
 # one qubit
@@ -465,7 +468,7 @@ def _emit_matrix(wire: int, matrix: np.ndarray, fixed_shape: bool) -> list[Gate]
     matrix becomes one RZ and zero-angle RZs are dropped."""
     if not fixed_shape and abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
         angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
-        return [Gate("RZ", (wire,), (angle,))] if abs(angle) > 1e-12 else []
+        return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
     a, b, c, _ = zxzxz_angles(matrix)
     gates = [
         Gate("RZ", (wire,), (canonical_angle(c),)),
@@ -476,7 +479,7 @@ def _emit_matrix(wire: int, matrix: np.ndarray, fixed_shape: bool) -> list[Gate]
     ]
     if fixed_shape:
         return gates
-    return [g for g in gates if g.kind == "SX" or abs(g.params[0]) > 1e-12]
+    return [g for g in gates if g.kind == "SX" or abs(g.params[0]) >= ZERO_ANGLE]
 
 
 def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:

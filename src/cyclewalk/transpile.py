@@ -4,9 +4,8 @@ levels, time scheduling and XY4 dynamical-decoupling insertion.
 Levels:
 
 * L0 decomposes gate by gate.
-* L1 additionally fuses adjacent one-qubit runs per wire (resynthesizing
-  the fused matrix when that is strictly shorter), drops identity-angle
-  rotations and cancels adjacent ECR pairs, to a fixed point.
+* L1 additionally fuses each per-wire one-qubit run once and keeps a
+  resynthesis only when it is strictly shorter.
 * L3 resynthesizes the whole circuit from its dense unitary (width <= 3)
   with a fixed-shape emission, so native gate count and depth depend only
   on the circuit width, never on the step count.  Wider circuits run the
@@ -29,6 +28,7 @@ from .circuit import Circuit, lower_to_unitary
 from .gates import Gate, NATIVE_KINDS, canonical_angle, gate_matrix
 from .noise import NoiseModel, gate_duration
 from .synthesis import (
+    ZERO_ANGLE,
     Stream,
     cp_stream,
     kak_stream,
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 SEMANTIC_TOL = 1e-8
-_ZERO_ANGLE = 1e-12
 
 
 class OptLevel(IntEnum):
@@ -87,7 +86,7 @@ def decompose_1q(gate: Gate) -> list[Gate]:
         return [gate]
     if gate.kind == "RZ":
         angle = canonical_angle(gate.params[0])
-        if abs(angle) < _ZERO_ANGLE:
+        if abs(angle) < ZERO_ANGLE:
             return []
         return [Gate("RZ", gate.qubits, (angle,))]
     return _emit_matrix(gate.qubits[0], gate_matrix(gate), fixed_shape=False)
@@ -100,7 +99,7 @@ def decompose_cp(theta: float, control: int, target: int) -> list[Gate]:
     Product equals CP(theta) up to global phase.
     """
     angle = canonical_angle(theta)
-    if abs(angle) < _ZERO_ANGLE:
+    if abs(angle) < ZERO_ANGLE:
         return []
     return stream_to_gates(cp_stream(angle, control, target), fixed_shape=False)
 
@@ -114,13 +113,13 @@ def _decompose_gate(gate: Gate) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
-# peephole passes (L1)
+# run fusion (L1)
 
 def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     """Fuse per-wire runs of adjacent one-qubit gates.
 
     A fused run is resynthesized only when the result is strictly shorter,
-    so the pass monotonically shrinks the circuit and terminates.
+    so the pass never lengthens the circuit.
     """
     out: list[Gate] = []
     pending: dict[int, list[Gate]] = {}
@@ -140,8 +139,6 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
 
     for gate in gates:
         if gate.n_qubits == 1 and gate.kind != "BARRIER":
-            if gate.kind == "RZ" and abs(canonical_angle(gate.params[0])) < _ZERO_ANGLE:
-                continue
             pending.setdefault(gate.qubits[0], []).append(gate)
         else:
             for q in gate.qubits:
@@ -150,42 +147,6 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     for wire in sorted(pending):
         flush(wire)
     return out
-
-
-def _cancel_ecr_pairs(gates: list[Gate]) -> list[Gate]:
-    """Remove adjacent identical ECR pairs (ECR is an involution)."""
-    gates = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        next_on: dict[int, int] = {}
-        for i in range(len(gates) - 1, -1, -1):
-            g = gates[i]
-            if g.kind != "ECR":
-                for q in g.qubits:
-                    next_on[q] = i
-                continue
-            partners = {next_on.get(q) for q in g.qubits}
-            if len(partners) == 1:
-                j = partners.pop()
-                if j is not None and gates[j].kind == "ECR" and gates[j].qubits == g.qubits:
-                    del gates[j]
-                    del gates[i]
-                    changed = True
-                    break
-            for q in g.qubits:
-                next_on[q] = i
-    return gates
-
-
-def _peephole(gates: list[Gate]) -> list[Gate]:
-    current = gates
-    for _ in range(20):
-        fused = _cancel_ecr_pairs(_fuse_runs(current))
-        if len(fused) == len(current):
-            return fused
-        current = fused
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +178,7 @@ def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
     else:
         gates = [g for src in circuit.gates for g in _decompose_gate(src)]
         if level == OptLevel.L1:
-            gates = _peephole(gates)
+            gates = _fuse_runs(gates)
     out = Circuit(circuit.width, name=f"{circuit.name}-native{int(level)}",
                   measured=circuit.measured)
     out.extend(gates)

@@ -223,10 +223,15 @@ class TestSerialization:
                 "width=2\nRZ 0 nan\n",
                 r"line 2: RZ parameters must be finite, got \(nan,\): 'RZ 0 nan'",
             ),
+            (
+                "width=1\nRZ 0 1e9\n",
+                r"line 2: RZ parameters must be at most 1e\+06 in magnitude, "
+                r"got \(1000000000.0,\): 'RZ 0 1e9'",
+            ),
         ],
         ids=[
             "header-item", "header-width", "header-key", "unknown-kind", "qubit-token", "qubits",
-            "params", "range", "non-finite",
+            "params", "range", "non-finite", "too-large",
         ],
     )
     def test_malformed_line_is_located(self, text, message):
@@ -252,8 +257,8 @@ def scheduled_native_circuits(draw):
         elif kind == "BARRIER":
             c.add(kind, *draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True)))
         else:
-            # every finite angle: Gate rejects NaN and infinite parameters
-            angle = st.floats(allow_nan=False, allow_infinity=False)
+            # every angle Gate accepts: finite and at most 1e6 in magnitude
+            angle = st.floats(-1e6, 1e6)
             params = (draw(angle),) if kind == "RZ" else ()
             c.add(kind, draw(st.integers(0, width - 1)), params=params)
     n = len(c.gates)

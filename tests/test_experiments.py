@@ -460,6 +460,37 @@ class TestOverlay:
         with pytest.raises(ConfigError, match="overlay"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("row", ["2,abc", "t,value", "3,nan", "4,inf", "5", "6,0.5,1"])
+    def test_bad_row_after_data_names_its_line(self, tmp_path, row):
+        # only rows before the first numeric row are headers
+        overlay = tmp_path / "device.csv"
+        overlay.write_text(f"t,value\n1,0.5\n{row}\n")
+        cfg = small_config(tmp_path, t_max=2, shots=0, overlay=str(overlay))
+        with pytest.raises(ConfigError, match="overlay: .*device.csv line 3: "):
+            run_experiment(cfg)
+
+    def test_bad_overlay_fails_before_the_bundle(self, tmp_path, monkeypatch):
+        import cyclewalk.experiments as experiments
+
+        def no_circuit(*args):
+            raise AssertionError("bundle computed before the overlay was read")
+
+        monkeypatch.setattr(experiments, "build_walk_circuit", no_circuit)
+        overlay = tmp_path / "device.csv"
+        overlay.write_text("1,0.5\n2,nan\n")
+        cfg = small_config(tmp_path, t_max=2, shots=0, overlay=str(overlay))
+        with pytest.raises(ConfigError, match="line 2"):
+            run_experiment(cfg)
+
+    def test_bad_overlay_exits_with_config_code(self, tmp_path):
+        overlay = tmp_path / "device.csv"
+        overlay.write_text("1,0.5\n2,abc\n")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            config_to_text(small_config(tmp_path, t_max=2, shots=0, overlay=str(overlay)))
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 2
+
 
 class TestScheduledDump:
     def test_start_time_annotations(self, tmp_path):

@@ -1,12 +1,14 @@
 """Every ``from cyclewalk... import name`` in the demos, the benchmark
 scripts and the README's library tour resolves, and so does every name in
-``cyclewalk.__all__``, so an API removal cannot break a script unnoticed.
+``cyclewalk.__all__`` and every function the benchmark's tracing patches,
+so an API removal cannot break a script unnoticed.
 
 The scripts are parsed, not run; the README tour is also run.
 """
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -71,3 +73,15 @@ def test_readme_tour_imports_resolve_and_it_runs(capsys):
         assert resolves(module, name), f"README: {module}.{name}"
     exec(compile(tour, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_tracing_probe_targets_resolve():
+    # tracing patches these attributes by name, so a rename breaks a traced run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    probes = [probe[:2] for probe in (*tracing.SPAN_PROBES, *tracing.COUNTER_PROBES)]
+    assert probes
+    missing = [f"{module.__name__}.{attr}" for module, attr in probes
+               if not callable(getattr(module, attr, None))]
+    assert missing == []

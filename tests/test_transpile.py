@@ -36,6 +36,8 @@ from cyclewalk import (
     readout_distribution,
 )
 from cyclewalk.circuit import MAX_LOWER_WIDTH
+from cyclewalk.experiments import build_walk_circuit
+from cyclewalk.synthesis import ZERO_ANGLE
 from cyclewalk.gates import NATIVE_KINDS, gate_matrix, u3_matrix
 from cyclewalk.transpile import TranspileError
 
@@ -59,6 +61,15 @@ class TestDecompose1q:
     def test_identity_angle_dropped(self):
         assert decompose_1q(Gate("RZ", (0,), (0.0,))) == []
         assert decompose_1q(Gate("PHASE", (0,), (2 * math.pi,))) == []
+
+    @pytest.mark.parametrize("angle, kept", [(ZERO_ANGLE, True), (ZERO_ANGLE / 2, False)])
+    def test_zero_angle_boundary(self, angle, kept):
+        # the RZ passthrough and the diagonal-matrix emission share one rule
+        rz = decompose_1q(Gate("RZ", (0,), (angle,)))
+        diagonal = decompose_1q(Gate("PHASE", (0,), (angle,)))
+        expected = [("RZ", (angle,))] if kept else []
+        assert [(g.kind, g.params) for g in rz] == expected
+        assert [(g.kind, g.params) for g in diagonal] == expected
 
     def test_native_passthrough(self):
         for kind in ("ID", "SX", "X"):
@@ -148,7 +159,7 @@ class TestTranspile:
     def test_monotone_l3_vs_l1_deep_circuits(self, schedule_4cycle, schedule_3cycle):
         # whole-circuit resynthesis has a fixed cost, so it wins once the
         # step count amortizes it (t >= 20 for these walks); below that the
-        # peephole output is smaller and constant depth cannot beat linear
+        # fused L1 output is smaller and constant depth cannot beat linear
         for build, sched in (
             (build_walk_circuit_4cycle, schedule_4cycle),
             (build_walk_circuit_3cycle, schedule_3cycle),
@@ -180,13 +191,6 @@ class TestTranspile:
         diffs = {b - a for a, b in zip(depths, depths[1:])}
         assert len(diffs) == 1  # exactly linear growth per step
 
-    def test_ecr_pair_cancellation(self):
-        c = Circuit(2)
-        c.add("ECR", 0, 1)
-        c.add("ECR", 0, 1)
-        out = transpile(c, OptLevel.L1)
-        assert len(out.gates) == 0
-
     def test_l1_merges_rotation_runs(self):
         c = Circuit(1)
         c.add("RZ", 0, params=(0.4,))
@@ -194,6 +198,31 @@ class TestTranspile:
         c.add("RZ", 0, params=(-1.1,))
         out = transpile(c, OptLevel.L1)
         assert len(out.gates) == 0  # angles cancel exactly
+
+    @pytest.mark.parametrize("cycle", [3, 4, 8])
+    @pytest.mark.parametrize("pattern", ["AABB", "A", "AB"])
+    def test_one_fusion_pass_is_a_fixed_point(self, cycle, pattern):
+        # on every walk circuit a second fusion pass changes nothing, and no
+        # ECR is followed on both wires by an identical ECR to cancel
+        fuse = importlib.import_module("cyclewalk.transpile")._fuse_runs
+        sched = parrondo_schedule(pattern, default_coins(cycle), 25)
+        for t in range(26):
+            gates = transpile(build_walk_circuit(cycle, sched, t), OptLevel.L1).gates
+            assert fuse(gates) == gates
+            next_on = {}
+            for g in reversed(gates):
+                if g.kind == "ECR":
+                    a, b = (next_on.get(q) for q in g.qubits)
+                    assert not (a is b and a == g), (cycle, pattern, t)
+                for q in g.qubits:
+                    next_on[q] = g
+
+    @pytest.mark.parametrize("level", [OptLevel.L0, OptLevel.L1, OptLevel.L3])
+    def test_largest_accepted_angle_transpiles(self, level):
+        # the canonical-angle drift at |theta| = 1e6 is far inside the check
+        c = Circuit(1)
+        c.add("RZ", 0, params=(1e6,))
+        assert transpile(c, level).gates
 
     @pytest.mark.parametrize("level", [OptLevel.L1, OptLevel.L3])
     def test_source_lowered_once(self, monkeypatch, schedule_4cycle, level):
@@ -216,11 +245,11 @@ class TestTranspile:
         assert issubclass(TranspileError, RuntimeError)
 
     def test_wide_circuit_is_verified(self, monkeypatch):
-        # above width 6 the output is checked too: a peephole pass that loses
+        # above width 6 the output is checked too: a fusion pass that loses
         # a gate must not go unnoticed
         transpile_module = importlib.import_module("cyclewalk.transpile")
-        peephole = transpile_module._peephole
-        monkeypatch.setattr(transpile_module, "_peephole", lambda gates: peephole(gates)[:-1])
+        fuse = transpile_module._fuse_runs
+        monkeypatch.setattr(transpile_module, "_fuse_runs", lambda gates: fuse(gates)[:-1])
         c = Circuit(7)
         for q in range(7):
             c.add("H", q)
