@@ -118,22 +118,20 @@ def lower_to_unitary(circuit: Circuit) -> np.ndarray:
 class DepthReport:
     """Greedy as-soon-as-possible layering of a circuit.
 
-    ``per_layer`` holds gate indices per layer.  Barriers separate layers
-    (gates after a barrier cannot share a layer with gates before it on the
-    barrier's qubits) and are excluded from all counts.
+    Barriers separate layers (gates after a barrier cannot share a layer
+    with gates before it on the barrier's qubits) and are excluded from all
+    counts.
     """
 
     depth: int
     counts_1q: int
     counts_2q: int
-    per_layer: tuple[tuple[int, ...], ...]
 
 
 def depth_report(circuit: Circuit) -> DepthReport:
     ready = [0] * circuit.width
-    layers: list[list[int]] = []
-    n1 = n2 = 0
-    for idx, gate in enumerate(circuit.gates):
+    depth = n1 = n2 = 0
+    for gate in circuit.gates:
         if gate.kind == "BARRIER":
             floor = max(ready[q] for q in gate.qubits)
             for q in gate.qubits:
@@ -142,19 +140,12 @@ def depth_report(circuit: Circuit) -> DepthReport:
         layer = max(ready[q] for q in gate.qubits) + 1
         for q in gate.qubits:
             ready[q] = layer
-        while len(layers) < layer:
-            layers.append([])
-        layers[layer - 1].append(idx)
+        depth = max(depth, layer)
         if gate.n_qubits == 1:
             n1 += 1
         else:
             n2 += 1
-    return DepthReport(
-        depth=len(layers),
-        counts_1q=n1,
-        counts_2q=n2,
-        per_layer=tuple(tuple(layer) for layer in layers),
-    )
+    return DepthReport(depth=depth, counts_1q=n1, counts_2q=n2)
 
 
 def _format_float(x: float) -> str:

@@ -13,14 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _output_dir,
     _parse_coin,
     _parse_noise,
     _parse_sections,
+    _read_text,
     config_from_text,
     dump_circuit,
     run_depth_report,
@@ -72,23 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_file(path_str: str, what: str) -> str:
-    path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(f"{what}: file not found: {path}")
-    return path.read_text()
-
-
 def _load_config(ns: argparse.Namespace) -> ExperimentConfig:
     """The config file with every flag that is set replacing its field."""
-    cfg = config_from_text(_read_file(ns.config, "config"))
+    cfg = config_from_text(_read_text(ns.config, "config"))
     updates = {
         f.name: getattr(ns, f.name)
         for f in fields(ExperimentConfig)
         if getattr(ns, f.name, None) is not None
     }
     if "noise" in updates:
-        updates["noise"] = _parse_noise(_parse_sections(_read_file(ns.noise, "noise")))
+        updates["noise"] = _parse_noise(_parse_sections(_read_text(ns.noise, "noise")))
         if updates["noise"] is None:
             raise ConfigError(f"noise: {ns.noise} has no [noise] section")
     return replace(cfg, **updates)
@@ -99,8 +93,7 @@ def _emit(text: str, out_dir: str | None, filename: str, label: str) -> None:
     if not out_dir:
         print(text, end="")
         return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir, "out")
     (out / filename).write_text(text)
     print(f"{label}: {out / filename}")
 

@@ -345,11 +345,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     and a manifest sufficient to regenerate everything.
     """
     overlay = _read_overlay(cfg.overlay) if cfg.overlay else None
-    out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot create output directory {out}: {exc}") from exc
+    out = _output_dir(cfg.out_dir, "out")
     sched = cfg.schedule()
     steps = list(range(1, cfg.t_max + 1))
     p_exact: list[float] = []
@@ -417,6 +413,29 @@ def _ground_state(width: int) -> np.ndarray:
     return state
 
 
+def _read_text(path_str: str, flag: str) -> str:
+    """The text of a user-named input file; a missing, unreadable or
+    undecodable file is a ConfigError that names ``flag``."""
+    path = Path(path_str)
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"{flag}: file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{flag}: cannot read {path}: {exc}") from exc
+
+
+def _output_dir(path_str: str, flag: str) -> Path:
+    """The user-named output directory, created if missing; a path that
+    cannot be a directory is a ConfigError that names ``flag``."""
+    out = Path(path_str)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _read_overlay(path_str: str) -> tuple[str, list[float], list[float]]:
     """User-supplied t,value CSV plotted alongside the computed curves.
 
@@ -425,12 +444,10 @@ def _read_overlay(path_str: str) -> tuple[str, list[float], list[float]]:
     two finite numbers, else ConfigError names the line.
     """
     path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(f"overlay: file not found: {path}")
     label = path.stem
     xs: list[float] = []
     ys: list[float] = []
-    for n, line in enumerate(path.read_text().splitlines(), 1):
+    for n, line in enumerate(_read_text(path_str, "overlay").splitlines(), 1):
         line = line.strip()
         if not line:
             continue

@@ -255,6 +255,7 @@ def cp_template(
 
     Uses e^{i t ZZ} = e^{it} (P(-2t) (x) P(-2t)) CP(4t) and the conjugations
     XX = (H(x)H) ZZ (H(x)H), YY = (G(x)G) ZZ (G(x)G)^dag with G = S H.
+    ``builders`` derives the 3-node Fourier block of the walk circuits from it.
     """
     g, a1, a0, a, b, c, b1, b0 = kak_decompose(u4)
     gd = _G_CONJ.conj().T

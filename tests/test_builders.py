@@ -11,6 +11,7 @@ from cyclewalk import (
     build_walk_circuit_3cycle,
     build_walk_circuit_4cycle,
     build_walk_circuit_even,
+    default_coins,
     depth_report,
     fourier_3cycle_matrix,
     fourier_matrix,
@@ -21,7 +22,7 @@ from cyclewalk import (
     step_operator,
     to_text,
 )
-from cyclewalk.builders import _fourier3_gates, _qft_noswap_gates
+from cyclewalk.builders import _fourier3_gates, _inverse_block, _qft_noswap_gates
 
 
 def walk_operator_product(cycle, schedule, steps):
@@ -71,16 +72,16 @@ class TestFourierEven:
     def test_inverse_composition(self):
         c = Circuit(2)
         c.extend(_qft_noswap_gates(2))
-        c.extend(_qft_noswap_gates(2, inverse=True))
+        c.extend(_inverse_block(_qft_noswap_gates(2)))
         assert phase_aligned(lower_to_unitary(c), np.eye(4)) < 1e-10
 
 
 class TestFourier3Cycle:
     def test_matches_target_entrywise(self):
-        # the frozen constants realize the bit-reversed block: P swaps basis
-        # states 1 and 2 of the natural-order target
+        # the derived block realizes the bit-reversed target up to a global
+        # phase: P swaps basis states 1 and 2 of the natural-order target
         got = block_unitary(2, _fourier3_gates(1, 0))
-        assert np.linalg.norm(got - bit_reversal(2) @ fourier_3cycle_matrix()) < 1e-9
+        assert phase_aligned(got, bit_reversal(2) @ fourier_3cycle_matrix()) < 1e-9
 
     def test_isolated_node_column(self):
         q = fourier_3cycle_matrix()
@@ -158,6 +159,22 @@ class TestWalkCircuits:
             sched = parrondo_schedule("AB", coins, 9)
             u = lower_to_unitary(build(sched, 9))
             assert phase_aligned(u, walk_operator_product(cycle, sched, 9)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "cycle,build",
+        [
+            (3, build_walk_circuit_3cycle),
+            (4, build_walk_circuit_4cycle),
+            (8, lambda sched, steps: build_walk_circuit_even(3, sched, steps)),
+        ],
+    )
+    def test_oracle_equivalence_without_phase_alignment(self, cycle, build):
+        # the closing block is the exact inverse of the opening one, so any
+        # global phase of a Fourier block cancels in the walk circuit
+        sched = parrondo_schedule("AABB", default_coins(cycle), 25)
+        for steps in range(26):
+            u = lower_to_unitary(build(sched, steps))
+            assert np.max(np.abs(u - walk_operator_product(cycle, sched, steps))) < 1e-12
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_oracle_equivalence_8cycle(self, steps):

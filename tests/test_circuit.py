@@ -146,7 +146,7 @@ class TestDepthReport:
         c.add("H", 2)
         rep = depth_report(c)
         assert rep.depth == 1
-        assert rep.per_layer == ((0, 1, 2),)
+        assert rep.counts_1q == 3
 
     def test_shared_qubit_serializes(self):
         c = Circuit(2)

@@ -442,6 +442,36 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--config", "{dir}"], "config"),
+            (["run", "--config", "{utf16}"], "config"),
+            (["run", "--config", "{cfg}", "--noise", "{dir}"], "noise"),
+            (["run", "--config", "{cfg}", "--overlay", "{dir}"], "overlay"),
+            (["run", "--config", "{cfg}", "--out", "{file}"], "out"),
+            (["depth-report", "--cycle", "4", "--t-max", "1", "--out", "{file}"], "out"),
+            (["period-scan", "--cycle", "4", "--coin", "0.5,0,0", "--t-max", "1",
+              "--out", "{file}"], "out"),
+            (["dump-circuit", "--config", "{cfg}", "--t", "1", "--out", "{file}"], "out"),
+        ],
+        ids=["config-dir", "config-undecodable", "noise-dir", "overlay-dir", "run-out-file",
+             "depth-out-file", "scan-out-file", "dump-out-file"],
+    )
+    def test_unusable_path_names_its_flag(self, tmp_path, capsys, argv, flag):
+        paths = {
+            "dir": tmp_path / "a-directory",
+            "utf16": tmp_path / "utf16.cfg",
+            "cfg": tmp_path / "exp.cfg",
+            "file": tmp_path / "a-file",
+        }
+        paths["dir"].mkdir()
+        paths["utf16"].write_bytes(b"\xff\xfe[\x00e\x00")
+        paths["cfg"].write_text(config_to_text(small_config(tmp_path, t_max=1, shots=0)))
+        paths["file"].write_text("a file, not a directory")
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+
 
 class TestOverlay:
     def test_overlay_plotted_alongside(self, tmp_path):

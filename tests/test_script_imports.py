@@ -3,7 +3,8 @@ scripts and the README's library tour resolves, and so does every name in
 ``cyclewalk.__all__`` and every function the benchmark's tracing patches,
 so an API removal cannot break a script unnoticed.
 
-The scripts are parsed, not run; the README tour is also run.
+The scripts are parsed here, and the README tour is also run; the demos
+are run in ``test_demos.py``.
 """
 
 import ast
