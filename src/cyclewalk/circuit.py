@@ -18,6 +18,7 @@ __all__ = [
     "Circuit",
     "DepthReport",
     "lower_to_unitary",
+    "Trail",
     "apply_matrix",
     "apply_circuit",
     "depth_report",
@@ -97,21 +98,63 @@ def _axis_orders(qubits: tuple[int, ...], width: int) -> tuple[tuple[int, ...], 
     return tuple(order), tuple(sorted(range(width + 1), key=order.__getitem__))
 
 
-def apply_circuit(rows: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply the circuit's gates in order to ``rows``; barriers are no-ops."""
-    for gate in circuit.gates:
+class Trail:
+    """The arrays after each step of the last step list applied to a start array.
+
+    ``resume(start, steps)`` returns the length n of the prefix ``steps``
+    shares with the last list and keeps the start array and the arrays
+    after those n steps; the caller applies ``steps[n:]`` to ``arrays[-1]``,
+    appending each result.  A start array that differs in any bit begins a
+    new trail.  The same steps on the same array in the same order give the
+    same bits, so a resumed result equals a fresh one.  Arrays on the trail
+    must not be modified in place.
+    """
+
+    def __init__(self) -> None:
+        self.steps: list = []
+        self.arrays: list[np.ndarray] = []
+
+    def resume(self, start: np.ndarray, steps: list) -> int:
+        first = self.arrays[0] if self.arrays else None
+        if first is None or first.shape != start.shape or first.tobytes() != start.tobytes():
+            self.steps, self.arrays = [], [start]
+        n = 0
+        # a run that raised part way left fewer arrays than steps
+        for old, new in zip(self.steps[: len(self.arrays) - 1], steps):
+            if old != new:
+                break
+            n += 1
+        self.steps = steps
+        del self.arrays[n + 1:]
+        return n
+
+
+def apply_circuit(rows: np.ndarray, circuit: Circuit, trail: Trail | None = None) -> np.ndarray:
+    """Apply the circuit's gates in order to ``rows``; barriers are no-ops.
+
+    With a ``trail``, resume after the gates shared with its last circuit.
+    """
+    gates = circuit.gates
+    done = 0
+    if trail is not None:
+        done = trail.resume(rows, list(gates))
+        rows = trail.arrays[-1]
+    for gate in gates[done:]:
         if gate.kind != "BARRIER":
             rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, circuit.width)
+        if trail is not None:
+            trail.arrays.append(rows)
     return rows
 
 
-def lower_to_unitary(circuit: Circuit) -> np.ndarray:
-    """Multiply out the circuit into a dense 2**width unitary."""
+def lower_to_unitary(circuit: Circuit, trail: Trail | None = None) -> np.ndarray:
+    """Multiply out the circuit into a dense 2**width unitary, resuming
+    ``trail`` when one is given."""
     if circuit.width > MAX_LOWER_WIDTH:
         raise ValueError(
             f"refusing to lower width {circuit.width} > {MAX_LOWER_WIDTH} to a dense matrix"
         )
-    return apply_circuit(np.eye(1 << circuit.width, dtype=complex), circuit)
+    return apply_circuit(np.eye(1 << circuit.width, dtype=complex), circuit, trail)
 
 
 @dataclass(frozen=True)

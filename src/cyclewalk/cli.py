@@ -22,6 +22,7 @@ from .experiments import (
     _parse_noise,
     _parse_sections,
     _read_text,
+    _write_text,
     config_from_text,
     dump_circuit,
     run_depth_report,
@@ -93,9 +94,8 @@ def _emit(text: str, out_dir: str | None, filename: str, label: str) -> None:
     if not out_dir:
         print(text, end="")
         return
-    out = _output_dir(out_dir, "out")
-    (out / filename).write_text(text)
-    print(f"{label}: {out / filename}")
+    path = _write_text(_output_dir(out_dir, "out") / filename, text, "out")
+    print(f"{label}: {path}")
 
 
 def main(argv: list[str] | None = None) -> int:

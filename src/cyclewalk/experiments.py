@@ -30,6 +30,7 @@ from .metrics import hellinger_fidelity
 from .noise import NoiseModel
 from .period import DEFAULT_TOL, PeriodResult, find_period_eigen, find_period_power
 from .simulate import (
+    BundleCache,
     measure_positions,
     readout_distribution,
     run_exact,
@@ -323,16 +324,16 @@ def _derived_seed(master: int, step: int) -> int:
     return (master * 1_000_003 + step) % (2**63)
 
 
-def _noisy_distribution(cfg: ExperimentConfig, circuit: Circuit):
+def _noisy_distribution(cfg: ExperimentConfig, circuit: Circuit, cache: BundleCache):
     nm = cfg.noise
-    native = transpile(circuit, cfg.opt_level)
+    native = transpile(circuit, cfg.opt_level, cache)
     sc: ScheduledCircuit = schedule(native, nm)
     if cfg.dd == "xy4":
         sc = insert_dd(sc, nm)
     dim = 1 << circuit.width
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0] = 1.0
-    rho = run_noisy(sc, rho0, nm)
+    rho = run_noisy(sc, rho0, nm, cache)
     return readout_distribution(rho, circuit.measured, nm)
 
 
@@ -342,7 +343,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     Writes probability.csv / probability.svg (exact, sampled and noisy
     probability at the starting position vs step), fidelity.csv /
     fidelity.svg (Hellinger fidelity of sampled and noisy against exact),
-    and a manifest sufficient to regenerate everything.
+    and a manifest sufficient to regenerate everything.  One BundleCache
+    carries the work the circuits for successive t share.
     """
     overlay = _read_overlay(cfg.overlay) if cfg.overlay else None
     out = _output_dir(cfg.out_dir, "out")
@@ -353,9 +355,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     p_noisy: list[float] = []
     f_sampled: list[float] = []
     f_noisy: list[float] = []
+    cache = None
     for t in steps:
         circuit = build_walk_circuit(cfg.cycle, sched, t)
-        state = run_exact(circuit, _ground_state(circuit.width))
+        if cache is None:
+            cache = BundleCache(cfg.noise, circuit.width)
+        state = run_exact(circuit, _ground_state(circuit.width), cache)
         exact = measure_positions(state, circuit.measured)
         p_exact.append(exact.outcomes.get(0, 0.0))
         if cfg.shots > 0:
@@ -365,7 +370,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
             p_sampled.append(sampled.outcomes.get(0, 0) / cfg.shots)
             f_sampled.append(hellinger_fidelity(sampled, exact))
         if cfg.noise is not None:
-            noisy = _noisy_distribution(cfg, circuit)
+            noisy = _noisy_distribution(cfg, circuit, cache)
             p_noisy.append(noisy.outcomes.get(0, 0.0))
             f_noisy.append(hellinger_fidelity(noisy, exact))
 
@@ -385,26 +390,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
         label, xs, ys = overlay
         prob_series[label] = (xs, ys)
 
-    paths: dict[str, Path] = {}
-    paths["probability_csv"] = out / "probability.csv"
-    paths["probability_csv"].write_text(_table_csv("t", steps, prob_cols))
-    paths["fidelity_csv"] = out / "fidelity.csv"
     header = "# compare=" + ",".join(f"{k}:exact" for k in fid_cols) if fid_cols else "# compare=none"
-    paths["fidelity_csv"].write_text(header + "\n" + _table_csv("t", steps, fid_cols))
-    paths["probability_svg"] = out / "probability.svg"
-    paths["probability_svg"].write_text(
-        svg_line_chart(prob_series, "probability at start")
-    )
-    paths["fidelity_svg"] = out / "fidelity.svg"
-    paths["fidelity_svg"].write_text(
-        svg_line_chart(
+    texts = {
+        "probability.csv": _table_csv("t", steps, prob_cols),
+        "fidelity.csv": header + "\n" + _table_csv("t", steps, fid_cols),
+        "probability.svg": svg_line_chart(prob_series, "probability at start"),
+        "fidelity.svg": svg_line_chart(
             {k: ([float(t) for t in steps], v) for k, v in fid_cols.items()},
             "Hellinger fidelity vs exact",
-        )
-    )
-    paths["manifest"] = out / "manifest"
-    paths["manifest"].write_text(_manifest_text(cfg))
-    return paths
+        ),
+        "manifest": _manifest_text(cfg),
+    }
+    # keyed probability_csv, ..., manifest
+    return {
+        name.replace(".", "_"): _write_text(out / name, text, "out")
+        for name, text in texts.items()
+    }
 
 
 def _ground_state(width: int) -> np.ndarray:
@@ -434,6 +435,16 @@ def _output_dir(path_str: str, flag: str) -> Path:
     except OSError as exc:
         raise ConfigError(f"{flag}: cannot create output directory {out}: {exc}") from exc
     return out
+
+
+def _write_text(path: Path, text: str, flag: str) -> Path:
+    """Write a user-named output file; a path that cannot be written is a
+    ConfigError that names ``flag``."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {path}: {exc}") from exc
+    return path
 
 
 def _read_overlay(path_str: str) -> tuple[str, list[float], list[float]]:

@@ -44,6 +44,7 @@ __all__ = [
 ONE_QUBIT_KINDS = frozenset({"H", "X", "SX", "ID", "RZ", "PHASE", "U3", "UNITARY"})
 TWO_QUBIT_KINDS = frozenset({"CP", "ECR"})
 NATIVE_KINDS = frozenset({"ID", "RZ", "SX", "X", "ECR"})
+_KINDS = ONE_QUBIT_KINDS | TWO_QUBIT_KINDS | {"BARRIER"}
 
 _PARAM_COUNT = {"RZ": 1, "PHASE": 1, "CP": 1, "U3": 3}
 _MAX_ANGLE = 1e6
@@ -97,7 +98,7 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ONE_QUBIT_KINDS | TWO_QUBIT_KINDS | {"BARRIER"}:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} gate has repeated qubits {self.qubits}")

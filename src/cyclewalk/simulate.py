@@ -13,13 +13,33 @@ U = g_n ... g_1 followed by the depolarizing channel D_p with
 1 - p = (1 - p1)**n.  This is exact, because a depolarizing channel commutes
 with every unitary on its qubits and two of them compose to one whose 1 - p
 multiply (Nielsen & Chuang 8.3.4).  A two-qubit gate is a run of its own
-with p2.  One call builds each channel once, as a stack of full-width Kraus
+with p2.  Each channel is built once, as a stack of full-width Kraus
 operators keyed by (qubits, run length) or by (qubit, idle length), and
-folds each distinct run into its channel, F_k = K_k U (U alone when the
-channel is the identity), so that every event is one Kraus product.  The
-fold cache holds n_K * 4**w complex entries per distinct run (n_K = 1 for
-the identity channel, 4 for a 1q and 16 for a 2q depolarizing channel): at
-most 64 KB per run.  Both caches are dropped when the call returns.
+each distinct run is folded into its channel, F_k = K_k U (U alone when
+the channel is the identity), so that every event is one Kraus product.
+
+A ``BundleCache`` carries work across the circuits of one bundle (one
+``run_experiment`` call, t = 1 .. t_max).  It is bound to the bundle's
+noise model and circuit width.  A call without one shares nothing, so no
+state outlives a call or a bundle.  It holds:
+
+* the channel stacks, built once per bundle;
+* three trails (``circuit.Trail``): the source unitary and the statevector
+  after each gate, and rho after each noisy event, of the previous t.  The
+  circuit for t is the one for t - 1 with one more step before the closing
+  Fourier block, so each resumes after the longest shared prefix and gives
+  the same bits as a fresh run (at L3 the noisy events differ from the
+  first one on, since the whole circuit is resynthesized);
+* the one-qubit run products of the circuit transpiled last, which the
+  transpile check computes in this module's order (u = g_n ... g_1) and
+  ``run_noisy`` reuses for the same t.  They are replaced at each t.
+
+The fold cache stays per call.  It holds n_K * 4**w complex entries per
+distinct run (n_K = 1 for the identity channel, 4 for a 1q and 16 for a 2q
+depolarizing channel), at most 64 KB per run, and most runs of a t are new
+at L3 (803 distinct among the 1,275 one-qubit runs of the 4-cycle bundle),
+so a fold cache or product memo kept for the whole bundle would grow with
+t_max.
 """
 
 from __future__ import annotations
@@ -29,13 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, apply_circuit
+from .circuit import Circuit, Trail, apply_circuit
 from .circuit import apply_matrix as _apply_matrix_rows
 from .gates import Gate, gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
 from .transpile import ScheduledCircuit, schedule
 
 __all__ = [
+    "BundleCache",
     "Distribution",
     "run_exact",
     "measure_positions",
@@ -68,14 +89,36 @@ class Distribution:
         return {k: v / self.shots for k, v in self.outcomes.items()}
 
 
-def run_exact(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
-    """Apply the circuit's gates to a statevector; norm-checked result."""
+class BundleCache:
+    """Work shared by the circuits of one bundle, bound to its noise model
+    (None for a noiseless bundle) and circuit width: the source lowering's,
+    the statevector's and the noisy run's trails, the channel stacks, and the
+    one-qubit run products of the circuit transpiled last."""
+
+    def __init__(self, nm: NoiseModel | None, width: int) -> None:
+        self.nm = nm
+        self.width = width
+        self.source = Trail()
+        self.state = Trail()
+        self.noisy = Trail()
+        self.channels: dict[tuple, np.ndarray | None] = {}
+        self.products: dict[tuple[Gate, ...], np.ndarray] = {}
+
+
+def run_exact(
+    circuit: Circuit, initial: np.ndarray, cache: BundleCache | None = None
+) -> np.ndarray:
+    """Apply the circuit's gates to a statevector; norm-checked result.
+
+    With a bundle ``cache``, resume after the gates shared with the last
+    circuit run from the same initial state.
+    """
     dim = 1 << circuit.width
     if initial.shape != (dim,):
         raise ValueError(
             f"initial state has shape {initial.shape}, circuit needs ({dim},)"
         )
-    state = apply_circuit(initial.astype(complex), circuit)
+    state = apply_circuit(initial.astype(complex), circuit, None if cache is None else cache.state)
     norm = np.linalg.norm(state)
     if not abs(norm - 1.0) <= 1e-10:
         raise ArithmeticError(f"statevector norm drifted to {norm}")
@@ -213,12 +256,14 @@ def run_noisy(
     circuit: Circuit | ScheduledCircuit,
     initial: np.ndarray,
     nm: NoiseModel,
+    cache: BundleCache | None = None,
 ) -> np.ndarray:
     """Exact channel simulation: unitaries plus depolarizing after each gate
     and thermal relaxation over idle windows.
 
     Accepts a plain circuit (scheduled greedily here) or a ScheduledCircuit
     whose start times (e.g. with DD pulses inserted) are trusted as given.
+    A bundle ``cache`` must be bound to ``nm`` and the circuit's width.
     """
     sc = circuit if isinstance(circuit, ScheduledCircuit) else schedule(circuit, nm)
     width = sc.circuit.width
@@ -228,14 +273,28 @@ def run_noisy(
     if initial.shape != (dim, dim):
         raise ValueError(f"initial density has shape {initial.shape}, need {(dim, dim)}")
     validate_density(initial)
+    if cache is None:
+        cache, trail = BundleCache(nm, width), None
+    elif (cache.nm, cache.width) != (nm, width):
+        raise ValueError(
+            f"bundle cache is bound to width {cache.width} and {cache.nm}, "
+            f"not width {width} and {nm}"
+        )
+    else:
+        trail = cache.noisy
 
     # channel keys carry their kind: a 10-gate run must not find the stack of
     # an idle window of length 10.0, and 10 == 10.0
-    channels: dict[tuple, np.ndarray | None] = {}
+    channels = cache.channels
     folded: dict[tuple[Gate, ...], np.ndarray] = {}
     eye = np.eye(dim, dtype=complex)
+    events = list(_noisy_events(sc, nm))
     rho = initial.astype(complex)
-    for qubits, what in _noisy_events(sc, nm):
+    done = 0
+    if trail is not None:
+        done = trail.resume(rho, events)
+        rho = trail.arrays[-1]
+    for qubits, what in events[done:]:
         if isinstance(what, tuple):
             stack = folded.get(what)
             if stack is None:
@@ -243,9 +302,11 @@ def run_noisy(
                 if key not in channels:
                     p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** len(what)
                     channels[key] = _channel(depolarizing_kraus(p, len(qubits)), qubits, width)
-                u = gate_matrix(what[0])
-                for gate in what[1:]:
-                    u = gate_matrix(gate) @ u
+                u = cache.products.get(what)
+                if u is None:
+                    u = gate_matrix(what[0])
+                    for gate in what[1:]:
+                        u = gate_matrix(gate) @ u
                 u = _apply_matrix_rows(eye, u, qubits, width)
                 stack = folded[what] = u[None] if channels[key] is None else channels[key] @ u
         else:
@@ -257,6 +318,8 @@ def run_noisy(
         if stack is not None:
             rho = _apply_kraus(rho, stack)
         _check_density(rho, "during noisy run")
+        if trail is not None:
+            trail.arrays.append(rho)
     return 0.5 * (rho + rho.conj().T)
 
 

@@ -379,13 +379,19 @@ def _gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
-def _mux_angles(thetas: np.ndarray) -> np.ndarray:
-    """Solve theta_j = sum_i phi_i (-1)^{popcount(gray(i) & j)} for phi."""
-    n = len(thetas)
+@functools.cache
+def _gray_signs(n: int) -> np.ndarray:
+    """The n x n matrix (-1)^{popcount(gray(i) & j)}, row j and column i."""
     m = np.array(
         [[(-1.0) ** bin(_gray(i) & j).count("1") for i in range(n)] for j in range(n)]
     )
-    return np.linalg.solve(m, np.asarray(thetas, dtype=float))
+    m.flags.writeable = False
+    return m
+
+
+def _mux_angles(thetas: np.ndarray) -> np.ndarray:
+    """Solve theta_j = sum_i phi_i (-1)^{popcount(gray(i) & j)} for phi."""
+    return np.linalg.solve(_gray_signs(len(thetas)), np.asarray(thetas, dtype=float))
 
 
 def mux_rotation_stream(

@@ -12,19 +12,25 @@ Levels:
   L1 pipeline, and the result is named after L1.
 
 Every transpile result is verified against the input unitary up to global
-phase; a residual above 1e-8 raises TranspileError.  The check lowers both
-circuits to dense matrices, so a circuit wider than MAX_LOWER_WIDTH raises.
+phase; a residual above 1e-8 raises TranspileError.  The source is lowered
+gate by gate (once: it is also L3's input).  The output is lowered run by
+run: each per-wire run of one-qubit gates is multiplied into one 2x2
+matrix, so an L3 circuit of 279 native gates costs 75 matrix applications,
+and the products are left for ``run_noisy`` in a bundle cache.  Both
+lowerings are dense, so a circuit wider than MAX_LOWER_WIDTH raises.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, lower_to_unitary
+from .circuit import Circuit, apply_matrix, lower_to_unitary
 from .gates import Gate, NATIVE_KINDS, canonical_angle, gate_matrix
 from .noise import NoiseModel, gate_duration
 from .synthesis import (
@@ -37,6 +43,9 @@ from .synthesis import (
     _emit_matrix,
     _u,
 )
+
+if TYPE_CHECKING:
+    from .simulate import BundleCache
 
 __all__ = [
     "OptLevel",
@@ -115,6 +124,24 @@ def _decompose_gate(gate: Gate) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # run fusion (L1)
 
+def _wire_runs(gates: list[Gate]) -> Iterator[tuple[Gate, ...]]:
+    """The gates in an order equivalent to list order, each per-wire run of
+    adjacent one-qubit gates as one item, emitted just before the next other
+    gate on its wire (or at the end, in wire order).  Every other gate,
+    barriers included, is an item of its own."""
+    pending: dict[int, list[Gate]] = {}
+    for gate in gates:
+        if gate.n_qubits == 1 and gate.kind != "BARRIER":
+            pending.setdefault(gate.qubits[0], []).append(gate)
+            continue
+        for q in gate.qubits:
+            if q in pending:
+                yield tuple(pending.pop(q))
+        yield (gate,)
+    for wire in sorted(pending):
+        yield tuple(pending[wire])
+
+
 def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     """Fuse per-wire runs of adjacent one-qubit gates.
 
@@ -122,31 +149,35 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     so the pass never lengthens the circuit.
     """
     out: list[Gate] = []
-    pending: dict[int, list[Gate]] = {}
-
-    def flush(wire: int) -> None:
-        run = pending.pop(wire, [])
-        if not run:
-            return
-        if len(run) == 1:
-            out.extend(run)
-            return
-        product = np.eye(2, dtype=complex)
-        for g in run:
-            product = gate_matrix(g) @ product
-        candidate = _emit_matrix(wire, product, fixed_shape=False)
-        out.extend(candidate if len(candidate) < len(run) else run)
-
-    for gate in gates:
-        if gate.n_qubits == 1 and gate.kind != "BARRIER":
-            pending.setdefault(gate.qubits[0], []).append(gate)
-        else:
-            for q in gate.qubits:
-                flush(q)
-            out.append(gate)
-    for wire in sorted(pending):
-        flush(wire)
+    for run in _wire_runs(gates):
+        if len(run) > 1:
+            product = np.eye(2, dtype=complex)
+            for g in run:
+                product = gate_matrix(g) @ product
+            candidate = _emit_matrix(run[0].qubits[0], product, fixed_shape=False)
+            if len(candidate) < len(run):
+                run = candidate
+        out.extend(run)
     return out
+
+
+def _lower_runs(circuit: Circuit, products: dict[tuple[Gate, ...], np.ndarray]) -> np.ndarray:
+    """The circuit's dense unitary, applied one ``_wire_runs`` item at a time.
+
+    A one-qubit run is applied as its product u = g_n ... g_1, multiplied in
+    ``run_noisy``'s order and kept in ``products`` for it to reuse.
+    """
+    rows = np.eye(1 << circuit.width, dtype=complex)
+    for run in _wire_runs(circuit.gates):
+        if run[0].kind == "BARRIER":
+            continue
+        u = gate_matrix(run[0])
+        for gate in run[1:]:
+            u = gate_matrix(gate) @ u
+        if run[0].n_qubits == 1:
+            products[run] = u
+        rows = apply_matrix(rows, u, run[0].qubits, circuit.width)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +194,22 @@ def _resynthesize(unitary: np.ndarray, width: int) -> list[Gate]:
     return stream_to_gates(stream, fixed_shape=True)
 
 
-def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
+def transpile(
+    circuit: Circuit, level: OptLevel | int = OptLevel.L1, cache: BundleCache | None = None
+) -> Circuit:
     """Rewrite a circuit over the native gate set at the given level.
 
     L3 above width 3 runs L1, and the result's name ends in ``-native1``.
+    With a bundle ``cache``, the source lowering resumes its trail, and the
+    check leaves this circuit's one-qubit run products in it for ``run_noisy``.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
         level = OptLevel.L1
+    trail, products = (None, {}) if cache is None else (cache.source, cache.products)
+    products.clear()
     # the source unitary, lowered once: the L3 input and the check's reference
-    source = lower_to_unitary(circuit)
+    source = lower_to_unitary(circuit, trail)
     if level == OptLevel.L3:
         gates = _resynthesize(source, circuit.width)
     else:
@@ -185,7 +222,7 @@ def transpile(circuit: Circuit, level: OptLevel | int = OptLevel.L1) -> Circuit:
     bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS | {"BARRIER"}]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
-    residual = phase_aligned_distance(lower_to_unitary(out), source)
+    residual = phase_aligned_distance(_lower_runs(out, products), source)
     if not residual <= SEMANTIC_TOL:
         raise TranspileError(
             f"transpiled circuit deviates from source (residual {residual:.2e})"

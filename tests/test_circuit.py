@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cyclewalk import (
     lower_to_unitary,
     to_text,
 )
+from cyclewalk.circuit import Trail, apply_circuit
 from cyclewalk.gates import (
     ECR_MATRIX,
     NATIVE_KINDS,
@@ -131,6 +133,63 @@ class TestLowering:
         c.add("RZ", 0, params=(1.1,))
         expected = gate_matrix(Gate("RZ", (0,), (1.1,))) @ gate_matrix(Gate("H", (0,)))
         assert np.allclose(lower_to_unitary(c), expected)
+
+
+class TestTrail:
+    @staticmethod
+    def circuits():
+        first, second = Circuit(2), Circuit(2)
+        first.add("H", 0).add("CP", 0, 1, params=(0.3,)).add("RZ", 1, params=(0.5,))
+        second.add("H", 0).add("CP", 0, 1, params=(0.3,)).add("SX", 1).add("X", 0)
+        return first, second
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        """The matrices apply_circuit applies; once ``fail_at`` of them are
+        recorded, the next application raises."""
+        circuit_module = importlib.import_module("cyclewalk.circuit")
+        apply = circuit_module.apply_matrix
+        class Calls(list):
+            fail_at = None
+
+        calls = Calls()
+
+        def counted(rows, m, *rest):
+            if len(calls) == calls.fail_at:
+                raise ArithmeticError("injected")
+            calls.append(m)
+            return apply(rows, m, *rest)
+
+        monkeypatch.setattr(circuit_module, "apply_matrix", counted)
+        return calls
+
+    def test_resumes_after_the_shared_prefix(self, applied):
+        first, second = self.circuits()
+        trail = Trail()
+        lower_to_unitary(first, trail)
+        applied.clear()
+        resumed = lower_to_unitary(second, trail)
+        assert len(applied) == 2
+        assert resumed.tobytes() == lower_to_unitary(second).tobytes()
+
+    def test_new_start_array_starts_over(self):
+        first, second = self.circuits()
+        trail = Trail()
+        apply_circuit(np.eye(4, dtype=complex), first, trail)
+        start = np.eye(4, dtype=complex)[::-1].copy()
+        resumed = apply_circuit(start, second, trail)
+        assert resumed.tobytes() == apply_circuit(start, second).tobytes()
+
+    def test_resume_after_a_failed_run(self, applied):
+        first, second = self.circuits()
+        trail = Trail()
+        lower_to_unitary(first, trail)
+        applied.clear()
+        applied.fail_at = 1  # SX goes on the trail, X raises
+        with pytest.raises(ArithmeticError):
+            lower_to_unitary(second, trail)
+        applied.fail_at = None
+        assert lower_to_unitary(second, trail).tobytes() == lower_to_unitary(second).tobytes()
 
 
 class TestDepthReport:

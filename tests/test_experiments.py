@@ -1,6 +1,9 @@
 import math
+import os
 import string
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,18 @@ from cyclewalk import (
     run_period_scan,
 )
 from cyclewalk.cli import main
-from cyclewalk.experiments import SUPPORTED_CYCLES
+from cyclewalk.experiments import SUPPORTED_CYCLES, _derived_seed, build_walk_circuit
+from cyclewalk.metrics import hellinger_fidelity
+from cyclewalk.simulate import (
+    BundleCache,
+    measure_positions,
+    readout_distribution,
+    run_exact,
+    run_noisy,
+)
+from cyclewalk.transpile import insert_dd, schedule, transpile
+from cyclewalk.walk import parrondo_schedule
+from conftest import ground_state
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted(
@@ -471,6 +485,107 @@ class TestCli:
         paths["file"].write_text("a file, not a directory")
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["depth-report", "--cycle", "4", "--t-max", "1", "--out", "{out}"],
+             "depth_report.csv"),
+            (["period-scan", "--cycle", "4", "--coin", "0.5,0,0", "--t-max", "1",
+              "--out", "{out}"], "period_scan.csv"),
+            (["dump-circuit", "--config", "{cfg}", "--t", "1", "--out", "{out}"], "circuit.txt"),
+            (["run", "--config", "{cfg}", "--out", "{out}"], "probability.csv"),
+            (["run", "--config", "{cfg}", "--out", "{out}"], "manifest"),
+        ],
+        ids=["depth-report", "period-scan", "dump-circuit", "run-csv", "run-manifest"],
+    )
+    def test_unwritable_output_file_names_out(self, tmp_path, capsys, argv, blocked):
+        out, cfg = tmp_path / "out", tmp_path / "exp.cfg"
+        (out / blocked).mkdir(parents=True)  # a directory where the file goes
+        cfg.write_text(config_to_text(small_config(tmp_path, t_max=1, shots=0)))
+        assert main([arg.format(out=out, cfg=cfg) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("config error: out: cannot write ")
+
+
+def fresh_row(cfg: ExperimentConfig, t: int) -> dict[str, float]:
+    """The bundle's values at step t from one-shot calls, with no bundle cache."""
+    circuit = build_walk_circuit(cfg.cycle, cfg.schedule(), t)
+    state = run_exact(circuit, ground_state(circuit.width))
+    exact = measure_positions(state, circuit.measured)
+    sampled = measure_positions(
+        state, circuit.measured, shots=cfg.shots, seed=_derived_seed(cfg.seed, t)
+    )
+    sc = schedule(transpile(circuit, cfg.opt_level), cfg.noise)
+    if cfg.dd == "xy4":
+        sc = insert_dd(sc, cfg.noise)
+    rho0 = np.outer(ground_state(circuit.width), ground_state(circuit.width))
+    noisy = readout_distribution(run_noisy(sc, rho0, cfg.noise), circuit.measured, cfg.noise)
+    return {
+        "p_exact": exact.outcomes[0],
+        "p_sampled": sampled.outcomes[0] / cfg.shots,
+        "p_noisy": noisy.outcomes[0],
+        "f_sampled": hellinger_fidelity(sampled, exact),
+        "f_noisy": hellinger_fidelity(noisy, exact),
+    }
+
+
+def bundle_rows(paths) -> list[dict[str, float]]:
+    columns = {}
+    for prefix, key in (("p_", "probability_csv"), ("f_", "fidelity_csv")):
+        lines = [ln for ln in paths[key].read_text().splitlines() if not ln.startswith("#")]
+        header, *rows = [ln.split(",") for ln in lines]
+        for i, name in enumerate(header[1:], 1):
+            columns[prefix + name] = [float(row[i]) for row in rows]
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+ONE_SHOT = """
+import numpy as np
+from cyclewalk import NoiseModel, run_noisy, schedule, to_text, transpile
+from cyclewalk.experiments import build_walk_circuit, default_coins
+from cyclewalk.walk import parrondo_schedule
+circuit = build_walk_circuit(8, parrondo_schedule("AABB", default_coins(8), 2), 2)
+native = to_text(transpile(circuit, 1))
+rho0 = np.zeros((16, 16), dtype=complex)
+rho0[0, 0] = 1.0
+rho = run_noisy(schedule(transpile(circuit, 1), NoiseModel()), rho0, NoiseModel()).tobytes().hex()
+"""
+
+
+class TestBundleCache:
+    @pytest.mark.parametrize("config", [
+        "demos/configs/parrondo_4cycle.cfg",
+        "demos/configs/parrondo_3cycle_dd.cfg",
+        "perfbench/configs/hadamard_8cycle_dd.cfg",
+    ], ids=lambda c: Path(c).stem)
+    def test_bundle_equals_fresh_per_t(self, tmp_path, config):
+        cfg = config_from_text((ROOT / config).read_text())
+        cfg = replace(cfg, t_max=8, out_dir=str(tmp_path))
+        rows = bundle_rows(run_experiment(cfg))
+        assert len(rows) == 8
+        for t, row in enumerate(rows, 1):
+            assert row == fresh_row(cfg, t), f"t = {t}"
+
+    def test_one_shot_after_bundle_matches_fresh_process(self, tmp_path):
+        # a bundle on the width-3 4-cycle with the shipped noise, then one-shot
+        # calls on the width-4 8-cycle with the default NoiseModel
+        cfg = config_from_text((ROOT / "demos/configs/parrondo_4cycle.cfg").read_text())
+        run_experiment(replace(cfg, t_max=4, out_dir=str(tmp_path)))
+        here = {}
+        exec(ONE_SHOT, {}, here)
+        fresh = subprocess.run(
+            [sys.executable, "-c", ONE_SHOT + "print(native); print(rho)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert fresh.stdout == f"{here['native']}\n{here['rho']}\n"
+
+    def test_cache_is_bound_to_its_noise_model_and_width(self):
+        circuit = build_walk_circuit(4, parrondo_schedule("AABB", default_coins(4), 1), 1)
+        rho0 = np.outer(ground_state(3), ground_state(3))
+        for cache in (BundleCache(NoiseModel(p1=0.0), 3), BundleCache(NoiseModel(), 4)):
+            with pytest.raises(ValueError, match="bundle cache is bound"):
+                run_noisy(circuit, rho0, NoiseModel(), cache)
 
 
 class TestOverlay:

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,13 +77,40 @@ def test_readme_tour_imports_resolve_and_it_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path as ``perfbench_<name>`` (its
+    dataclasses need their module registered)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracing_probe_targets_resolve():
     # tracing patches these attributes by name, so a rename breaks a traced run
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_module("tracing")
     probes = [probe[:2] for probe in (*tracing.SPAN_PROBES, *tracing.COUNTER_PROBES)]
     assert probes
     missing = [f"{module.__name__}.{attr}" for module, attr in probes
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["parrondo-4cycle", "parrondo-3cycle-dd"])
+def test_traced_bundle_keeps_the_trace_contract(tmp_path, workload):
+    # every probe the benchmark expects fires, the gate and event counts tie,
+    # and the bundle matches the benchmark's reference
+    tracing, workloads = perfbench_module("tracing"), perfbench_module("workloads")
+    bundle, seed = workloads.BUNDLES[workload], 1
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        job = tracer.open("cli")
+        code = workloads.run_bundle(ROOT, bundle, seed, tmp_path)
+        tracer.close(job)
+    assert code == 0
+    tracer.check_job(workloads.EXPECTED_PROBES[workload])
+    assert tracer.violations == []
+    cols = workloads.read_bundle(tmp_path)
+    assert workloads.check_bundle(bundle, seed, cols, workloads.load_reference()) == []

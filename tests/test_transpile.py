@@ -226,18 +226,22 @@ class TestTranspile:
 
     @pytest.mark.parametrize("level", [OptLevel.L1, OptLevel.L3])
     def test_source_lowered_once(self, monkeypatch, schedule_4cycle, level):
-        # one lowering of the source (L3 input and check reference), one of the output;
-        # the package attribute ``transpile`` is the function, so import the module by name
+        # one lowering of the source (L3 input and check reference), one
+        # run-wise lowering of the output; the package attribute ``transpile``
+        # is the function, so import the module by name
         transpile_module = importlib.import_module("cyclewalk.transpile")
-        calls = []
-        lower = transpile_module.lower_to_unitary
-        monkeypatch.setattr(
-            transpile_module, "lower_to_unitary", lambda c: calls.append(c) or lower(c)
-        )
+        calls = {"lower_to_unitary": [], "_lower_runs": []}
+        for name, record in calls.items():
+            original = getattr(transpile_module, name)
+            monkeypatch.setattr(
+                transpile_module, name,
+                lambda c, *rest, record=record, original=original:
+                    record.append(c) or original(c, *rest),
+            )
         source = build_walk_circuit_4cycle(schedule_4cycle, 3)
         native = transpile(source, level)
-        assert len(calls) == 2
-        assert calls[0] is source and calls[1] is native
+        assert [c is source for c in calls["lower_to_unitary"]] == [True]
+        assert [c is native for c in calls["_lower_runs"]] == [True]
 
     def test_semantic_guard_raises_on_tamper(self):
         # non-unitary payloads cannot arise through the public API; the
@@ -257,6 +261,24 @@ class TestTranspile:
             c.add("CP", q, q + 1, params=(0.3 * (q + 1),))
         with pytest.raises(TranspileError, match="deviates"):
             transpile(c, OptLevel.L1)
+
+    def test_run_wise_check_catches_a_shifted_rz(self, monkeypatch, schedule_4cycle):
+        # the check applies each one-qubit run as one product, so a tampered
+        # gate inside a five-gate RZ-SX-RZ-SX-RZ run must still be caught
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        resynthesize = transpile_module._resynthesize
+
+        def tampered(unitary, width):
+            gates = resynthesize(unitary, width)
+            run = next(r for r in transpile_module._wire_runs(gates) if len(r) == 5)
+            assert run[2].kind == "RZ"
+            i = next(i for i, g in enumerate(gates) if g is run[2])
+            gates[i] = Gate("RZ", run[2].qubits, (run[2].params[0] + 1e-6,))
+            return gates
+
+        monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
+        with pytest.raises(TranspileError, match="deviates"):
+            transpile(build_walk_circuit_4cycle(schedule_4cycle, 3), OptLevel.L3)
 
     def test_too_wide_to_verify_raises(self):
         with pytest.raises(ValueError, match="refusing to lower"):
