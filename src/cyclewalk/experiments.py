@@ -327,7 +327,7 @@ def _derived_seed(master: int, step: int) -> int:
 def _noisy_distribution(cfg: ExperimentConfig, circuit: Circuit, cache: BundleCache):
     nm = cfg.noise
     native = transpile(circuit, cfg.opt_level, cache)
-    sc: ScheduledCircuit = schedule(native, nm)
+    sc: ScheduledCircuit = schedule(native, nm, cache)
     if cfg.dd == "xy4":
         sc = insert_dd(sc, nm)
     dim = 1 << circuit.width

@@ -1,50 +1,18 @@
 """Circuit execution: statevector simulation, shot sampling, and exact
-density-matrix simulation under the parametrized noise model.
+density-matrix simulation up to width ``MAX_DENSITY_WIDTH`` = 4 (the
+8-cycle) under the noise model: depolarizing after every gate, thermal
+relaxation over every scheduled idle window.
 
-Gates act through the one kernel ``circuit.apply_matrix``; density
-matrices are dense and limited to width ``MAX_DENSITY_WIDTH`` = 4, the width
-of the widest walk circuit (the 8-cycle).  Noisy runs apply a depolarizing
-channel after every gate and a thermal-relaxation channel over every
-scheduled idle window.
-
-``run_noisy`` merges each run of one-qubit gates on a wire, up to the next
-two-qubit gate or kept idle window on that wire, into one event: the product
-U = g_n ... g_1 followed by the depolarizing channel D_p with
-1 - p = (1 - p1)**n.  This is exact, because a depolarizing channel commutes
-with every unitary on its qubits and two of them compose to one whose 1 - p
-multiply (Nielsen & Chuang 8.3.4).  A two-qubit gate is a run of its own
-with p2.  Each channel is built once, as a stack of full-width Kraus
-operators keyed by (qubits, run length) or by (qubit, idle length), and
-each distinct run is folded into its channel, F_k = K_k U (U alone when
-the channel is the identity), so that every event is one Kraus product.
-
-A ``BundleCache`` carries work across the circuits of one bundle (one
-``run_experiment`` call, t = 1 .. t_max).  It is bound to the bundle's
-noise model and circuit width.  A call without one shares nothing, so no
-state outlives a call or a bundle.  It holds:
-
-* the channel stacks, built once per bundle;
-* three trails (``circuit.Trail``): the source unitary and the statevector
-  after each gate, and rho after each noisy event, of the previous t.  The
-  circuit for t is the one for t - 1 with one more step before the closing
-  Fourier block, so each resumes after the longest shared prefix and gives
-  the same bits as a fresh run (at L3 the noisy events differ from the
-  first one on, since the whole circuit is resynthesized);
-* the one-qubit run products of the circuit transpiled last, which the
-  transpile check computes in this module's order (u = g_n ... g_1) and
-  ``run_noisy`` reuses for the same t.  They are replaced at each t.
-
-The fold cache stays per call.  It holds n_K * 4**w complex entries per
-distinct run (n_K = 1 for the identity channel, 4 for a 1q and 16 for a 2q
-depolarizing channel), at most 64 KB per run, and most runs of a t are new
-at L3 (803 distinct among the 1,275 one-qubit runs of the 4-cycle bundle),
-so a fold cache or product memo kept for the whole bundle would grow with
-t_max.
+``run_noisy`` merges each per-wire run of n one-qubit gates into one event,
+the product U = g_n ... g_1 then D_p with 1 - p = (1 - p1)**n.  This is
+exact: depolarizing channels commute with unitaries on their qubits and
+compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event is
+one Kraus product, its channel's full-width stack folded with U.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +21,7 @@ from .circuit import Circuit, Trail, apply_circuit
 from .circuit import apply_matrix as _apply_matrix_rows
 from .gates import Gate, gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
-from .transpile import ScheduledCircuit, schedule
+from .transpile import ScheduledCircuit, _skeleton, schedule
 
 __all__ = [
     "BundleCache",
@@ -90,10 +58,17 @@ class Distribution:
 
 
 class BundleCache:
-    """Work shared by the circuits of one bundle, bound to its noise model
-    (None for a noiseless bundle) and circuit width: the source lowering's,
-    the statevector's and the noisy run's trails, the channel stacks, and the
-    one-qubit run products of the circuit transpiled last."""
+    """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
+    bound to its noise model (None if noiseless) and circuit width.  It holds
+    the channel stacks; trails (``circuit.Trail``) of the source unitary, the
+    statevector and rho, which resume after the prefix circuit t shares with
+    t - 1 (rho keeps none for a circuit ``resynthesized`` whole at L3, whose
+    events share no prefix with another t's); the one-qubit run products of
+    the last transpile check; and one plan per stage, reused while a
+    circuit's skeleton (gate kinds and qubits) repeats, as at L3: the
+    schedule, the check's run grouping and, with the same start times and
+    idle windows, the noisy events.
+    """
 
     def __init__(self, nm: NoiseModel | None, width: int) -> None:
         self.nm = nm
@@ -101,8 +76,18 @@ class BundleCache:
         self.source = Trail()
         self.state = Trail()
         self.noisy = Trail()
+        self.resynthesized = False
         self.channels: dict[tuple, np.ndarray | None] = {}
         self.products: dict[tuple[Gate, ...], np.ndarray] = {}
+        self.plans: dict[str, tuple] = {}
+
+    def plan(self, stage: str, key: tuple, build: Callable):
+        """``build()``, or its value from the last call for ``stage`` if
+        that call's key equals ``key``."""
+        last = self.plans.get(stage)
+        if last is None or last[0] != key:
+            last = self.plans[stage] = (key, build())
+        return last[1]
 
 
 def run_exact(
@@ -199,10 +184,17 @@ def _apply_kraus(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return left.transpose(1, 0, 2).reshape(dim, n * dim) @ wide.conj().T
 
 
-def _channel(kraus: list[np.ndarray], qubits: tuple[int, ...], width: int) -> np.ndarray | None:
-    """The Kraus operators ``kraus`` on ``qubits`` as a full-width stack.  None
-    marks the identity channel, which both constructors return as a single
-    operator."""
+def _channel(key: tuple, nm: NoiseModel, width: int) -> np.ndarray | None:
+    """The full-width Kraus stack of an event's channel, or None for the
+    identity channel (a single operator from either constructor).  Keys
+    carry their kind: a 10-gate run must not find the stack of an idle
+    window of length 10.0, and 10 == 10.0."""
+    kind, qubits, size = key
+    if kind == "idle":
+        kraus = thermal_relaxation_kraus(nm.t1, nm.t2, size)
+    else:
+        p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** size
+        kraus = depolarizing_kraus(p, len(qubits))
     if len(kraus) == 1:
         return None
     eye = np.eye(1 << width, dtype=complex)
@@ -210,46 +202,41 @@ def _channel(kraus: list[np.ndarray], qubits: tuple[int, ...], width: int) -> np
 
 
 def _check_density(rho: np.ndarray, where: str) -> None:
-    trace = np.trace(rho).real
+    trace = sum(rho.diagonal().real.tolist())  # a third of np.trace's time here
     if not abs(trace - 1.0) <= 1e-9:
         raise ArithmeticError(f"density trace drifted to {trace} {where}")
 
 
-def _noisy_events(
-    sc: ScheduledCircuit, nm: NoiseModel
-) -> Iterator[tuple[tuple[int, ...], tuple[Gate, ...] | float]]:
+def _noisy_events(sc: ScheduledCircuit, nm: NoiseModel) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     """The noisy events of ``sc`` in an order equivalent to its schedule:
-    (qubits, gates) for a gate run or (qubits, idle length) for an idle window.
-
-    A two-qubit gate is a run of its own.  Consecutive one-qubit gates on a
-    wire form one run, emitted just before the next two-qubit gate or kept
-    idle window on that wire, or at the end.  Moving the run there is exact,
-    because the events in between act on other wires.  Idle windows shorter
-    than ``dur_idle_unit`` are not events, so they do not break a run.
-    """
-    circ = sc.circuit
-    events: list[tuple[float, int, Gate | tuple[int, float]]] = [
-        (start, seq, gate)
-        for seq, (gate, start) in enumerate(zip(circ.gates, sc.start_times))
+    (("gates", qubits, n), positions of n gates) or (("idle", (qubit,),
+    length), ()) for a window of at least ``dur_idle_unit``.  A two-qubit
+    gate is a run of its own; a wire's one-qubit gates form a run up to its
+    next event, moved there (exact: the events in between act on other wires)."""
+    gates = sc.circuit.gates
+    events = [
+        (start, seq, ("gates", gate.qubits, 1), (seq,))
+        for seq, (gate, start) in enumerate(zip(gates, sc.start_times))
         if gate.kind != "BARRIER"
     ]
     events += [
-        (t0, len(circ.gates) + i, (qubit, t1 - t0))
+        (t0, len(gates) + i, ("idle", (qubit,), t1 - t0), ())
         for i, (qubit, t0, t1) in enumerate(sc.idle_windows)
         if t1 - t0 >= nm.dur_idle_unit - 1e-12
     ]
-    runs: dict[int, list[Gate]] = {}
-    for _, _, what in sorted(events, key=lambda e: e[:2]):
-        if isinstance(what, Gate) and what.n_qubits == 1:
-            runs.setdefault(what.qubits[0], []).append(what)
+    runs: dict[int, list[int]] = {}
+    for _, _, key, positions in sorted(events, key=lambda e: e[:2]):
+        qubits = key[1]
+        if positions and len(qubits) == 1:
+            runs.setdefault(qubits[0], []).append(positions[0])
             continue
-        qubits = what.qubits if isinstance(what, Gate) else (what[0],)
         for q in qubits:
             if q in runs:
-                yield (q,), tuple(runs.pop(q))
-        yield qubits, (what,) if isinstance(what, Gate) else what[1]
+                run = tuple(runs.pop(q))
+                yield ("gates", (q,), len(run)), run
+        yield key, positions
     for q, run in runs.items():
-        yield (q,), tuple(run)
+        yield ("gates", (q,), len(run)), tuple(run)
 
 
 def run_noisy(
@@ -265,8 +252,8 @@ def run_noisy(
     whose start times (e.g. with DD pulses inserted) are trusted as given.
     A bundle ``cache`` must be bound to ``nm`` and the circuit's width.
     """
-    sc = circuit if isinstance(circuit, ScheduledCircuit) else schedule(circuit, nm)
-    width = sc.circuit.width
+    sc = circuit if isinstance(circuit, ScheduledCircuit) else schedule(circuit, nm, cache)
+    gates, width = sc.circuit.gates, sc.circuit.width
     if width > MAX_DENSITY_WIDTH:
         raise ValueError(f"density simulation capped at width {MAX_DENSITY_WIDTH}")
     dim = 1 << width
@@ -276,45 +263,37 @@ def run_noisy(
     if cache is None:
         cache, trail = BundleCache(nm, width), None
     elif (cache.nm, cache.width) != (nm, width):
-        raise ValueError(
-            f"bundle cache is bound to width {cache.width} and {cache.nm}, "
-            f"not width {width} and {nm}"
-        )
+        raise ValueError(f"bundle cache is bound to width {cache.width} and {cache.nm}, "
+                         f"not width {width} and {nm}")
     else:
-        trail = cache.noisy
+        trail = None if cache.resynthesized else cache.noisy
 
-    # channel keys carry their kind: a 10-gate run must not find the stack of
-    # an idle window of length 10.0, and 10 == 10.0
     channels = cache.channels
     folded: dict[tuple[Gate, ...], np.ndarray] = {}
     eye = np.eye(dim, dtype=complex)
-    events = list(_noisy_events(sc, nm))
+    plan = cache.plan("events", (_skeleton(gates), sc.start_times, sc.idle_windows),
+                      lambda: list(_noisy_events(sc, nm)))
+    events = [(key, tuple([gates[i] for i in run])) for key, run in plan]
     rho = initial.astype(complex)
     done = 0
     if trail is not None:
         done = trail.resume(rho, events)
         rho = trail.arrays[-1]
-    for qubits, what in events[done:]:
-        if isinstance(what, tuple):
-            stack = folded.get(what)
-            if stack is None:
-                key = ("gates", qubits, len(what))
-                if key not in channels:
-                    p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** len(what)
-                    channels[key] = _channel(depolarizing_kraus(p, len(qubits)), qubits, width)
-                u = cache.products.get(what)
+    for key, run in events[done:]:
+        if key not in channels:
+            channels[key] = _channel(key, nm, width)
+        stack = channels[key]
+        if run:
+            fold = folded.get(run)
+            if fold is None:
+                u = cache.products.get(run)
                 if u is None:
-                    u = gate_matrix(what[0])
-                    for gate in what[1:]:
+                    u = gate_matrix(run[0])
+                    for gate in run[1:]:
                         u = gate_matrix(gate) @ u
-                u = _apply_matrix_rows(eye, u, qubits, width)
-                stack = folded[what] = u[None] if channels[key] is None else channels[key] @ u
-        else:
-            key = ("idle", qubits, what)
-            if key not in channels:
-                kraus = thermal_relaxation_kraus(nm.t1, nm.t2, what)
-                channels[key] = _channel(kraus, qubits, width)
-            stack = channels[key]
+                u = _apply_matrix_rows(eye, u, key[1], width)
+                fold = folded[run] = u[None] if stack is None else stack @ u
+            stack = fold
         if stack is not None:
             rho = _apply_kraus(rho, stack)
         _check_density(rho, "during noisy run")

@@ -294,14 +294,9 @@ def _ry(theta: float) -> np.ndarray:
 
 @functools.cache
 def _cx_locals() -> tuple[np.ndarray, np.ndarray]:
-    """The constant (control, target) locals of cx_stream.
-
-    Derived from ECR = (I (x) X) exp(-i pi/4 X (x) Z) and
-    CX = e^{i pi/4} exp(i pi/4 Z1 X0) (RZ(pi/2) (x) RX(pi/2)), with RX in
-    closed form.  Built on first use, not at import: building them at import
-    raised the peak RSS of ``import cyclewalk`` by about 0.15 MB, which code
-    that never synthesises need not pay.
-    """
+    """The constant (control, target) locals of cx_stream, from
+    ECR = (I (x) X) exp(-i pi/4 X (x) Z) and CX = e^{i pi/4} exp(i pi/4 Z1 X0)
+    (RZ(pi/2) (x) RX(pi/2)); built on first use, so importing costs nothing."""
     return H_MATRIX @ rz_matrix(math.pi / 2), X_MATRIX @ H_MATRIX @ _rx(math.pi / 2)
 
 
@@ -470,6 +465,12 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
 # ---------------------------------------------------------------------------
 # stream emission and verification
 
+@functools.cache
+def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """The one shared SX or ECR gate on ``qubits`` (gates are immutable)."""
+    return Gate(kind, qubits)
+
+
 def _emit_matrix(wire: int, matrix: np.ndarray, fixed_shape: bool) -> list[Gate]:
     """RZ SX RZ SX RZ for a 2x2 unitary; unless ``fixed_shape``, a diagonal
     matrix becomes one RZ and zero-angle RZs are dropped."""
@@ -477,11 +478,12 @@ def _emit_matrix(wire: int, matrix: np.ndarray, fixed_shape: bool) -> list[Gate]
         angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
         return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
     a, b, c, _ = zxzxz_angles(matrix)
+    sx = _fixed_gate("SX", (wire,))
     gates = [
         Gate("RZ", (wire,), (canonical_angle(c),)),
-        Gate("SX", (wire,)),
+        sx,
         Gate("RZ", (wire,), (canonical_angle(b),)),
-        Gate("SX", (wire,)),
+        sx,
         Gate("RZ", (wire,), (canonical_angle(a),)),
     ]
     if fixed_shape:
@@ -507,12 +509,13 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
     for item in stream:
         if item[0] == "u":
             _, wire, matrix = item
-            pending[wire] = matrix @ pending.get(wire, np.eye(2, dtype=complex))
+            m = pending.get(wire)
+            pending[wire] = matrix if m is None else matrix @ m
         else:
             _, hi, lo = item
             flush(hi)
             flush(lo)
-            gates.append(Gate("ECR", (hi, lo)))
+            gates.append(_fixed_gate("ECR", (hi, lo)))
     for wire in sorted(pending):
         flush(wire)
     return gates

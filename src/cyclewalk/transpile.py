@@ -1,23 +1,19 @@
 """Lowering to the native gate set {ID, RZ, SX, X, ECR}, optimization
 levels, time scheduling and XY4 dynamical-decoupling insertion.
 
-Levels:
-
-* L0 decomposes gate by gate.
-* L1 additionally fuses each per-wire one-qubit run once and keeps a
-  resynthesis only when it is strictly shorter.
-* L3 resynthesizes the whole circuit from its dense unitary (width <= 3)
-  with a fixed-shape emission, so native gate count and depth depend only
-  on the circuit width, never on the step count.  Wider circuits run the
-  L1 pipeline, and the result is named after L1.
+Levels: L0 decomposes gate by gate.  L1 also fuses each per-wire one-qubit
+run once, keeping a resynthesis only when it is strictly shorter.  L3
+resynthesizes the whole circuit from its dense unitary (width <= 3) at a
+fixed shape, so native gate count and depth depend only on the width, never
+on the step count; wider circuits run L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
-gate by gate (once: it is also L3's input).  The output is lowered run by
-run: each per-wire run of one-qubit gates is multiplied into one 2x2
-matrix, so an L3 circuit of 279 native gates costs 75 matrix applications,
-and the products are left for ``run_noisy`` in a bundle cache.  Both
-lowerings are dense, so a circuit wider than MAX_LOWER_WIDTH raises.
+gate by gate (once: it is also L3's input), the output run by run: each
+per-wire one-qubit run is applied as one 2x2 product, which ``run_noisy``
+reuses through a bundle cache.  Both lowerings are dense, so a circuit
+wider than MAX_LOWER_WIDTH raises.  In a bundle, the check's run grouping
+and the schedule come from the cache's plan while the skeleton repeats.
 """
 
 from __future__ import annotations
@@ -124,20 +120,25 @@ def _decompose_gate(gate: Gate) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # run fusion (L1)
 
-def _wire_runs(gates: list[Gate]) -> Iterator[tuple[Gate, ...]]:
-    """The gates in an order equivalent to list order, each per-wire run of
-    adjacent one-qubit gates as one item, emitted just before the next other
-    gate on its wire (or at the end, in wire order).  Every other gate,
+def _skeleton(gates: list[Gate]) -> tuple:
+    """The gate kinds and qubits: all that grouping and scheduling read."""
+    return tuple([(g.kind, g.qubits) for g in gates])
+
+
+def _wire_runs(gates: list[Gate]) -> Iterator[tuple[int, ...]]:
+    """The gate positions in an order equivalent to list order, each per-wire
+    run of adjacent one-qubit gates as one item, emitted just before the next
+    other gate on its wire (or at the end, in wire order).  Every other gate,
     barriers included, is an item of its own."""
-    pending: dict[int, list[Gate]] = {}
-    for gate in gates:
+    pending: dict[int, list[int]] = {}
+    for i, gate in enumerate(gates):
         if gate.n_qubits == 1 and gate.kind != "BARRIER":
-            pending.setdefault(gate.qubits[0], []).append(gate)
+            pending.setdefault(gate.qubits[0], []).append(i)
             continue
         for q in gate.qubits:
             if q in pending:
                 yield tuple(pending.pop(q))
-        yield (gate,)
+        yield (i,)
     for wire in sorted(pending):
         yield tuple(pending[wire])
 
@@ -149,7 +150,8 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     so the pass never lengthens the circuit.
     """
     out: list[Gate] = []
-    for run in _wire_runs(gates):
+    for positions in _wire_runs(gates):
+        run = [gates[i] for i in positions]
         if len(run) > 1:
             product = np.eye(2, dtype=complex)
             for g in run:
@@ -161,14 +163,20 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-def _lower_runs(circuit: Circuit, products: dict[tuple[Gate, ...], np.ndarray]) -> np.ndarray:
-    """The circuit's dense unitary, applied one ``_wire_runs`` item at a time.
-
-    A one-qubit run is applied as its product u = g_n ... g_1, multiplied in
-    ``run_noisy``'s order and kept in ``products`` for it to reuse.
-    """
+def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarray:
+    """The circuit's dense unitary, applied one ``_wire_runs`` item at a time,
+    a one-qubit run as its product u = g_n ... g_1 in ``run_noisy``'s order.
+    With a bundle ``cache`` the grouping is planned and the products replace
+    ``cache.products`` for ``run_noisy`` to reuse."""
+    gates = circuit.gates
+    if cache is None:
+        runs, products = _wire_runs(gates), {}
+    else:
+        runs = cache.plan("runs", _skeleton(gates), lambda: list(_wire_runs(gates)))
+        products = cache.products = {}
     rows = np.eye(1 << circuit.width, dtype=complex)
-    for run in _wire_runs(circuit.gates):
+    for positions in runs:
+        run = tuple([gates[i] for i in positions])
         if run[0].kind == "BARRIER":
             continue
         u = gate_matrix(run[0])
@@ -197,19 +205,18 @@ def _resynthesize(unitary: np.ndarray, width: int) -> list[Gate]:
 def transpile(
     circuit: Circuit, level: OptLevel | int = OptLevel.L1, cache: BundleCache | None = None
 ) -> Circuit:
-    """Rewrite a circuit over the native gate set at the given level.
-
-    L3 above width 3 runs L1, and the result's name ends in ``-native1``.
-    With a bundle ``cache``, the source lowering resumes its trail, and the
-    check leaves this circuit's one-qubit run products in it for ``run_noisy``.
+    """Rewrite a circuit over the native gate set at the given level (L3 above
+    width 3 runs L1, and the result's name ends in ``-native1``).  With a
+    bundle ``cache``, the source lowering resumes its trail, the check leaves
+    its one-qubit run products there, and the cache notes an L3 resynthesis.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
         level = OptLevel.L1
-    trail, products = (None, {}) if cache is None else (cache.source, cache.products)
-    products.clear()
+    if cache is not None:
+        cache.resynthesized = level == OptLevel.L3
     # the source unitary, lowered once: the L3 input and the check's reference
-    source = lower_to_unitary(circuit, trail)
+    source = lower_to_unitary(circuit, None if cache is None else cache.source)
     if level == OptLevel.L3:
         gates = _resynthesize(source, circuit.width)
     else:
@@ -222,7 +229,7 @@ def transpile(
     bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS | {"BARRIER"}]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
-    residual = phase_aligned_distance(_lower_runs(out, products), source)
+    residual = phase_aligned_distance(_lower_runs(out, cache), source)
     if not residual <= SEMANTIC_TOL:
         raise TranspileError(
             f"transpiled circuit deviates from source (residual {residual:.2e})"
@@ -239,13 +246,24 @@ class ScheduledCircuit:
 
     ``idle_windows`` lists (qubit, t_start, t_end) gaps between consecutive
     gate events on a wire, i.e. the complement of busy time between the
-    wire's first and last gate.
+    wire's first and last gate.  ``run_noisy`` trusts all of these, so each
+    gate must have one finite time >= 0 and each window 0 <= t_start < t_end.
     """
 
     circuit: Circuit
     start_times: tuple[float, ...]
     durations: tuple[float, ...]
     idle_windows: tuple[tuple[int, float, float], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.circuit.gates)
+        if not len(self.start_times) == len(self.durations) == n:
+            raise ValueError(f"need one start time and one duration for each of {n} gates")
+        if not all(0.0 <= x < math.inf for x in (*self.start_times, *self.durations)):
+            raise ValueError("start times and durations must be finite and >= 0")
+        for q, t0, t1 in self.idle_windows:
+            if not (0 <= q < self.circuit.width and 0.0 <= t0 < t1 < math.inf):
+                raise ValueError(f"bad idle window {(q, t0, t1)} on width {self.circuit.width}")
 
     @property
     def total_time(self) -> float:
@@ -254,11 +272,9 @@ class ScheduledCircuit:
         return max(s + d for s, d in zip(self.start_times, self.durations))
 
 
-def _compute_idle_windows(
-    circuit: Circuit, starts: list[float], durs: list[float]
-) -> list[tuple[int, float, float]]:
+def _idle_windows(gates: list[Gate], starts: list[float], durs: list[float]) -> tuple:
     events: dict[int, list[tuple[float, float]]] = {}
-    for gate, start, dur in zip(circuit.gates, starts, durs):
+    for gate, start, dur in zip(gates, starts, durs):
         if gate.kind == "BARRIER":
             continue
         for q in gate.qubits:
@@ -269,11 +285,11 @@ def _compute_idle_windows(
         for (_, end), (nxt, _) in zip(spans, spans[1:]):
             if nxt - end > 1e-12:
                 windows.append((q, end, nxt))
-    return windows
+    return tuple(windows)
 
 
-def schedule(circuit: Circuit, nm: NoiseModel) -> ScheduledCircuit:
-    """As-soon-as-possible schedule under the noise model's durations."""
+def _asap(circuit: Circuit, nm: NoiseModel) -> tuple[tuple, tuple, tuple]:
+    """Start times, durations and idle windows of the ASAP schedule."""
     free = [0.0] * circuit.width
     starts: list[float] = []
     durs: list[float] = []
@@ -284,12 +300,18 @@ def schedule(circuit: Circuit, nm: NoiseModel) -> ScheduledCircuit:
             free[q] = start + dur
         starts.append(start)
         durs.append(dur)
-    return ScheduledCircuit(
-        circuit=circuit,
-        start_times=tuple(starts),
-        durations=tuple(durs),
-        idle_windows=tuple(_compute_idle_windows(circuit, starts, durs)),
-    )
+    return tuple(starts), tuple(durs), _idle_windows(circuit.gates, starts, durs)
+
+
+def schedule(
+    circuit: Circuit, nm: NoiseModel, cache: BundleCache | None = None
+) -> ScheduledCircuit:
+    """As-soon-as-possible schedule under the noise model's durations; it
+    depends only on the skeleton, so a bundle ``cache`` plans it."""
+    if cache is None:
+        return ScheduledCircuit(circuit, *_asap(circuit, nm))
+    key = (nm, _skeleton(circuit.gates))
+    return ScheduledCircuit(circuit, *cache.plan("schedule", key, lambda: _asap(circuit, nm)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +363,5 @@ def insert_dd(sc: ScheduledCircuit, nm: NoiseModel) -> ScheduledCircuit:
         out.append(gate)
         starts.append(start)
         durs.append(dur)
-    return ScheduledCircuit(
-        circuit=out,
-        start_times=tuple(starts),
-        durations=tuple(durs),
-        idle_windows=tuple(_compute_idle_windows(out, starts, durs)),
-    )
+    windows = _idle_windows(out.gates, starts, durs)
+    return ScheduledCircuit(out, tuple(starts), tuple(durs), windows)

@@ -26,7 +26,12 @@ from cyclewalk import (
     run_period_scan,
 )
 from cyclewalk.cli import main
-from cyclewalk.experiments import SUPPORTED_CYCLES, _derived_seed, build_walk_circuit
+from cyclewalk.experiments import (
+    SUPPORTED_CYCLES,
+    _derived_seed,
+    _noisy_distribution,
+    build_walk_circuit,
+)
 from cyclewalk.metrics import hellinger_fidelity
 from cyclewalk.simulate import (
     BundleCache,
@@ -579,6 +584,57 @@ class TestBundleCache:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert fresh.stdout == f"{here['native']}\n{here['rho']}\n"
+
+    def _kraus_per_t(self, monkeypatch, run):
+        """The _apply_kraus calls of each run_noisy call made inside ``run()``,
+        and the bundle caches those calls were given."""
+        import cyclewalk.experiments as experiments
+        import cyclewalk.simulate as simulate
+
+        calls, per_t, caches = [0], [], []
+        kraus, noisy = simulate._apply_kraus, experiments.run_noisy
+
+        def counted_kraus(*args):
+            calls[0] += 1
+            return kraus(*args)
+
+        def counted_run(*args):
+            before = calls[0]
+            rho = noisy(*args)
+            per_t.append(calls[0] - before)
+            caches.append(args[3] if len(args) > 3 else None)
+            return rho
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_apply_kraus", counted_kraus)
+            patch.setattr(experiments, "run_noisy", counted_run)
+            run()
+        return per_t, caches
+
+    def test_l1_rho_trail_resumes(self, tmp_path, monkeypatch):
+        # every t after the first shares a prefix of noisy events with t - 1,
+        # so it applies fewer Kraus stacks than a fresh run of the same t
+        cfg = config_from_text((ROOT / "demos/configs/parrondo_3cycle_dd.cfg").read_text())
+        cfg = replace(cfg, t_max=4, out_dir=str(tmp_path))
+        bundle, caches = self._kraus_per_t(monkeypatch, lambda: run_experiment(cfg))
+
+        def fresh_per_t():
+            for t in range(1, 5):
+                circuit = build_walk_circuit(3, cfg.schedule(), t)
+                _noisy_distribution(cfg, circuit, BundleCache(cfg.noise, 3))
+
+        fresh, _ = self._kraus_per_t(monkeypatch, fresh_per_t)
+        assert len(bundle) == len(fresh) == 4 and bundle[0] == fresh[0]
+        assert all(b < f for b, f in zip(bundle[1:], fresh[1:])), (bundle, fresh)
+        assert len(caches[-1].noisy.arrays) > 1
+
+    def test_l3_records_no_rho_trail(self, tmp_path, monkeypatch):
+        # an L3 circuit is resynthesized whole, so no t could resume rho
+        cfg = config_from_text((ROOT / "demos/configs/parrondo_4cycle.cfg").read_text())
+        cfg = replace(cfg, t_max=3, out_dir=str(tmp_path))
+        per_t, caches = self._kraus_per_t(monkeypatch, lambda: run_experiment(cfg))
+        assert len(per_t) == 3 and min(per_t) > 0
+        assert all(cache.resynthesized and cache.noisy.arrays == [] for cache in caches)
 
     def test_cache_is_bound_to_its_noise_model_and_width(self):
         circuit = build_walk_circuit(4, parrondo_schedule("AABB", default_coins(4), 1), 1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import ground_state
 from cyclewalk import (
     Circuit,
     Distribution,
+    Gate,
     NoiseModel,
     OptLevel,
     build_walk_circuit_4cycle,
@@ -31,7 +33,8 @@ from cyclewalk.circuit import apply_matrix
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
-from cyclewalk.simulate import _apply_kraus, _check_density
+from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density
+from cyclewalk.transpile import _lower_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -561,3 +564,47 @@ def test_run_noisy_matches_reference_on_random_noise(circuit, nm, dd, seed):
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.array_equal(rho, rho.conj().T)
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def _with_angles(circuit, angles):
+    """``circuit`` with its RZ angles replaced in order: the same skeleton."""
+    c = Circuit(circuit.width)
+    for g in circuit.gates:
+        c.append(Gate("RZ", g.qubits, (next(angles),)) if g.kind == "RZ" else g)
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits(), noise_models(), st.booleans(), st.data())
+def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
+    # two more circuits with the skeleton of ``circuit`` and new RZ angles,
+    # then one with a gate added: every stage keeps its plan for the first
+    # three and rebuilds it for the last, and every result equals a fresh call
+    n_rz = sum(g.kind == "RZ" for g in circuit.gates)
+    angles = st.lists(st.floats(-math.pi, math.pi), min_size=n_rz, max_size=n_rz)
+    family = [circuit] + [_with_angles(circuit, iter(data.draw(angles))) for _ in range(2)]
+    family.append(_with_angles(circuit, iter(data.draw(angles))).add("SX", 0))
+    rho0 = random_density(circuit.width, np.random.default_rng(data.draw(st.integers(0, 99))))
+    cache = BundleCache(nm, circuit.width)
+    plans = []
+    for c in family:
+        sc, fresh_sc = schedule(c, nm, cache), schedule(c, nm)
+        assert (sc.start_times, sc.durations, sc.idle_windows) == (
+            fresh_sc.start_times, fresh_sc.durations, fresh_sc.idle_windows)
+        fresh_cache = BundleCache(nm, c.width)
+        assert np.array_equal(_lower_runs(c, cache), _lower_runs(c, fresh_cache))
+        assert cache.products.keys() == fresh_cache.products.keys()
+        assert all(np.array_equal(u, fresh_cache.products[k]) for k, u in cache.products.items())
+        if dd:
+            sc = insert_dd(sc, nm)
+        assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
+        plans.append(dict(cache.plans))
+    for stage in ("schedule", "runs", "events"):
+        assert plans[0][stage] is plans[1][stage] is plans[2][stage]
+        assert plans[3][stage] is not plans[2][stage]
+    # one skeleton under other durations: other start times and idle windows
+    for durs in ({}, {"dur_1q": nm.dur_1q + 0.5, "dur_2q": nm.dur_2q + 3.0}):
+        other = replace(nm, **durs)
+        sc, fresh_sc = schedule(circuit, other, cache), schedule(circuit, other)
+        assert (sc.start_times, sc.idle_windows) == (fresh_sc.start_times, fresh_sc.idle_windows)
+        assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))

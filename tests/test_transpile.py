@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from cyclewalk.circuit import MAX_LOWER_WIDTH
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.synthesis import ZERO_ANGLE
 from cyclewalk.gates import NATIVE_KINDS, gate_matrix, u3_matrix
-from cyclewalk.transpile import TranspileError
+from cyclewalk.transpile import ScheduledCircuit, TranspileError
 
 
 def product_of(gates):
@@ -271,9 +272,9 @@ class TestTranspile:
         def tampered(unitary, width):
             gates = resynthesize(unitary, width)
             run = next(r for r in transpile_module._wire_runs(gates) if len(r) == 5)
-            assert run[2].kind == "RZ"
-            i = next(i for i, g in enumerate(gates) if g is run[2])
-            gates[i] = Gate("RZ", run[2].qubits, (run[2].params[0] + 1e-6,))
+            i = run[2]
+            assert gates[i].kind == "RZ"
+            gates[i] = Gate("RZ", gates[i].qubits, (gates[i].params[0] + 1e-6,))
             return gates
 
         monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
@@ -386,6 +387,37 @@ class TestSchedule:
         sc = schedule(c, nm)
         assert sc.start_times == (0.0, 0.0)
         assert sc.total_time == pytest.approx(nm.dur_1q)
+
+    @pytest.mark.parametrize("starts, durs", [
+        ((), ()),  # run_noisy once returned rho0 unchanged for this
+        ((0.0,), (1.0, 10.0)),  # truncated: the ECR was dropped by zip
+        ((0.0, 1.0), (1.0,)),
+        ((0.0, 1.0, 2.0), (1.0, 10.0, 1.0)),
+    ])
+    def test_one_time_per_gate(self, starts, durs):
+        c = Circuit(2).add("SX", 0).add("ECR", 0, 1)
+        with pytest.raises(ValueError, match="one start time and one duration"):
+            ScheduledCircuit(c, starts, durs, ())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+    @pytest.mark.parametrize("field", ["start_times", "durations"])
+    def test_times_are_finite_and_non_negative(self, bad, field):
+        c = Circuit(2).add("SX", 0).add("ECR", 0, 1)
+        sc = schedule(c, NoiseModel())
+        times = list(getattr(sc, field))
+        times[1] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            replace(sc, **{field: tuple(times)})
+
+    @pytest.mark.parametrize("window", [
+        (2, 0.0, 1.0), (-1, 0.0, 1.0),  # qubit outside width 2
+        (0, 1.0, 1.0), (0, 2.0, 1.0),  # empty or reversed
+        (0, math.nan, 1.0), (0, 0.0, math.nan), (0, 0.0, math.inf), (0, -1.0, 1.0),
+    ])
+    def test_idle_windows_are_sound(self, window):
+        sc = schedule(Circuit(2).add("SX", 0).add("ECR", 0, 1), NoiseModel())
+        with pytest.raises(ValueError, match="bad idle window"):
+            replace(sc, idle_windows=(window,))
 
 
 class TestInsertDd:
