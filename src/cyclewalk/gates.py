@@ -133,6 +133,8 @@ class Gate:
                 raise ValueError(f"UNITARY payload is not unitary (defect {defect:.2e})")
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} does not take a matrix payload")
+        # dicts keyed by tuples of gates rehash every gate on each lookup
+        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.params)))
 
     @property
     def n_qubits(self) -> int:
@@ -148,7 +150,11 @@ class Gate:
         return self.matrix is None or bool(np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.qubits, self.params))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled gate hashes as its process does
+        return Gate, (self.kind, self.qubits, self.params, self.matrix)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:

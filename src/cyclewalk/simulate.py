@@ -63,10 +63,11 @@ class BundleCache:
     the channel stacks; trails (``circuit.Trail``) of the source unitary, the
     statevector and rho, which resume after the prefix circuit t shares with
     t - 1 (rho keeps none for a circuit ``resynthesized`` whole at L3, whose
-    events share no prefix with another t's); the one-qubit run products of
-    the last transpile check; and one plan per stage, reused while a
-    circuit's skeleton (gate kinds and qubits) repeats, as at L3: the
-    schedule, the check's run grouping and, with the same start times and
+    events share no prefix with another t's); ``products``, the full-width
+    operators of the last transpile check's one-qubit runs, built once per t
+    in one stacked pass and keyed by the run's gates; and one plan per stage,
+    reused while a circuit's skeleton (gate kinds and qubits) repeats, as at
+    L3: the schedule, the check's run plan and, with the same start times and
     idle windows, the noisy events.
     """
 
@@ -291,7 +292,7 @@ def run_noisy(
                     u = gate_matrix(run[0])
                     for gate in run[1:]:
                         u = gate_matrix(gate) @ u
-                u = _apply_matrix_rows(eye, u, key[1], width)
+                    u = _apply_matrix_rows(eye, u, key[1], width)
                 fold = folded[run] = u[None] if stack is None else stack @ u
             stack = fold
         if stack is not None:

@@ -165,6 +165,9 @@ def _joint_diagonalize(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     start = 0
     for stop in range(1, len(w) + 1):
         if stop == len(w) or w[stop] - w[stop - 1] > 1e-9:
+            if stop - start == 1:  # eigh of a 1x1 block gives [[1.0]]: keep o's column
+                start = stop
+                continue
             block = o[:, start:stop]
             sub = block.T @ im @ block
             _, p = np.linalg.eigh(0.5 * (sub + sub.T))
@@ -188,6 +191,11 @@ def _factor_kron(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = (u[:, 0] * math.sqrt(s[0])).reshape(2, 2)
     lo = (vh[0] * math.sqrt(s[0])).reshape(2, 2)
     return hi, lo
+
+
+def _kron2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices, bit for bit, without its generic setup."""
+    return (hi[:, None, :, None] * lo[None, :, None, :]).reshape(4, 4)
 
 
 def kak_decompose(
@@ -229,9 +237,9 @@ def kak_decompose(
     b1, b0 = _factor_kron(right)
     rebuilt = (
         np.exp(1j * g)
-        * np.kron(a1, a0)
+        * _kron2(a1, a0)
         @ interaction_matrix(a, b, c)
-        @ np.kron(b1, b0)
+        @ _kron2(b1, b0)
     )
     err = np.linalg.norm(rebuilt - u4)
     if err > 1e-9:
@@ -471,23 +479,57 @@ def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     return Gate(kind, qubits)
 
 
-def _emit_matrix(wire: int, matrix: np.ndarray, fixed_shape: bool) -> list[Gate]:
-    """RZ SX RZ SX RZ for a 2x2 unitary; unless ``fixed_shape``, a diagonal
-    matrix becomes one RZ and zero-angle RZs are dropped."""
-    if not fixed_shape and abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
-        angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
-        return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
-    a, b, c, _ = zxzxz_angles(matrix)
+def _zxzxz_stack(u: np.ndarray) -> list[tuple[float, float, float]]:
+    """``zxzxz_angles``' (a, b, c) for each matrix of an (n, 2, 2) stack, bit
+    for bit: one numpy pass over the rows with |u00| and |u01| above _EPS,
+    the scalar form for the diagonal and anti-diagonal rest.  ``np.hypot``
+    is the scalar ``abs`` of a complex entry (``np.abs`` of an array is not),
+    and vector ``arctan2`` is not ``math.atan2``, so b stays scalar."""
+    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    s = np.hypot(u00.real, u00.imag)
+    cmag = np.hypot(u01.real, u01.imag)
+    g = np.flatnonzero((s > _EPS) & (cmag > _EPS))
+    apc = np.angle(-u11[g] / u00[g])
+    amc = np.angle(u10[g] / u01[g])
+    a = 0.5 * (apc + amc)
+    c = 0.5 * (apc - amc)
+    delta = np.angle(u00[g]) + 0.5 * (a + c)
+    # the branch test of zxzxz_angles; probe may differ from the scalar one in
+    # the last bits, far from a tie for any row that reaches it
+    probe = np.exp(1j * delta) * np.exp(-0.5j * (a - c)) * cmag[g]
+    minus, plus = probe - u01[g], probe + u01[g]
+    flip = np.hypot(minus.real, minus.imag) > np.hypot(plus.real, plus.imag)
+    a[flip] += math.pi
+    c[flip] -= math.pi
+    b = [2.0 * math.atan2(x, y) for x, y in zip(s.tolist(), cmag.tolist())]
+    angles = [None] * len(u)
+    for i, ai, ci in zip(g.tolist(), a.tolist(), c.tolist()):
+        angles[i] = (ai, b[i], ci)
+    for i, done in enumerate(angles):
+        if done is None:
+            angles[i] = zxzxz_angles(u[i])[:3]
+    return angles
+
+
+def _zxzxz_gates(wire: int, a: float, b: float, c: float) -> list[Gate]:
+    """RZ(c) SX RZ(b) SX RZ(a) on ``wire``, angles canonicalized."""
     sx = _fixed_gate("SX", (wire,))
-    gates = [
+    return [
         Gate("RZ", (wire,), (canonical_angle(c),)),
         sx,
         Gate("RZ", (wire,), (canonical_angle(b),)),
         sx,
         Gate("RZ", (wire,), (canonical_angle(a),)),
     ]
-    if fixed_shape:
-        return gates
+
+
+def _emit_matrix(wire: int, matrix: np.ndarray) -> list[Gate]:
+    """The shortest RZ SX RZ SX RZ form of a 2x2 unitary: a diagonal matrix
+    becomes one RZ, and zero-angle RZs are dropped."""
+    if abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
+        angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
+        return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
+    gates = _zxzxz_gates(wire, *zxzxz_angles(matrix)[:3])
     return [g for g in gates if g.kind == "SX" or abs(g.params[0]) >= ZERO_ANGLE]
 
 
@@ -495,16 +537,16 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
     """Merge per-wire single-qubit runs, then emit native gates.
 
     With ``fixed_shape`` every merged run becomes exactly five gates
-    (RZ SX RZ SX RZ), so the output shape depends only on the entangler
-    skeleton of the stream.
+    (RZ SX RZ SX RZ), their angles taken for all runs in one pass, so the
+    output shape depends only on the entangler skeleton of the stream.
     """
     pending: dict[int, np.ndarray] = {}
-    gates: list[Gate] = []
+    items: list = []  # gates, and (wire, merged matrix) for each fixed-shape run
 
     def flush(wire: int) -> None:
         m = pending.pop(wire, None)
         if m is not None:
-            gates.extend(_emit_matrix(wire, m, fixed_shape))
+            items.extend([(wire, m)] if fixed_shape else _emit_matrix(wire, m))
 
     for item in stream:
         if item[0] == "u":
@@ -515,9 +557,19 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
             _, hi, lo = item
             flush(hi)
             flush(lo)
-            gates.append(_fixed_gate("ECR", (hi, lo)))
+            items.append(_fixed_gate("ECR", (hi, lo)))
     for wire in sorted(pending):
         flush(wire)
+    if not fixed_shape:
+        return items
+    runs = [item for item in items if isinstance(item, tuple)]
+    angles = iter(_zxzxz_stack(np.array([m for _, m in runs]).reshape(-1, 2, 2)))
+    gates: list[Gate] = []
+    for item in items:
+        if isinstance(item, tuple):
+            gates.extend(_zxzxz_gates(item[0], *next(angles)))
+        else:
+            gates.append(item)
     return gates
 
 

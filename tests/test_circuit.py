@@ -1,5 +1,10 @@
 import importlib
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from cyclewalk import (
 from cyclewalk.circuit import Trail, apply_circuit
 from cyclewalk.gates import (
     ECR_MATRIX,
+    H_MATRIX,
     NATIVE_KINDS,
     SX_MATRIX,
     X_MATRIX,
@@ -78,6 +84,35 @@ class TestGateValidation:
         assert canonical_angle(3 * math.pi) == pytest.approx(math.pi)
         assert canonical_angle(-math.pi) == pytest.approx(math.pi)
         assert canonical_angle(0.25) == pytest.approx(0.25)
+
+
+class TestGateHash:
+    def test_equal_gates_hash_equal_and_the_hash_is_fixed(self):
+        a, b = Gate("RZ", (1,), (0.25,)), Gate("RZ", (1,), (0.25,))
+        assert a == b and hash(a) == hash(b) == hash(("RZ", (1,), (0.25,)))
+        before = hash(a)
+        assert {(a, Gate("SX", (1,))): 1}[(b, Gate("SX", (1,)))] == 1
+        assert hash(a) == before
+        assert hash(a) != hash(Gate("RZ", (0,), (0.25,)))
+
+    def test_unitary_payload_decides_equality_not_the_hash(self):
+        x = Gate("UNITARY", (0,), matrix=X_MATRIX)
+        h = Gate("UNITARY", (0,), matrix=H_MATRIX)
+        assert hash(x) == hash(h) and x != h
+        assert x == Gate("UNITARY", (0,), matrix=X_MATRIX.copy())
+
+    def test_unpickled_gate_hashes_as_this_process(self):
+        # a gate pickled under another string-hash seed is rebuilt here, so
+        # its hash is this process's and dict lookups find it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=str(src))
+        code = ("import pickle, sys; from cyclewalk import Gate; "
+                "sys.stdout.buffer.write(pickle.dumps(Gate('RZ', (1,), (0.5,))))")
+        blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              check=True).stdout
+        gate = pickle.loads(blob)
+        assert {Gate("RZ", (1,), (0.5,)): "found"}[gate] == "found"
+        assert hash(gate) == hash(("RZ", (1,), (0.5,)))
 
 
 class TestLowering:

@@ -34,7 +34,7 @@ from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
 from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density
-from cyclewalk.transpile import _lower_runs
+from cyclewalk.transpile import _lower_runs, _wire_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -501,6 +501,30 @@ def native_circuits(draw):
             params = (draw(st.floats(-math.pi, math.pi)),) if kind == "RZ" else ()
             c.add(kind, q, params=params)
     return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(native_circuits(), st.lists(st.integers(0, 64), max_size=3))
+def test_run_products_are_the_embedded_per_gate_products(circuit, barriers):
+    # at widths 1-4 the check leaves one entry per one-qubit run in
+    # cache.products: the per-gate product u = g_n ... g_1 at full width,
+    # as apply_matrix(eye, u) embeds it; barriers split runs and have none
+    c = Circuit(circuit.width)
+    for i, g in enumerate(circuit.gates):
+        if i in barriers:
+            c.add("BARRIER", *range(i % c.width + 1))
+        c.append(g)
+    cache = BundleCache(None, c.width)
+    rows = _lower_runs(c, cache)
+    assert np.abs(rows - lower_to_unitary(c)).max() <= 1e-12
+    runs = {tuple([c.gates[i] for i in p]) for p in _wire_runs(c.gates)}
+    assert cache.products.keys() == {r for r in runs if r[0].kind != "BARRIER" and r[0].n_qubits == 1}
+    eye = np.eye(1 << c.width, dtype=complex)
+    for run, full in cache.products.items():
+        u = gate_matrix(run[0])
+        for g in run[1:]:
+            u = gate_matrix(g) @ u
+        assert np.array_equal(full, apply_matrix(eye, u, run[0].qubits, c.width))
 
 
 @st.composite

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from conftest import phase_aligned
 
-from cyclewalk import OptLevel, build_walk_circuit_3cycle, build_walk_circuit_4cycle, transpile
-from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, rz_matrix, u3_matrix
+from cyclewalk import Gate, OptLevel, build_walk_circuit_3cycle, build_walk_circuit_4cycle, transpile
+from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, canonical_angle, rz_matrix, u3_matrix
 from cyclewalk.synthesis import (
     _rx,
     _ry,
@@ -155,6 +156,50 @@ class TestStreams:
     def test_minimal_emission_drops_identity_rotations(self):
         gates = stream_to_gates([("u", 0, np.eye(2, dtype=complex))], fixed_shape=False)
         assert gates == []
+
+
+_PHASES = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def degenerate_unitaries(draw):
+    """Diagonal and anti-diagonal 2x2 unitaries, and ones with |u00| or |u01|
+    between 1e-13 and 1e-11, around the degenerate threshold of zxzxz_angles."""
+    kind = draw(st.sampled_from(["diagonal", "anti", "small00", "small01"]))
+    p, q, r = (np.exp(1j * draw(_PHASES)) for _ in range(3))
+    if kind == "diagonal":
+        return np.diag([p, q])
+    if kind == "anti":
+        return np.array([[0, p], [q, 0]])
+    eps = 10.0 ** draw(st.floats(-13, -11))
+    big = math.sqrt(1.0 - eps * eps)
+    a, b = (eps * p, big * q) if kind == "small00" else (big * p, eps * q)
+    return r * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def scalar_fixed_shape(wire, u):
+    """The per-run reference: RZ(c) SX RZ(b) SX RZ(a) from the scalar angles."""
+    a, b, c, _ = zxzxz_angles(u)
+    return [Gate("RZ", (wire,), (canonical_angle(c),)), Gate("SX", (wire,)),
+            Gate("RZ", (wire,), (canonical_angle(b),)), Gate("SX", (wire,)),
+            Gate("RZ", (wire,), (canonical_angle(a),))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.lists(degenerate_unitaries(), max_size=8))
+def test_fixed_shape_emission_equals_the_scalar_reference(seed, n_random, degenerate):
+    # a stack of Haar-random and degenerate matrices in random order, each
+    # its own run on a random wire, closed by an ECR on that wire: the
+    # stacked pass must emit the scalar angles bit for bit
+    rng = np.random.default_rng(seed)
+    matrices = list(unitary_group.rvs(2, size=n_random, random_state=rng).reshape(-1, 2, 2))
+    matrices += degenerate
+    stream, expected = [], []
+    for k in rng.permutation(len(matrices)):
+        wire = int(rng.integers(3))
+        stream += [("u", wire, matrices[k]), ("ecr", wire, (wire + 1) % 3)]
+        expected += scalar_fixed_shape(wire, matrices[k]) + [Gate("ECR", (wire, (wire + 1) % 3))]
+    assert stream_to_gates(stream, fixed_shape=True) == expected
 
 
 class TestClosedFormRotations:
