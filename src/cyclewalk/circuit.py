@@ -8,6 +8,7 @@ circuit metadata (``measured``), not a gate, so lowering stays unitary.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "Trail",
     "apply_matrix",
     "apply_circuit",
+    "wire_runs",
     "depth_report",
     "to_text",
     "from_text",
@@ -155,6 +157,28 @@ def lower_to_unitary(circuit: Circuit, trail: Trail | None = None) -> np.ndarray
             f"refusing to lower width {circuit.width} > {MAX_LOWER_WIDTH} to a dense matrix"
         )
     return apply_circuit(np.eye(1 << circuit.width, dtype=complex), circuit, trail)
+
+
+def wire_runs(
+    qubits: Sequence[tuple[int, ...]], joins: Sequence[bool]
+) -> Iterator[tuple[int, ...]]:
+    """The item positions in groups, in an order that keeps each wire's items
+    in list order (an equivalent order for gates or noisy events).  Items act
+    on ``qubits``; one with ``joins`` true acts on one wire and joins its run.
+    Each run of adjacent joining items on a wire is a group, emitted just
+    before that wire's next other item; every other item is a group of its
+    own; the runs still open at the end follow in sorted wire order."""
+    pending: dict[int, list[int]] = {}
+    for i, (wires, join) in enumerate(zip(qubits, joins)):
+        if join:
+            pending.setdefault(wires[0], []).append(i)
+            continue
+        for q in wires:
+            if q in pending:
+                yield tuple(pending.pop(q))
+        yield (i,)
+    for wire in sorted(pending):
+        yield tuple(pending[wire])
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,8 @@ def find_period_power(
         diagonals = powers.reshape(n, -1)[:, :: dim + 1]
         if phase_insensitive:
             lead = diagonals[np.arange(n), np.argmax(np.abs(diagonals), axis=1)]
-            diagonals -= _unit_phase(lead, 0.0)[:, None]
+            # a subnormal |lead| would overflow z / |z|
+            diagonals -= _unit_phase(lead, np.finfo(float).tiny)[:, None]
         else:
             diagonals -= 1.0
         return _frobenius(powers)

@@ -3,11 +3,11 @@ density-matrix simulation up to width ``MAX_DENSITY_WIDTH`` = 4 (the
 8-cycle) under the noise model: depolarizing after every gate, thermal
 relaxation over every scheduled idle window.
 
-``run_noisy`` merges each per-wire run of n one-qubit gates into one event,
-the product U = g_n ... g_1 then D_p with 1 - p = (1 - p1)**n.  This is
-exact: depolarizing channels commute with unitaries on their qubits and
-compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event is
-one Kraus product, its channel's full-width stack folded with U.
+``run_noisy`` merges each per-wire run of n one-qubit gates (``wire_runs``)
+into one event, the product U = g_n ... g_1 then D_p, 1 - p = (1 - p1)**n.
+This is exact: depolarizing channels commute with unitaries on their qubits
+and compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event
+is one Kraus product, its channel's full-width stack folded with U.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Trail, apply_circuit
+from .circuit import Circuit, Trail, apply_circuit, wire_runs
 from .circuit import apply_matrix as _apply_matrix_rows
 from .gates import Gate, gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
@@ -64,11 +64,12 @@ class BundleCache:
     statevector and rho, which resume after the prefix circuit t shares with
     t - 1 (rho keeps none for a circuit ``resynthesized`` whole at L3, whose
     events share no prefix with another t's); ``products``, the full-width
-    operators of the last transpile check's one-qubit runs, built once per t
-    in one stacked pass and keyed by the run's gates; and one plan per stage,
-    reused while a circuit's skeleton (gate kinds and qubits) repeats, as at
-    L3: the schedule, the check's run plan and, with the same start times and
-    idle windows, the noisy events.
+    operators of the last transpile check's one-qubit runs, keyed by the
+    run's gates, which ``run_noisy`` folds wherever its own ``wire_runs``
+    grouping finds the same run; and one plan per stage, reused while a
+    circuit's skeleton (gate kinds and qubits) repeats, as at L3: the
+    schedule, the check's run plan and, with the same start times and idle
+    windows, the noisy events.
     """
 
     def __init__(self, nm: NoiseModel | None, width: int) -> None:
@@ -212,32 +213,30 @@ def _noisy_events(sc: ScheduledCircuit, nm: NoiseModel) -> Iterator[tuple[tuple,
     """The noisy events of ``sc`` in an order equivalent to its schedule:
     (("gates", qubits, n), positions of n gates) or (("idle", (qubit,),
     length), ()) for a window of at least ``dur_idle_unit``.  A two-qubit
-    gate is a run of its own; a wire's one-qubit gates form a run up to its
-    next event, moved there (exact: the events in between act on other wires)."""
+    gate is an event of its own; a wire's one-qubit gates form one
+    ``wire_runs`` run up to its next event, moved there (exact: the events
+    in between act on other wires)."""
     gates = sc.circuit.gates
+    n = len(gates)
     events = [
-        (start, seq, ("gates", gate.qubits, 1), (seq,))
+        (start, seq, gate.qubits)
         for seq, (gate, start) in enumerate(zip(gates, sc.start_times))
         if gate.kind != "BARRIER"
     ]
     events += [
-        (t0, len(gates) + i, ("idle", (qubit,), t1 - t0), ())
+        (t0, n + i, (qubit,))
         for i, (qubit, t0, t1) in enumerate(sc.idle_windows)
         if t1 - t0 >= nm.dur_idle_unit - 1e-12
     ]
-    runs: dict[int, list[int]] = {}
-    for _, _, key, positions in sorted(events, key=lambda e: e[:2]):
-        qubits = key[1]
-        if positions and len(qubits) == 1:
-            runs.setdefault(qubits[0], []).append(positions[0])
-            continue
-        for q in qubits:
-            if q in runs:
-                run = tuple(runs.pop(q))
-                yield ("gates", (q,), len(run)), run
-        yield key, positions
-    for q, run in runs.items():
-        yield ("gates", (q,), len(run)), tuple(run)
+    events.sort()  # by (start, seq): seq is unique
+    joins = [seq < n and len(qubits) == 1 for _, seq, qubits in events]
+    for group in wire_runs([qubits for _, _, qubits in events], joins):
+        _, seq, qubits = events[group[0]]
+        if seq < n:
+            yield ("gates", qubits, len(group)), tuple([events[i][1] for i in group])
+        else:
+            _, t0, t1 = sc.idle_windows[seq - n]
+            yield ("idle", qubits, t1 - t0), ()
 
 
 def run_noisy(

@@ -25,7 +25,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .circuit import Circuit, lower_to_unitary
+from .circuit import Circuit, lower_to_unitary, wire_runs
 from .gates import (
     Gate,
     H_MATRIX,
@@ -540,26 +540,17 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
     (RZ SX RZ SX RZ), their angles taken for all runs in one pass, so the
     output shape depends only on the entangler skeleton of the stream.
     """
-    pending: dict[int, np.ndarray] = {}
+    joins = [item[0] == "u" for item in stream]
+    wires = [item[1:2] if join else item[1:] for item, join in zip(stream, joins)]
     items: list = []  # gates, and (wire, merged matrix) for each fixed-shape run
-
-    def flush(wire: int) -> None:
-        m = pending.pop(wire, None)
-        if m is not None:
-            items.extend([(wire, m)] if fixed_shape else _emit_matrix(wire, m))
-
-    for item in stream:
-        if item[0] == "u":
-            _, wire, matrix = item
-            m = pending.get(wire)
-            pending[wire] = matrix if m is None else matrix @ m
-        else:
-            _, hi, lo = item
-            flush(hi)
-            flush(lo)
-            items.append(_fixed_gate("ECR", (hi, lo)))
-    for wire in sorted(pending):
-        flush(wire)
+    for group in wire_runs(wires, joins):
+        if not joins[group[0]]:
+            items.append(_fixed_gate("ECR", wires[group[0]]))
+            continue
+        wire, m = stream[group[0]][1:]
+        for i in group[1:]:
+            m = stream[i][2] @ m
+        items.extend([(wire, m)] if fixed_shape else _emit_matrix(wire, m))
     if not fixed_shape:
         return items
     runs = [item for item in items if isinstance(item, tuple)]

@@ -9,27 +9,26 @@ on the step count; wider circuits run L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
-gate by gate (once: it is also L3's input), the output run by run: the
-products of all per-wire one-qubit runs are multiplied in one stacked pass
-from the emitted gates, and up to width 4 embedded at full width once.
-Those full-width run operators are applied by the check and left in a
-bundle cache, where ``run_noisy`` folds them into its channel stacks.  Both
-lowerings are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a
-bundle, the check's run plan and the schedule come from the cache while the
-skeleton repeats.
+gate by gate (once: it is also L3's input), the output run by run.  L1
+fusion and the check share one run kernel: ``circuit.wire_runs`` groups the
+per-wire one-qubit runs and ``_run_products`` multiplies them from the gates
+in one stacked pass.  Up to width 4 the check embeds each product at full
+width once, applies it, and leaves it in a bundle cache, where ``run_noisy``
+folds it into its channel stacks.  Both lowerings are dense, so a circuit
+wider than MAX_LOWER_WIDTH raises.  In a bundle, the check's run plan and
+the schedule come from the cache while the skeleton repeats.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, apply_matrix, lower_to_unitary
+from .circuit import Circuit, apply_matrix, lower_to_unitary, wire_runs
 from .gates import Gate, NATIVE_KINDS, canonical_angle, gate_matrix
 from .noise import NoiseModel, gate_duration
 from .synthesis import (
@@ -121,68 +120,25 @@ def _decompose_gate(gate: Gate) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
-# run fusion (L1)
+# one-qubit runs: L1 fusion and the run-wise check
 
 def _skeleton(gates: list[Gate]) -> tuple:
     """The gate kinds and qubits: all that grouping and scheduling read."""
     return tuple([(g.kind, g.qubits) for g in gates])
 
 
-def _wire_runs(gates: list[Gate]) -> Iterator[tuple[int, ...]]:
-    """The gate positions in an order equivalent to list order, each per-wire
-    run of adjacent one-qubit gates as one item, emitted just before the next
-    other gate on its wire (or at the end, in wire order).  Every other gate,
-    barriers included, is an item of its own."""
-    pending: dict[int, list[int]] = {}
-    for i, gate in enumerate(gates):
-        if gate.n_qubits == 1 and gate.kind != "BARRIER":
-            pending.setdefault(gate.qubits[0], []).append(i)
-            continue
-        for q in gate.qubits:
-            if q in pending:
-                yield tuple(pending.pop(q))
-        yield (i,)
-    for wire in sorted(pending):
-        yield tuple(pending[wire])
-
-
-def _fuse_runs(gates: list[Gate]) -> list[Gate]:
-    """Fuse per-wire runs of adjacent one-qubit gates.
-
-    A fused run is resynthesized only when the result is strictly shorter,
-    so the pass never lengthens the circuit.
-    """
-    out: list[Gate] = []
-    for positions in _wire_runs(gates):
-        run = [gates[i] for i in positions]
-        if len(run) > 1:
-            product = np.eye(2, dtype=complex)
-            for g in run:
-                product = gate_matrix(g) @ product
-            candidate = _emit_matrix(run[0].qubits[0], product)
-            if len(candidate) < len(run):
-                run = candidate
-        out.extend(run)
-    return out
-
-
-# Up to this width ``_lower_runs`` embeds run products at full width, which
-# the density simulation (width <= 4) folds.  ``full @ rows`` grows as
-# 8**width against apply_matrix's 4**width: 5.2 against 10.3 us at width 4,
-# 12.5 against 11.8 at width 5 (numpy 2.4, one thread).
-_EMBED_MAX_WIDTH = 4
-
-
 class _RunPlan:
-    """What ``_lower_runs`` reads of a skeleton: the ``_wire_runs`` items
-    without barriers, each with its index among the one-qubit runs (None for
-    a multi-qubit gate); those runs; the positions of their RZ gates and of
-    their other gates; the run indices grouped by length, with their
-    positions as a (k, n) array; and the run indices grouped by wire."""
+    """What ``_fuse_runs`` and ``_lower_runs`` read of a skeleton: the
+    ``wire_runs`` items of the gates (a barrier separates runs on its wires),
+    each with its index among the one-qubit runs (None for any other gate);
+    those runs; the positions of their RZ gates and of their other gates; the
+    run indices grouped by length, with their positions as a (k, n) array;
+    and the run indices grouped by wire."""
 
     def __init__(self, gates: list[Gate]) -> None:
-        items = [p for p in _wire_runs(gates) if gates[p[0]].kind != "BARRIER"]
-        self.runs = [p for p in items if gates[p[0]].n_qubits == 1]
+        joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates]
+        items = list(wire_runs([g.qubits for g in gates], joins))
+        self.runs = [p for p in items if joins[p[0]]]
         index = {p: j for j, p in enumerate(self.runs)}
         self.items = [(p, index.get(p)) for p in items]
         flat = [i for p in self.runs for i in p]
@@ -219,6 +175,33 @@ def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
     return products
 
 
+def _fuse_runs(gates: list[Gate]) -> list[Gate]:
+    """Fuse per-wire runs of adjacent one-qubit gates, each run's product
+    taken from the check's stacked ``_run_products``.
+
+    A fused run is resynthesized only when the result is strictly shorter,
+    so the pass never lengthens the circuit.
+    """
+    plan = _RunPlan(gates)
+    products = _run_products(gates, plan)
+    out: list[Gate] = []
+    for positions, j in plan.items:
+        run = [gates[i] for i in positions]
+        if len(run) > 1:
+            candidate = _emit_matrix(run[0].qubits[0], products[j])
+            if len(candidate) < len(run):
+                run = candidate
+        out.extend(run)
+    return out
+
+
+# Up to this width ``_lower_runs`` embeds run products at full width, which
+# the density simulation (width <= 4) folds.  ``full @ rows`` grows as
+# 8**width against apply_matrix's 4**width: 5.2 against 10.3 us at width 4,
+# 12.5 against 11.8 at width 5 (numpy 2.4, one thread).
+_EMBED_MAX_WIDTH = 4
+
+
 def _embed(products: np.ndarray, plan: _RunPlan, width: int) -> np.ndarray:
     """Each run's 2x2 product at full width on its wire: one Kronecker einsum
     per wire, bit for bit ``apply_matrix(eye, u, (wire,), width)``."""
@@ -231,12 +214,12 @@ def _embed(products: np.ndarray, plan: _RunPlan, width: int) -> np.ndarray:
 
 
 def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarray:
-    """The circuit's dense unitary, applied one ``_wire_runs`` item at a time,
-    a one-qubit run as its product from ``_run_products``.  Up to width
-    _EMBED_MAX_WIDTH each product is embedded at full width once and applied
-    as ``full @ rows``; with a bundle ``cache`` these full-width products
-    replace ``cache.products`` for ``run_noisy`` to fold, and the plan is
-    kept while the skeleton repeats."""
+    """The circuit's dense unitary, applied one ``wire_runs`` item at a time
+    (barriers skipped), a one-qubit run as its product from
+    ``_run_products``.  Up to width _EMBED_MAX_WIDTH each product is embedded
+    at full width once and applied as ``full @ rows``; with a bundle
+    ``cache`` these full-width products replace ``cache.products`` for
+    ``run_noisy`` to fold, and the plan is kept while the skeleton repeats."""
     gates, width = circuit.gates, circuit.width
     if cache is None:
         plan, products = _RunPlan(gates), {}
@@ -251,7 +234,8 @@ def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarra
     for positions, j in plan.items:
         if j is None:
             gate = gates[positions[0]]
-            rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
+            if gate.kind != "BARRIER":
+                rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
         elif embedded:
             products[tuple([gates[i] for i in positions])] = ops[j]
             rows = ops[j] @ rows

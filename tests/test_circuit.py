@@ -19,7 +19,7 @@ from cyclewalk import (
     lower_to_unitary,
     to_text,
 )
-from cyclewalk.circuit import Trail, apply_circuit
+from cyclewalk.circuit import Trail, apply_circuit, wire_runs
 from cyclewalk.gates import (
     ECR_MATRIX,
     H_MATRIX,
@@ -225,6 +225,50 @@ class TestTrail:
             lower_to_unitary(second, trail)
         applied.fail_at = None
         assert lower_to_unitary(second, trail).tobytes() == lower_to_unitary(second).tobytes()
+
+
+@st.composite
+def wire_items(draw):
+    """(qubits, joins) of up to 30 items on 1-4 wires: joining items on one
+    wire, other items on one or more distinct wires."""
+    width = draw(st.integers(1, 4))
+    wire = st.integers(0, width - 1)
+    joining = st.tuples(st.just(True), wire.map(lambda q: (q,)))
+    wires = st.lists(wire, min_size=1, max_size=width, unique=True).map(tuple)
+    other = st.tuples(st.just(False), wires)
+    items = draw(st.lists(st.one_of(joining, other), max_size=30))
+    return [q for _, q in items], [j for j, _ in items]
+
+
+@given(wire_items())
+def test_wire_runs_groups_each_item_once_in_an_equivalent_order(items):
+    qubits, joins = items
+    groups = list(wire_runs(qubits, joins))
+    assert sorted(i for g in groups for i in g) == list(range(len(qubits)))
+    emitted = {i: k for k, g in enumerate(groups) for i in g}
+    # a group is one other item, or joining items on one wire in list order
+    for g in groups:
+        if not joins[g[0]]:
+            assert len(g) == 1
+        else:
+            assert all(joins[i] for i in g) and len({qubits[i] for i in g}) == 1
+            assert list(g) == sorted(g)
+    # a run is emitted before the next item on its wire, and the joining
+    # items between two other items on a wire are one run
+    for i, wires in enumerate(qubits):
+        for q in wires:
+            nxt = next((j for j in range(i + 1, len(qubits)) if q in qubits[j]), None)
+            if nxt is None:
+                continue
+            if joins[i] and joins[nxt]:
+                assert emitted[i] == emitted[nxt]
+            else:
+                assert emitted[i] < emitted[nxt]
+    # the runs left open at the end come last, in sorted wire order
+    tail = [g for g in groups if joins[g[0]]
+            and not any(qubits[g[0]][0] in qubits[j] for j in range(g[-1] + 1, len(qubits)))]
+    assert groups[len(groups) - len(tail):] == tail
+    assert [qubits[g[0]] for g in tail] == sorted(qubits[g[0]] for g in tail)
 
 
 class TestDepthReport:

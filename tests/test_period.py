@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cyclewalk import (
     CoinParams,
@@ -223,6 +223,8 @@ def test_short_period_returns_early_under_a_huge_bound(finder):
     st.integers(1, 200),
     st.booleans(),
 )
+# a subnormal leading diagonal entry: the power path must not divide by |z|
+@example(cycle=5, r=8.503204135369465e-128, a=0.0, b=0.0, t_max=5, phase_insensitive=True)
 def test_power_and_eigen_agree_on_random_coins(cycle, r, a, b, t_max, phase_insensitive):
     u = step_operator(cycle, CoinParams(r, a, b))
     power = find_period_power(u, t_max, phase_insensitive=phase_insensitive)

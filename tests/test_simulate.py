@@ -29,12 +29,13 @@ from cyclewalk import (
     transpile,
     validate_density,
 )
-from cyclewalk.circuit import apply_matrix
+from cyclewalk.circuit import apply_matrix, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
 from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density
-from cyclewalk.transpile import _lower_runs, _wire_runs
+from cyclewalk.synthesis import _emit_matrix
+from cyclewalk.transpile import _fuse_runs, _lower_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -503,28 +504,58 @@ def native_circuits(draw):
     return c
 
 
+def with_barriers(circuit, barriers):
+    """The circuit with a barrier on wires 0..i % width before each gate i
+    listed in ``barriers``."""
+    c = Circuit(circuit.width)
+    for i, g in enumerate(circuit.gates):
+        if i in barriers:
+            c.add("BARRIER", *range(i % c.width + 1))
+        c.append(g)
+    return c
+
+
 @settings(max_examples=80, deadline=None)
 @given(native_circuits(), st.lists(st.integers(0, 64), max_size=3))
 def test_run_products_are_the_embedded_per_gate_products(circuit, barriers):
     # at widths 1-4 the check leaves one entry per one-qubit run in
     # cache.products: the per-gate product u = g_n ... g_1 at full width,
     # as apply_matrix(eye, u) embeds it; barriers split runs and have none
-    c = Circuit(circuit.width)
-    for i, g in enumerate(circuit.gates):
-        if i in barriers:
-            c.add("BARRIER", *range(i % c.width + 1))
-        c.append(g)
+    c = with_barriers(circuit, barriers)
     cache = BundleCache(None, c.width)
     rows = _lower_runs(c, cache)
     assert np.abs(rows - lower_to_unitary(c)).max() <= 1e-12
-    runs = {tuple([c.gates[i] for i in p]) for p in _wire_runs(c.gates)}
-    assert cache.products.keys() == {r for r in runs if r[0].kind != "BARRIER" and r[0].n_qubits == 1}
+    joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in c.gates]
+    runs = {tuple([c.gates[i] for i in p]) for p in wire_runs([g.qubits for g in c.gates], joins)
+            if joins[p[0]]}
+    assert cache.products.keys() == runs
     eye = np.eye(1 << c.width, dtype=complex)
     for run, full in cache.products.items():
         u = gate_matrix(run[0])
         for g in run[1:]:
             u = gate_matrix(g) @ u
         assert np.array_equal(full, apply_matrix(eye, u, run[0].qubits, c.width))
+
+
+@settings(max_examples=80, deadline=None)
+@given(native_circuits(), st.lists(st.integers(0, 64), max_size=3))
+def test_fusion_through_the_stacked_products_is_the_per_gate_fusion(circuit, barriers):
+    # L1 fusion reads each run's product from the check's stacked pass; it
+    # must emit the very gates that a per-gate scalar product gives
+    gates = with_barriers(circuit, barriers).gates
+    joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates]
+    want = []
+    for p in wire_runs([g.qubits for g in gates], joins):
+        run = [gates[i] for i in p]
+        if len(run) > 1:
+            u = gate_matrix(run[0])
+            for g in run[1:]:
+                u = gate_matrix(g) @ u
+            candidate = _emit_matrix(run[0].qubits[0], u)
+            if len(candidate) < len(run):
+                run = candidate
+        want.extend(run)
+    assert _fuse_runs(gates) == want
 
 
 @st.composite

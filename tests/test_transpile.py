@@ -36,7 +36,7 @@ from cyclewalk import (
     trace_distance,
     readout_distribution,
 )
-from cyclewalk.circuit import MAX_LOWER_WIDTH
+from cyclewalk.circuit import MAX_LOWER_WIDTH, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.synthesis import ZERO_ANGLE
 from cyclewalk.gates import NATIVE_KINDS, gate_matrix, u3_matrix
@@ -271,7 +271,8 @@ class TestTranspile:
 
         def tampered(unitary, width):
             gates = resynthesize(unitary, width)
-            run = next(r for r in transpile_module._wire_runs(gates) if len(r) == 5)
+            joins = [g.n_qubits == 1 for g in gates]
+            run = next(r for r in wire_runs([g.qubits for g in gates], joins) if len(r) == 5)
             i = run[2]
             assert gates[i].kind == "RZ"
             gates[i] = Gate("RZ", gates[i].qubits, (gates[i].params[0] + 1e-6,))
