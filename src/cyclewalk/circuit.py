@@ -49,9 +49,7 @@ class Circuit:
         self.name = name
         self.gates: list[Gate] = []
         self.measured = tuple(measured)
-        for q in self.measured:
-            if not 0 <= q < width:
-                raise ValueError(f"measured qubit {q} outside width {width}")
+        _check_measured(self.measured, width)
 
     def append(self, gate: Gate) -> "Circuit":
         for q in gate.qubits:
@@ -77,14 +75,26 @@ class Circuit:
         return f"Circuit({self.name!r}, width={self.width}, gates={len(self.gates)})"
 
 
+def _check_measured(measured: tuple[int, ...], width: int) -> None:
+    """Reject a measured qubit outside ``width`` or listed twice."""
+    for i, q in enumerate(measured):
+        if not 0 <= q < width:
+            raise ValueError(f"measured qubit {q} outside width {width}")
+        if q in measured[:i]:
+            raise ValueError(f"measured qubit {q} repeated in {measured}")
+
+
 def apply_matrix(rows: np.ndarray, m: np.ndarray, qubits, width: int) -> np.ndarray:
     """Apply a 2**k matrix on ``qubits`` to the leading index of ``rows``.
 
     ``rows`` has 2**width entries along axis 0 (a statevector, a unitary's
-    columns or a density matrix); the result has the shape of ``rows``.
-    ``qubits[0]`` is the most significant qubit of ``m``'s index.  This is
-    the one gate-application kernel: ``np.dot`` on the transposed view
-    reproduces ``np.tensordot`` bit for bit, which batched ``matmul`` does not.
+    columns or a density matrix), or it is a w-qubit density matrix given
+    with width 2w: read as a vector over a doubled register, row qubit q as
+    qubit q + w, on which ``m`` acts as a superoperator.  The result has the
+    shape of ``rows``.  ``qubits[0]`` is the most significant qubit of
+    ``m``'s index.  This is the one gate-application kernel: ``np.dot`` on
+    the transposed view reproduces ``np.tensordot`` bit for bit, which
+    batched ``matmul`` does not.
     """
     order, back = _axis_orders(tuple(qubits), width)
     moved = rows.reshape((2,) * width + (-1,)).transpose(order)

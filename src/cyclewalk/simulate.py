@@ -7,7 +7,11 @@ relaxation over every scheduled idle window.
 into one event, the product U = g_n ... g_1 then D_p, 1 - p = (1 - p1)**n.
 This is exact: depolarizing channels commute with unitaries on their qubits
 and compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event
-is one Kraus product, its channel's full-width stack folded with U.
+is one local superoperator, its channel's sum_k K_k (x) conj(K_k) times
+U (x) conj(U): 4x4 on one qubit, 16x16 on two.  It acts on rho read as a
+vector over a doubled register of 2w qubits, where row qubit q is qubit
+q + w and column qubit q is qubit q, through the one gate kernel
+``circuit.apply_matrix``.  No full-width operator is built.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Trail, apply_circuit, wire_runs
+from .circuit import Circuit, Trail, _check_measured, apply_circuit, wire_runs
 from .circuit import apply_matrix as _apply_matrix_rows
 from .gates import Gate, gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
@@ -60,16 +64,16 @@ class Distribution:
 class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
-    the channel stacks; trails (``circuit.Trail``) of the source unitary, the
-    statevector and rho, which resume after the prefix circuit t shares with
-    t - 1 (rho keeps none for a circuit ``resynthesized`` whole at L3, whose
-    events share no prefix with another t's); ``products``, the full-width
-    operators of the last transpile check's one-qubit runs, keyed by the
-    run's gates, which ``run_noisy`` folds wherever its own ``wire_runs``
-    grouping finds the same run; and one plan per stage, reused while a
-    circuit's skeleton (gate kinds and qubits) repeats, as at L3: the
-    schedule, the check's run plan and, with the same start times and idle
-    windows, the noisy events.
+    the channels' local superoperators; trails (``circuit.Trail``) of the
+    source unitary, the statevector and rho, which resume after the prefix
+    circuit t shares with t - 1 (rho keeps none for a circuit
+    ``resynthesized`` whole at L3, whose events share no prefix with another
+    t's); ``products``, the 2x2 products of the last transpile check's
+    one-qubit runs, keyed by the run's gates, which ``run_noisy`` folds
+    wherever its own ``wire_runs`` grouping finds the same run; and one plan
+    per stage, reused while a circuit's skeleton (gate kinds and qubits)
+    repeats, as at L3: the schedule, the check's run plan and, with the same
+    start times and idle windows, the noisy events.
     """
 
     def __init__(self, nm: NoiseModel | None, width: int) -> None:
@@ -118,9 +122,7 @@ def _marginal_probabilities(probs: np.ndarray, measured_qubits: tuple[int, ...])
     if probs.size < 1 or probs.size & (probs.size - 1):
         raise ValueError(f"{probs.size} basis probabilities: size is not a power of two")
     width = probs.size.bit_length() - 1
-    for q in measured_qubits:
-        if not 0 <= q < width:
-            raise ValueError(f"measured qubit {q} outside width {width}")
+    _check_measured(measured_qubits, width)
     probs = probs.reshape((2,) * width)
     # outcome bit i is axis keep[-1 - i]: the last measured qubit leads
     keep = [width - 1 - q for q in reversed(measured_qubits)]
@@ -174,22 +176,26 @@ def validate_density(rho: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {smallest}")
 
 
-def _apply_kraus(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_k K rho K^dagger for a (n, dim, dim) stack of full-width Kraus operators.
-
-    Two products: every K rho at once, then [K_1 rho ... K_n rho] times
-    [K_1 ... K_n]^dagger, which sums over k inside the second product.
-    """
-    n, dim, _ = stack.shape
-    left = (stack.reshape(n * dim, dim) @ rho).reshape(n, dim, dim)
-    wide = stack.transpose(1, 0, 2).reshape(dim, n * dim)
-    return left.transpose(1, 0, 2).reshape(dim, n * dim) @ wide.conj().T
+def _apply_kraus(rho: np.ndarray, op: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """sum_k K_k rho K_k^dagger for an event on ``qubits``, given as its local
+    superoperator ``op`` = sum_k K_k (x) conj(K_k): rho read as a vector over
+    2w qubits, row qubit q as qubit q + w and column qubit q as qubit q."""
+    width = rho.shape[0].bit_length() - 1
+    doubled = tuple([q + width for q in qubits]) + tuple(qubits)
+    return _apply_matrix_rows(rho, op, doubled, 2 * width)
 
 
-def _channel(key: tuple, nm: NoiseModel, width: int) -> np.ndarray | None:
-    """The full-width Kraus stack of an event's channel, or None for the
+def _liouville(u: np.ndarray) -> np.ndarray:
+    """u (x) conj(u), the superoperator of rho -> u rho u^dagger, built by
+    broadcasting (an einsum takes longer at this size)."""
+    n = len(u)
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(n * n, n * n)
+
+
+def _channel(key: tuple, nm: NoiseModel) -> np.ndarray | None:
+    """The local superoperator of an event's channel, or None for the
     identity channel (a single operator from either constructor).  Keys
-    carry their kind: a 10-gate run must not find the stack of an idle
+    carry their kind: a 10-gate run must not find the channel of an idle
     window of length 10.0, and 10 == 10.0."""
     kind, qubits, size = key
     if kind == "idle":
@@ -199,8 +205,7 @@ def _channel(key: tuple, nm: NoiseModel, width: int) -> np.ndarray | None:
         kraus = depolarizing_kraus(p, len(qubits))
     if len(kraus) == 1:
         return None
-    eye = np.eye(1 << width, dtype=complex)
-    return np.stack([_apply_matrix_rows(eye, k, qubits, width) for k in kraus])
+    return sum(_liouville(k) for k in kraus)
 
 
 def _check_density(rho: np.ndarray, where: str) -> None:
@@ -270,7 +275,6 @@ def run_noisy(
 
     channels = cache.channels
     folded: dict[tuple[Gate, ...], np.ndarray] = {}
-    eye = np.eye(dim, dtype=complex)
     plan = cache.plan("events", (_skeleton(gates), sc.start_times, sc.idle_windows),
                       lambda: list(_noisy_events(sc, nm)))
     events = [(key, tuple([gates[i] for i in run])) for key, run in plan]
@@ -281,8 +285,8 @@ def run_noisy(
         rho = trail.arrays[-1]
     for key, run in events[done:]:
         if key not in channels:
-            channels[key] = _channel(key, nm, width)
-        stack = channels[key]
+            channels[key] = _channel(key, nm)
+        op = channels[key]
         if run:
             fold = folded.get(run)
             if fold is None:
@@ -291,11 +295,10 @@ def run_noisy(
                     u = gate_matrix(run[0])
                     for gate in run[1:]:
                         u = gate_matrix(gate) @ u
-                    u = _apply_matrix_rows(eye, u, key[1], width)
-                fold = folded[run] = u[None] if stack is None else stack @ u
-            stack = fold
-        if stack is not None:
-            rho = _apply_kraus(rho, stack)
+                fold = folded[run] = _liouville(u) if op is None else op @ _liouville(u)
+            op = fold
+        if op is not None:
+            rho = _apply_kraus(rho, op, key[1])
         _check_density(rho, "during noisy run")
         if trail is not None:
             trail.arrays.append(rho)

@@ -12,11 +12,12 @@ phase; a residual above 1e-8 raises TranspileError.  The source is lowered
 gate by gate (once: it is also L3's input), the output run by run.  L1
 fusion and the check share one run kernel: ``circuit.wire_runs`` groups the
 per-wire one-qubit runs and ``_run_products`` multiplies them from the gates
-in one stacked pass.  Up to width 4 the check embeds each product at full
-width once, applies it, and leaves it in a bundle cache, where ``run_noisy``
-folds it into its channel stacks.  Both lowerings are dense, so a circuit
-wider than MAX_LOWER_WIDTH raises.  In a bundle, the check's run plan and
-the schedule come from the cache while the skeleton repeats.
+in one stacked pass.  The check applies each 2x2 run product with
+``circuit.apply_matrix`` and leaves it in a bundle cache, where
+``run_noisy`` folds it into its events' superoperators.  Both lowerings
+are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a bundle,
+the check's run plan and the schedule come from the cache while the
+skeleton repeats.
 """
 
 from __future__ import annotations
@@ -127,13 +128,18 @@ def _skeleton(gates: list[Gate]) -> tuple:
     return tuple([(g.kind, g.qubits) for g in gates])
 
 
+# one-qubit kinds whose matrix is fixed by the kind alone
+_CONSTANT_KINDS = ("ID", "SX", "X")
+
+
 class _RunPlan:
     """What ``_fuse_runs`` and ``_lower_runs`` read of a skeleton: the
     ``wire_runs`` items of the gates (a barrier separates runs on its wires),
     each with its index among the one-qubit runs (None for any other gate);
-    those runs; the positions of their RZ gates and of their other gates; the
-    run indices grouped by length, with their positions as a (k, n) array;
-    and the run indices grouped by wire."""
+    those runs; the positions of their RZ gates, of their gates of each
+    constant kind (one list per kind present) and of their other gates; and
+    the run indices grouped by length, with their positions as a (k, n)
+    array."""
 
     def __init__(self, gates: list[Gate]) -> None:
         joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates]
@@ -141,28 +147,31 @@ class _RunPlan:
         self.runs = [p for p in items if joins[p[0]]]
         index = {p: j for j, p in enumerate(self.runs)}
         self.items = [(p, index.get(p)) for p in items]
-        flat = [i for p in self.runs for i in p]
-        self.rz = [i for i in flat if gates[i].kind == "RZ"]
-        self.other = [i for i in flat if gates[i].kind != "RZ"]
+        by_kind: dict[str, list[int]] = {}
+        for i in (i for p in self.runs for i in p):
+            by_kind.setdefault(gates[i].kind, []).append(i)
+        self.rz = by_kind.pop("RZ", [])
+        self.constant = [by_kind.pop(kind) for kind in _CONSTANT_KINDS if kind in by_kind]
+        self.other = [i for positions in by_kind.values() for i in positions]
         by_length: dict[int, list[int]] = {}
-        by_wire: dict[int, list[int]] = {}
         for j, p in enumerate(self.runs):
             by_length.setdefault(len(p), []).append(j)
-            by_wire.setdefault(gates[p[0]].qubits[0], []).append(j)
         self.by_length = [(js, np.array([self.runs[j] for j in js])) for js in by_length.values()]
-        self.by_wire = list(by_wire.items())
 
 
 def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
     """The products u = g_n ... g_1 of the plan's one-qubit runs, in
     ``run_noisy``'s order, as one stack: the RZ matrices built from the
-    gates' angles in one call, each run length's group multiplied as a
-    (k, n, 2, 2) stack.  Bit for bit the per-gate products."""
+    gates' angles in one call, one ``gate_matrix`` call per constant kind,
+    each run length's group multiplied as a (k, n, 2, 2) stack.  Bit for bit
+    the per-gate products."""
     mats = np.zeros((len(gates), 2, 2), dtype=complex)
     if plan.rz:
         theta = np.array([gates[i].params[0] for i in plan.rz])
         mats[plan.rz, 0, 0] = np.exp(-0.5j * theta)
         mats[plan.rz, 1, 1] = np.exp(0.5j * theta)
+    for positions in plan.constant:
+        mats[positions] = gate_matrix(gates[positions[0]])
     if plan.other:
         mats[plan.other] = [gate_matrix(gates[i]) for i in plan.other]
     products = np.empty((len(plan.runs), 2, 2), dtype=complex)
@@ -195,31 +204,12 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-# Up to this width ``_lower_runs`` embeds run products at full width, which
-# the density simulation (width <= 4) folds.  ``full @ rows`` grows as
-# 8**width against apply_matrix's 4**width: 5.2 against 10.3 us at width 4,
-# 12.5 against 11.8 at width 5 (numpy 2.4, one thread).
-_EMBED_MAX_WIDTH = 4
-
-
-def _embed(products: np.ndarray, plan: _RunPlan, width: int) -> np.ndarray:
-    """Each run's 2x2 product at full width on its wire: one Kronecker einsum
-    per wire, bit for bit ``apply_matrix(eye, u, (wire,), width)``."""
-    dim = 1 << width
-    full = np.empty((len(products), dim, dim), dtype=complex)
-    for wire, js in plan.by_wire:
-        hi, lo = np.eye(1 << (width - 1 - wire)), np.eye(1 << wire)
-        full[js] = np.einsum("ab,kcd,ef->kacebdf", hi, products[js], lo).reshape(-1, dim, dim)
-    return full
-
-
 def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarray:
     """The circuit's dense unitary, applied one ``wire_runs`` item at a time
-    (barriers skipped), a one-qubit run as its product from
-    ``_run_products``.  Up to width _EMBED_MAX_WIDTH each product is embedded
-    at full width once and applied as ``full @ rows``; with a bundle
-    ``cache`` these full-width products replace ``cache.products`` for
-    ``run_noisy`` to fold, and the plan is kept while the skeleton repeats."""
+    (barriers skipped), a one-qubit run as its 2x2 product from
+    ``_run_products``.  With a bundle ``cache`` these products replace
+    ``cache.products`` for ``run_noisy`` to fold, and the plan is kept while
+    the skeleton repeats."""
     gates, width = circuit.gates, circuit.width
     if cache is None:
         plan, products = _RunPlan(gates), {}
@@ -227,20 +217,14 @@ def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarra
         plan = cache.plan("runs", _skeleton(gates), lambda: _RunPlan(gates))
         products = cache.products = {}
     ops = _run_products(gates, plan)
-    embedded = width <= _EMBED_MAX_WIDTH
-    if embedded:
-        ops = _embed(ops, plan, width)
     rows = np.eye(1 << width, dtype=complex)
     for positions, j in plan.items:
-        if j is None:
-            gate = gates[positions[0]]
-            if gate.kind != "BARRIER":
-                rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
-        elif embedded:
+        gate = gates[positions[0]]
+        if j is not None:
             products[tuple([gates[i] for i in positions])] = ops[j]
-            rows = ops[j] @ rows
-        else:
-            rows = apply_matrix(rows, ops[j], gates[positions[0]].qubits, width)
+            rows = apply_matrix(rows, ops[j], gate.qubits, width)
+        elif gate.kind != "BARRIER":
+            rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
     return rows
 
 

@@ -72,6 +72,12 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside circuit width"):
             c.add("H", 2)
 
+    def test_repeated_measured_qubit(self):
+        with pytest.raises(ValueError, match=r"measured qubit 0 repeated in \(0, 0\)"):
+            Circuit(2, measured=(0, 0))
+        with pytest.raises(ValueError, match="measured qubit 1 repeated"):
+            Circuit(3, measured=(1, 2, 1))
+
     def test_native_matrices(self):
         # ECR = (I (x) X - X (x) Y)/sqrt(2); SX squared is X up to phase
         y = np.array([[0, -1j], [1j, 0]])
@@ -358,6 +364,10 @@ class TestSerialization:
             ("width=2\nRZ 0\n", r"line 2: RZ takes 1 parameter\(s\), got 0: 'RZ 0'"),
             ("width=2\nH 3\n", "line 2: gate H on qubit 3 outside circuit width 2"),
             (
+                "width=2 name=x measure=0,0\nH 0\n",
+                r"line 1: measured qubit 0 repeated in \(0, 0\): 'width=2 name=x measure=0,0'",
+            ),
+            (
                 "width=2\nRZ 0 nan\n",
                 r"line 2: RZ parameters must be finite, got \(nan,\): 'RZ 0 nan'",
             ),
@@ -369,7 +379,7 @@ class TestSerialization:
         ],
         ids=[
             "header-item", "header-width", "header-key", "unknown-kind", "qubit-token", "qubits",
-            "params", "range", "non-finite", "too-large",
+            "params", "range", "repeated-measure", "non-finite", "too-large",
         ],
     )
     def test_malformed_line_is_located(self, text, message):
@@ -383,7 +393,7 @@ def scheduled_native_circuits(draw):
     one start time per gate."""
     width = draw(st.integers(1, 6))
     name = draw(st.text(min_size=1).filter(lambda s: not any(ch.isspace() for ch in s)))
-    measured = tuple(draw(st.lists(st.integers(0, width - 1), max_size=width)))
+    measured = tuple(draw(st.lists(st.integers(0, width - 1), max_size=width, unique=True)))
     c = Circuit(width, name=name, measured=measured)
     kinds = sorted(NATIVE_KINDS | {"BARRIER"})
     if width == 1:

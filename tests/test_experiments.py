@@ -613,7 +613,7 @@ class TestBundleCache:
 
     def test_l1_rho_trail_resumes(self, tmp_path, monkeypatch):
         # every t after the first shares a prefix of noisy events with t - 1,
-        # so it applies fewer Kraus stacks than a fresh run of the same t
+        # so it applies fewer event superoperators than a fresh run of the same t
         cfg = config_from_text((ROOT / "demos/configs/parrondo_3cycle_dd.cfg").read_text())
         cfg = replace(cfg, t_max=4, out_dir=str(tmp_path))
         bundle, caches = self._kraus_per_t(monkeypatch, lambda: run_experiment(cfg))

@@ -98,7 +98,7 @@ def test_tracing_probe_targets_resolve():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["parrondo-4cycle", "parrondo-3cycle-dd"])
+@pytest.mark.parametrize("workload", ["parrondo-4cycle", "parrondo-3cycle-dd", "hadamard-8cycle-dd"])
 def test_traced_bundle_keeps_the_trace_contract(tmp_path, workload):
     # every probe the benchmark expects fires, the gate and event counts tie,
     # and the bundle matches the benchmark's reference

@@ -33,7 +33,7 @@ from cyclewalk.circuit import apply_matrix, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
-from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density
+from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density, _liouville
 from cyclewalk.synthesis import _emit_matrix
 from cyclewalk.transpile import _fuse_runs, _lower_runs
 
@@ -216,6 +216,10 @@ class TestMeasurePositions:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="measured qubit"):
             measure_positions(ground_state(2), (0, 2))
+
+    def test_repeated_qubit(self):
+        with pytest.raises(ValueError, match="measured qubit 1 repeated"):
+            measure_positions(ground_state(2), (1, 1))
 
     def test_bit_order_convention(self):
         # outcome bit i comes from measured_qubits[i]
@@ -416,6 +420,10 @@ class TestReadout:
         with pytest.raises(ValueError, match="6 basis probabilities: size is not a power of two"):
             readout_distribution(np.eye(6, dtype=complex) / 6, (0,), NoiseModel())
 
+    def test_repeated_qubit(self):
+        with pytest.raises(ValueError, match="measured qubit 0 repeated"):
+            readout_distribution(np.eye(4, dtype=complex) / 4, (0, 1, 0), NoiseModel())
+
     def test_one_percent_flip_products(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
@@ -477,14 +485,18 @@ class TestValidateDensity:
 @pytest.mark.parametrize("n_ops", [1, 4, 16])
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_apply_kraus_matches_operator_sum(n_ops, width):
-    # a mixed-unitary channel, so every entry stays of order 1
+    # a mixed-unitary channel, so every entry stays of order 1, of one or two
+    # qubits on random qubits in random order, applied as its local
+    # superoperator sum_k K (x) conj(K) on the doubled register
     rng = np.random.default_rng(10 * width + n_ops)
-    dim = 1 << width
-    stack = np.stack([unitary_group.rvs(dim, random_state=rng) for _ in range(n_ops)])
-    stack /= math.sqrt(n_ops)
-    rho = state_to_density(unitary_group.rvs(dim, random_state=rng)[:, 0])
-    want = sum(k @ rho @ k.conj().T for k in stack)
-    assert np.abs(_apply_kraus(rho, stack) - want).max() <= 1e-14
+    n_qubits = min(width, 1 + (width + n_ops) % 2)
+    qubits = tuple(int(q) for q in rng.permutation(width)[:n_qubits])
+    stack = [unitary_group.rvs(1 << n_qubits, random_state=rng) / math.sqrt(n_ops)
+             for _ in range(n_ops)]
+    rho = random_density(width, rng)
+    want = sum(e @ rho @ e.conj().T for e in (kron_embed(k, qubits, width) for k in stack))
+    op = sum(_liouville(k) for k in stack)
+    assert np.abs(_apply_kraus(rho, op, qubits) - want).max() <= 1e-14
 
 
 @st.composite
@@ -517,10 +529,9 @@ def with_barriers(circuit, barriers):
 
 @settings(max_examples=80, deadline=None)
 @given(native_circuits(), st.lists(st.integers(0, 64), max_size=3))
-def test_run_products_are_the_embedded_per_gate_products(circuit, barriers):
-    # at widths 1-4 the check leaves one entry per one-qubit run in
-    # cache.products: the per-gate product u = g_n ... g_1 at full width,
-    # as apply_matrix(eye, u) embeds it; barriers split runs and have none
+def test_run_products_are_the_per_gate_products(circuit, barriers):
+    # the check leaves one entry per one-qubit run in cache.products: the
+    # per-gate 2x2 product u = g_n ... g_1; barriers split runs and have none
     c = with_barriers(circuit, barriers)
     cache = BundleCache(None, c.width)
     rows = _lower_runs(c, cache)
@@ -529,12 +540,11 @@ def test_run_products_are_the_embedded_per_gate_products(circuit, barriers):
     runs = {tuple([c.gates[i] for i in p]) for p in wire_runs([g.qubits for g in c.gates], joins)
             if joins[p[0]]}
     assert cache.products.keys() == runs
-    eye = np.eye(1 << c.width, dtype=complex)
-    for run, full in cache.products.items():
+    for run, product in cache.products.items():
         u = gate_matrix(run[0])
         for g in run[1:]:
             u = gate_matrix(g) @ u
-        assert np.array_equal(full, apply_matrix(eye, u, run[0].qubits, c.width))
+        assert np.array_equal(product, u)
 
 
 @settings(max_examples=80, deadline=None)
