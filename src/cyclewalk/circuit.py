@@ -23,6 +23,7 @@ __all__ = [
     "apply_matrix",
     "apply_circuit",
     "wire_runs",
+    "RunPlan",
     "depth_report",
     "to_text",
     "from_text",
@@ -93,21 +94,23 @@ def apply_matrix(rows: np.ndarray, m: np.ndarray, qubits, width: int) -> np.ndar
     qubit q + w, on which ``m`` acts as a superoperator.  The result has the
     shape of ``rows``.  ``qubits[0]`` is the most significant qubit of
     ``m``'s index.  This is the one gate-application kernel: ``np.dot`` on
-    the transposed view reproduces ``np.tensordot`` bit for bit, which
-    batched ``matmul`` does not.
+    the rows permuted target bits first (the trailing axis never moves)
+    reproduces ``np.tensordot`` bit for bit, which batched ``matmul`` does not.
     """
-    order, back = _axis_orders(tuple(qubits), width)
-    moved = rows.reshape((2,) * width + (-1,)).transpose(order)
-    out = np.dot(m, moved.reshape(1 << len(qubits), -1)).reshape(moved.shape)
-    return out.transpose(back).reshape(rows.shape)
+    gather, scatter = _row_orders(tuple(qubits), width)
+    # unnamed, the gathered copy is freed before the scatter, which reuses its pages
+    out = np.dot(m, rows.reshape(1 << width, -1).take(gather, axis=0).reshape(len(m), -1))
+    return out.reshape(1 << width, -1).take(scatter, axis=0).reshape(rows.shape)
 
 
-@functools.cache
-def _axis_orders(qubits: tuple[int, ...], width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """apply_matrix's axis permutation (target axes first) and its inverse."""
+@functools.lru_cache(maxsize=256)
+def _row_orders(qubits: tuple[int, ...], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """apply_matrix's row order (target bits first) and its inverse, 2**width long."""
     axes = [width - 1 - q for q in qubits]
-    order = axes + [ax for ax in range(width + 1) if ax not in axes]
-    return tuple(order), tuple(sorted(range(width + 1), key=order.__getitem__))
+    order = axes + [ax for ax in range(width) if ax not in axes]
+    index = np.arange(1 << width).reshape((2,) * width)
+    back = sorted(range(width), key=order.__getitem__)  # np.argsort's code adds 0.3 MB RSS
+    return index.transpose(order).reshape(-1), index.transpose(back).reshape(-1)
 
 
 class Trail:
@@ -189,6 +192,36 @@ def wire_runs(
         yield (i,)
     for wire in sorted(pending):
         yield tuple(pending[wire])
+
+
+class RunPlan:
+    """The ``wire_runs`` groups of items, each with its index among the runs
+    of joining items (None for any other item); those runs and the positions
+    in them; and, for ``products``, the run positions longest run first, row
+    k of each at step k (a shorter run repeats its last, never multiplied)."""
+
+    def __init__(self, qubits: Sequence[tuple[int, ...]], joins: Sequence[bool]) -> None:
+        items = list(wire_runs(qubits, joins))
+        self.runs = [p for p in items if joins[p[0]]]
+        self.joined = [i for p in self.runs for i in p]
+        index = {p: j for j, p in enumerate(self.runs)}
+        self.items = [(p, index.get(p)) for p in items]
+        order = sorted(range(len(self.runs)), key=lambda j: -len(self.runs[j]))
+        longest = len(self.runs[order[0]]) if order else 1
+        padded = [p + p[-1:] * (longest - len(p)) for p in (self.runs[j] for j in order)]
+        self.steps = np.array(padded, dtype=np.intp).reshape(len(order), longest).T
+        lengths = np.array([len(self.runs[j]) for j in order])
+        self.active = [int(np.count_nonzero(lengths > k)) for k in range(1, longest)]
+        self.back = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
+
+    def products(self, mats: np.ndarray) -> np.ndarray:
+        """Each run's u = m_n ... m_1 (``mats``: a 2x2 matrix per item), one
+        stacked matmul per step, bit for bit the scalar products."""
+        stack = mats[self.steps]
+        u = stack[0]
+        for k, count in enumerate(self.active, 1):
+            u[:count] = stack[k, :count] @ u[:count]
+        return u[self.back]
 
 
 @dataclass(frozen=True)

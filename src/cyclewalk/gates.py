@@ -113,12 +113,12 @@ class Gate:
             raise ValueError(
                 f"{self.kind} takes {expected} parameter(s), got {len(self.params)}"
             )
-        if not all(map(math.isfinite, self.params)):
-            raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
-        # canonical_angle reduces by the float 2*pi, 2.45e-16 short of the true
-        # value, so a reduced angle drifts by |theta| * 3.9e-17: at most 4e-11
-        # at this bound, far inside the transpile check's 1e-8
-        if any(abs(p) > _MAX_ANGLE for p in self.params):
+        # NaN and +-inf fail the bound too; canonical_angle reduces by the float
+        # 2*pi, 2.45e-16 short of the true value, so a reduced angle drifts by
+        # |theta| * 3.9e-17: at most 4e-11 here, far inside transpile's 1e-8
+        if not all(-_MAX_ANGLE <= p <= _MAX_ANGLE for p in self.params):
+            if not all(map(math.isfinite, self.params)):
+                raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
             raise ValueError(
                 f"{self.kind} parameters must be at most {_MAX_ANGLE:g} in magnitude, "
                 f"got {self.params}"

@@ -112,7 +112,7 @@ def find_period_power(
         nonlocal power
         powers = block[:n]
         for out in powers:
-            power = np.matmul(u, power, out=out)
+            power = np.dot(u, power, out=out)
         power = power.copy()  # the block becomes U^t - e^{i gamma} I below
         diagonals = powers.reshape(n, -1)[:, :: dim + 1]
         if phase_insensitive:

@@ -13,8 +13,9 @@ Three layers, each verified against dense linear algebra:
   only on the width.
 
 Native streams are lists of ("u", wire, matrix) and ("ecr", hi, lo) items;
-adjacent single-qubit items on a wire merge before emission, so the emitted
-gate count is structure-determined, never angle-determined.
+adjacent single-qubit items on a wire merge before emission, in one stacked
+pass planned once per skeleton, so the emitted gate count is
+structure-determined, never angle-determined.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .circuit import Circuit, lower_to_unitary, wire_runs
+from .circuit import Circuit, RunPlan, lower_to_unitary
 from .gates import (
     Gate,
     H_MATRIX,
@@ -339,6 +340,8 @@ def cp_stream(theta: float, control: int, target: int) -> Stream:
 
 # eigenbasis of ZX = iY: columns are the eigenvectors for +i and -i
 _ZX_BASIS = np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2)
+_ZX_BASIS_DAG = _ZX_BASIS.conj().T
+_PHASE_HALF_PI = phase_matrix(math.pi / 2)
 
 
 def _merged_cz_cx_stream(hi: int, lo: int) -> Stream:
@@ -349,9 +352,9 @@ def _merged_cz_cx_stream(hi: int, lo: int) -> Stream:
     with locals: (I (x) B) P(pi/2)_hi CZ (I (x) B^dag).
     """
     return (
-        [_u(lo, _ZX_BASIS.conj().T)]
+        [_u(lo, _ZX_BASIS_DAG)]
         + cz_stream(hi, lo)
-        + [_u(lo, _ZX_BASIS), _u(hi, phase_matrix(math.pi / 2))]
+        + [_u(lo, _ZX_BASIS), _u(hi, _PHASE_HALF_PI)]
     )
 
 
@@ -458,15 +461,14 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
     on the top wire and each block-diagonal factor demultiplexes into two
     4x4 blocks around a multiplexed RZ.
     """
-    (u_list, cs, vdh_list) = scipy.linalg.cossin(u8, p=4, q=4, separate=False)
+    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u8, p=4, q=4, separate=True)
     sel, *low = wires
-    c_diag = np.diagonal(cs[:4, :4]).real
-    s_diag = np.diagonal(cs[4:, :4]).real
-    thetas = 2.0 * np.arctan2(s_diag, c_diag)
+    # the angles as the CS factor gives them: scipy builds it from cos, sin
+    thetas = 2.0 * np.arctan2(np.sin(theta), np.cos(theta))
     stream: Stream = []
-    stream += _demux_stream(vdh_list[:4, :4], vdh_list[4:, 4:], sel, low)
+    stream += _demux_stream(v1h, v2h, sel, low)
     stream += mux_rotation_stream("y", sel, low, thetas)
-    stream += _demux_stream(u_list[:4, :4], u_list[4:, 4:], sel, low)
+    stream += _demux_stream(u1, u2, sel, low)
     return stream
 
 
@@ -479,16 +481,18 @@ def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     return Gate(kind, qubits)
 
 
-def _zxzxz_stack(u: np.ndarray) -> list[tuple[float, float, float]]:
-    """``zxzxz_angles``' (a, b, c) for each matrix of an (n, 2, 2) stack, bit
-    for bit: one numpy pass over the rows with |u00| and |u01| above _EPS,
-    the scalar form for the diagonal and anti-diagonal rest.  ``np.hypot``
+def _zxzxz_stack(u: np.ndarray) -> np.ndarray:
+    """The canonical ``zxzxz_angles`` (a, b, c) of each matrix of an (n, 2, 2)
+    stack, bit for bit, as an (n, 3) array: one numpy pass over the rows with
+    |u00| and |u01| above _EPS, the scalar form for the rest.  ``np.hypot``
     is the scalar ``abs`` of a complex entry (``np.abs`` of an array is not),
-    and vector ``arctan2`` is not ``math.atan2``, so b stays scalar."""
+    vector ``arctan2`` is not ``math.atan2`` (so b stays scalar), and
+    ``np.fmod`` is exact, as ``math.fmod`` is."""
     u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
     s = np.hypot(u00.real, u00.imag)
     cmag = np.hypot(u01.real, u01.imag)
-    g = np.flatnonzero((s > _EPS) & (cmag > _EPS))
+    general = (s > _EPS) & (cmag > _EPS)
+    g = np.flatnonzero(general)
     apc = np.angle(-u11[g] / u00[g])
     amc = np.angle(u10[g] / u01[g])
     a = 0.5 * (apc + amc)
@@ -501,25 +505,27 @@ def _zxzxz_stack(u: np.ndarray) -> list[tuple[float, float, float]]:
     flip = np.hypot(minus.real, minus.imag) > np.hypot(plus.real, plus.imag)
     a[flip] += math.pi
     c[flip] -= math.pi
-    b = [2.0 * math.atan2(x, y) for x, y in zip(s.tolist(), cmag.tolist())]
-    angles = [None] * len(u)
-    for i, ai, ci in zip(g.tolist(), a.tolist(), c.tolist()):
-        angles[i] = (ai, b[i], ci)
-    for i, done in enumerate(angles):
-        if done is None:
-            angles[i] = zxzxz_angles(u[i])[:3]
+    angles = np.empty((len(u), 3))
+    angles[g, 0], angles[g, 2] = a, c
+    angles[:, 1] = [2.0 * math.atan2(x, y) for x, y in zip(s.tolist(), cmag.tolist())]
+    for i in np.flatnonzero(~general).tolist():
+        angles[i] = zxzxz_angles(u[i])[:3]
+    angles = np.fmod(angles, 2.0 * math.pi)
+    # a value above pi lands in (-pi, 0) exactly, so the second test is the elif
+    angles[angles > math.pi] -= 2.0 * math.pi
+    angles[angles <= -math.pi] += 2.0 * math.pi
     return angles
 
 
 def _zxzxz_gates(wire: int, a: float, b: float, c: float) -> list[Gate]:
-    """RZ(c) SX RZ(b) SX RZ(a) on ``wire``, angles canonicalized."""
+    """RZ(c) SX RZ(b) SX RZ(a) on ``wire``; the angles are canonical."""
     sx = _fixed_gate("SX", (wire,))
     return [
-        Gate("RZ", (wire,), (canonical_angle(c),)),
+        Gate("RZ", (wire,), (c,)),
         sx,
-        Gate("RZ", (wire,), (canonical_angle(b),)),
+        Gate("RZ", (wire,), (b,)),
         sx,
-        Gate("RZ", (wire,), (canonical_angle(a),)),
+        Gate("RZ", (wire,), (a,)),
     ]
 
 
@@ -529,38 +535,39 @@ def _emit_matrix(wire: int, matrix: np.ndarray) -> list[Gate]:
     if abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
         angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
         return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
-    gates = _zxzxz_gates(wire, *zxzxz_angles(matrix)[:3])
+    gates = _zxzxz_gates(wire, *map(canonical_angle, zxzxz_angles(matrix)[:3]))
     return [g for g in gates if g.kind == "SX" or abs(g.params[0]) >= ZERO_ANGLE]
+
+
+_stream_plan = functools.lru_cache(maxsize=64)(RunPlan)  # per stream skeleton
 
 
 def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
     """Merge per-wire single-qubit runs, then emit native gates.
 
-    With ``fixed_shape`` every merged run becomes exactly five gates
-    (RZ SX RZ SX RZ), their angles taken for all runs in one pass, so the
-    output shape depends only on the entangler skeleton of the stream.
+    The stream's skeleton is planned once, and the runs of its stacked "u"
+    matrices are multiplied by ``RunPlan.products``.  Each merged run becomes
+    its shortest form (``_emit_matrix``), or with ``fixed_shape`` exactly
+    five gates (RZ SX RZ SX RZ), their angles taken for all runs in one
+    pass, so the output shape depends only on the entangler skeleton.
     """
-    joins = [item[0] == "u" for item in stream]
-    wires = [item[1:2] if join else item[1:] for item, join in zip(stream, joins)]
-    items: list = []  # gates, and (wire, merged matrix) for each fixed-shape run
-    for group in wire_runs(wires, joins):
-        if not joins[group[0]]:
-            items.append(_fixed_gate("ECR", wires[group[0]]))
-            continue
-        wire, m = stream[group[0]][1:]
-        for i in group[1:]:
-            m = stream[i][2] @ m
-        items.extend([(wire, m)] if fixed_shape else _emit_matrix(wire, m))
-    if not fixed_shape:
-        return items
-    runs = [item for item in items if isinstance(item, tuple)]
-    angles = iter(_zxzxz_stack(np.array([m for _, m in runs]).reshape(-1, 2, 2)))
+    joins = tuple([item[0] == "u" for item in stream])
+    wires = tuple([item[1:2] if join else item[1:] for item, join in zip(stream, joins)])
+    plan = _stream_plan(wires, joins)
+    mats = np.zeros((len(stream), 2, 2), dtype=complex)
+    mats[plan.joined] = np.reshape([stream[i][2] for i in plan.joined], (-1, 2, 2))
+    products = plan.products(mats)
+    if fixed_shape:
+        angles = _zxzxz_stack(products).tolist()
     gates: list[Gate] = []
-    for item in items:
-        if isinstance(item, tuple):
-            gates.extend(_zxzxz_gates(item[0], *next(angles)))
+    for positions, j in plan.items:
+        wire = wires[positions[0]]
+        if j is None:
+            gates.append(_fixed_gate("ECR", wire))
+        elif fixed_shape:
+            gates.extend(_zxzxz_gates(wire[0], *angles[j]))
         else:
-            gates.append(item)
+            gates.extend(_emit_matrix(wire[0], products[j]))
     return gates
 
 

@@ -10,9 +10,9 @@ on the step count; wider circuits run L1 and are named after it.
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
 gate by gate (once: it is also L3's input), the output run by run.  L1
-fusion and the check share one run kernel: ``circuit.wire_runs`` groups the
-per-wire one-qubit runs and ``_run_products`` multiplies them from the gates
-in one stacked pass.  The check applies each 2x2 run product with
+fusion and the check share one run kernel: ``circuit.RunPlan`` groups the
+per-wire one-qubit runs and multiplies them in one stacked pass, from the
+matrices ``_run_products`` builds.  The check applies each 2x2 run product with
 ``circuit.apply_matrix`` and leaves it in a bundle cache, where
 ``run_noisy`` folds it into its events' superoperators.  Both lowerings
 are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a bundle,
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, apply_matrix, lower_to_unitary, wire_runs
+from .circuit import Circuit, RunPlan, apply_matrix, lower_to_unitary
 from .gates import Gate, NATIVE_KINDS, canonical_angle, gate_matrix
 from .noise import NoiseModel, gate_duration
 from .synthesis import (
@@ -132,39 +132,27 @@ def _skeleton(gates: list[Gate]) -> tuple:
 _CONSTANT_KINDS = ("ID", "SX", "X")
 
 
-class _RunPlan:
+class _RunPlan(RunPlan):
     """What ``_fuse_runs`` and ``_lower_runs`` read of a skeleton: the
-    ``wire_runs`` items of the gates (a barrier separates runs on its wires),
-    each with its index among the one-qubit runs (None for any other gate);
-    those runs; the positions of their RZ gates, of their gates of each
-    constant kind (one list per kind present) and of their other gates; and
-    the run indices grouped by length, with their positions as a (k, n)
-    array."""
+    ``RunPlan`` of its one-qubit runs (a barrier separates runs), and where
+    their RZ gates, gates of each constant kind and other gates are."""
 
     def __init__(self, gates: list[Gate]) -> None:
-        joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates]
-        items = list(wire_runs([g.qubits for g in gates], joins))
-        self.runs = [p for p in items if joins[p[0]]]
-        index = {p: j for j, p in enumerate(self.runs)}
-        self.items = [(p, index.get(p)) for p in items]
+        super().__init__([g.qubits for g in gates],
+                         [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates])
         by_kind: dict[str, list[int]] = {}
-        for i in (i for p in self.runs for i in p):
+        for i in self.joined:
             by_kind.setdefault(gates[i].kind, []).append(i)
         self.rz = by_kind.pop("RZ", [])
         self.constant = [by_kind.pop(kind) for kind in _CONSTANT_KINDS if kind in by_kind]
         self.other = [i for positions in by_kind.values() for i in positions]
-        by_length: dict[int, list[int]] = {}
-        for j, p in enumerate(self.runs):
-            by_length.setdefault(len(p), []).append(j)
-        self.by_length = [(js, np.array([self.runs[j] for j in js])) for js in by_length.values()]
 
 
 def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
     """The products u = g_n ... g_1 of the plan's one-qubit runs, in
     ``run_noisy``'s order, as one stack: the RZ matrices built from the
     gates' angles in one call, one ``gate_matrix`` call per constant kind,
-    each run length's group multiplied as a (k, n, 2, 2) stack.  Bit for bit
-    the per-gate products."""
+    then ``RunPlan.products``.  Bit for bit the per-gate products."""
     mats = np.zeros((len(gates), 2, 2), dtype=complex)
     if plan.rz:
         theta = np.array([gates[i].params[0] for i in plan.rz])
@@ -174,14 +162,7 @@ def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
         mats[positions] = gate_matrix(gates[positions[0]])
     if plan.other:
         mats[plan.other] = [gate_matrix(gates[i]) for i in plan.other]
-    products = np.empty((len(plan.runs), 2, 2), dtype=complex)
-    for js, positions in plan.by_length:
-        stack = mats[positions]
-        u = stack[:, 0]
-        for k in range(1, stack.shape[1]):
-            u = stack[:, k] @ u
-        products[js] = u
-    return products
+    return plan.products(mats)
 
 
 def _fuse_runs(gates: list[Gate]) -> list[Gate]:
@@ -266,7 +247,7 @@ def transpile(
     out = Circuit(circuit.width, name=f"{circuit.name}-native{int(level)}",
                   measured=circuit.measured)
     out.extend(gates)
-    bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS | {"BARRIER"}]
+    bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS and g.kind != "BARRIER"]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
     residual = phase_aligned_distance(_lower_runs(out, cache), source)

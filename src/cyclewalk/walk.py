@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
 
 __all__ = [

@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,26 @@ class TestGateValidation:
     def test_non_finite_parameters(self, kind, qubits, params):
         with pytest.raises(ValueError, match="must be finite"):
             Gate(kind, qubits, params)
+
+    @pytest.mark.parametrize("kind, qubits, n", [("U3", (0,), 3), ("RZ", (0,), 1), ("CP", (0, 1), 1)])
+    @pytest.mark.parametrize("bad, reason", [
+        (math.nan, "must be finite"),
+        (math.inf, "must be finite"),
+        (-math.inf, "must be finite"),
+        (1e6 + 1, "must be at most 1e+06 in magnitude"),
+        (-(1e6 + 1), "must be at most 1e+06 in magnitude"),
+    ])
+    def test_out_of_range_parameter_messages(self, kind, qubits, n, bad, reason):
+        for i in range(n):
+            params = tuple(bad if j == i else 0.5 for j in range(n))
+            message = f"{kind} parameters {reason}, got {params}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Gate(kind, qubits, params)
+
+    def test_non_finite_is_named_before_too_large(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Gate("U3", (0,), (2e6, 0.1, math.nan))
+        Gate("U3", (0,), (1e6, -1e6, 0.0))  # the bound itself is accepted
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown gate kind"):

@@ -29,7 +29,7 @@ from cyclewalk import (
     transpile,
     validate_density,
 )
-from cyclewalk.circuit import apply_matrix, wire_runs
+from cyclewalk.circuit import _row_orders, apply_matrix, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
@@ -146,6 +146,42 @@ class TestApplyMatrix:
                 got = apply_matrix(rows, m, qubits, width)
                 assert got.shape == rows.shape
                 assert np.abs(got - full @ rows).max() <= 1e-12
+
+
+def transpose_reference(rows, m, qubits, width):
+    """The axis-transpose form of apply_matrix: the target axes moved first
+    on a (2,) * width + (-1,) view, np.dot, and the axes moved back."""
+    axes = [width - 1 - q for q in qubits]
+    order = axes + [ax for ax in range(width + 1) if ax not in axes]
+    moved = rows.reshape((2,) * width + (-1,)).transpose(order)
+    out = np.dot(m, moved.reshape(1 << len(qubits), -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(order)).reshape(rows.shape)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_row_permutation_kernel_equals_the_transpose_form(width):
+    # every 1- and 2-qubit target order, on a vector, a square and (at even
+    # widths) a density matrix over the doubled register: equal bit for bit
+    rng = np.random.default_rng(200 + width)
+    dim = 1 << width
+    targets = [(q,) for q in range(width)]
+    targets += [(a, b) for a in range(width) for b in range(width) if a != b]
+    arrays = [rng.normal(size=dim) + 1j * rng.normal(size=dim),
+              rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))]
+    if width % 2 == 0:
+        half = 1 << (width // 2)
+        arrays.append(rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half)))
+    for qubits in targets:
+        k = 1 << len(qubits)
+        m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        for rows in arrays:
+            got = apply_matrix(rows, m, qubits, width)
+            assert got.shape == rows.shape
+            assert np.array_equal(got, transpose_reference(rows, m, qubits, width))
+        # the cached row orders are 2**width long, whatever the trailing axis
+        gather, scatter = _row_orders(qubits, width)
+        assert len(gather) == len(scatter) == dim
+        assert np.array_equal(gather[scatter], np.arange(dim))
 
 
 class TestRunExact:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from conftest import phase_aligned
 
 from cyclewalk import Gate, OptLevel, build_walk_circuit_3cycle, build_walk_circuit_4cycle, transpile
 from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, canonical_angle, rz_matrix, u3_matrix
+from cyclewalk.circuit import wire_runs
 from cyclewalk.synthesis import (
+    _emit_matrix,
     _rx,
     _ry,
     assemble_stream,
@@ -200,6 +202,55 @@ def test_fixed_shape_emission_equals_the_scalar_reference(seed, n_random, degene
         stream += [("u", wire, matrices[k]), ("ecr", wire, (wire + 1) % 3)]
         expected += scalar_fixed_shape(wire, matrices[k]) + [Gate("ECR", (wire, (wire + 1) % 3))]
     assert stream_to_gates(stream, fixed_shape=True) == expected
+
+
+@st.composite
+def run_streams(draw):
+    """A stream on 3 wires: runs of 1 to 5 "u" items (Haar-random or
+    degenerate) on random wires, with ECRs between some of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stream = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            hi, lo = draw(st.permutations(range(3)))[:2]
+            stream.append(("ecr", hi, lo))
+            continue
+        wire = draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(1, 5))):
+            if draw(st.integers(0, 3)) == 0:
+                u = draw(degenerate_unitaries())
+            else:
+                u = unitary_group.rvs(2, random_state=rng)
+            stream.append(("u", wire, u))
+    return stream
+
+
+def scalar_emission(stream, fixed_shape):
+    """The per-run reference: each run's product as the scalar left fold
+    m = item @ m, emitted on its own."""
+    joins = [item[0] == "u" for item in stream]
+    wires = [item[1:2] if join else item[1:] for item, join in zip(stream, joins)]
+    gates = []
+    for group in wire_runs(wires, joins):
+        if not joins[group[0]]:
+            gates.append(Gate("ECR", wires[group[0]]))
+            continue
+        wire, m = stream[group[0]][1:]
+        for i in group[1:]:
+            m = stream[i][2] @ m
+        gates += scalar_fixed_shape(wire, m) if fixed_shape else _emit_matrix(wire, m)
+    return gates
+
+
+@settings(max_examples=80, deadline=None)
+@given(run_streams(), st.booleans())
+@example([("ecr", 0, 1), ("ecr", 2, 1)], True)
+@example([("ecr", 0, 1), ("ecr", 2, 1)], False)
+@example([], True)
+def test_stacked_emission_equals_the_scalar_fold(stream, fixed_shape):
+    # runs of several items, multiplied as stacks, emit what the scalar left
+    # fold of each run emits, in both modes; a stream may have no "u" item
+    assert stream_to_gates(stream, fixed_shape) == scalar_emission(stream, fixed_shape)
 
 
 class TestClosedFormRotations:
