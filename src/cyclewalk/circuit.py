@@ -1,5 +1,6 @@
-"""Circuit container, exact lowering to a dense unitary, depth analysis and
-the line-oriented text serialization.
+"""Circuit container, exact lowering to a dense unitary, the as-soon-as-possible
+pass behind depth analysis and scheduling, and the line-oriented text
+serialization.
 
 Execution order is list order: ``gates[0]`` acts first.  Measurement is
 circuit metadata (``measured``), not a gate, so lowering stays unitary.
@@ -224,6 +225,21 @@ class RunPlan:
         return u[self.back]
 
 
+def _asap_starts(gates: Sequence[Gate], durations: Sequence[float], width: int) -> list[float]:
+    """As-soon-as-possible start times: a gate starts once all its qubits are
+    free and holds them for its duration (a barrier, of duration 0, brings
+    its qubits level).  The one ASAP pass: ``depth_report`` runs it on unit
+    durations, ``transpile.schedule`` on the noise model's."""
+    free = [0.0] * width
+    starts = []
+    for gate, dur in zip(gates, durations):
+        start = max(free[q] for q in gate.qubits)
+        for q in gate.qubits:
+            free[q] = start + dur
+        starts.append(start)
+    return starts
+
+
 @dataclass(frozen=True)
 class DepthReport:
     """Greedy as-soon-as-possible layering of a circuit.
@@ -239,23 +255,12 @@ class DepthReport:
 
 
 def depth_report(circuit: Circuit) -> DepthReport:
-    ready = [0] * circuit.width
-    depth = n1 = n2 = 0
-    for gate in circuit.gates:
-        if gate.kind == "BARRIER":
-            floor = max(ready[q] for q in gate.qubits)
-            for q in gate.qubits:
-                ready[q] = floor
-            continue
-        layer = max(ready[q] for q in gate.qubits) + 1
-        for q in gate.qubits:
-            ready[q] = layer
-        depth = max(depth, layer)
-        if gate.n_qubits == 1:
-            n1 += 1
-        else:
-            n2 += 1
-    return DepthReport(depth=depth, counts_1q=n1, counts_2q=n2)
+    gates = circuit.gates
+    durs = [int(g.kind != "BARRIER") for g in gates]
+    starts = _asap_starts(gates, durs, circuit.width)
+    n1 = sum([g.n_qubits == 1 for g, d in zip(gates, durs) if d])
+    depth = int(max([s + d for s, d in zip(starts, durs)], default=0))
+    return DepthReport(depth=depth, counts_1q=n1, counts_2q=sum(durs) - n1)
 
 
 def _format_float(x: float) -> str:

@@ -350,11 +350,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     out = _output_dir(cfg.out_dir, "out")
     sched = cfg.schedule()
     steps = list(range(1, cfg.t_max + 1))
-    p_exact: list[float] = []
-    p_sampled: list[float] = []
-    p_noisy: list[float] = []
-    f_sampled: list[float] = []
-    f_noisy: list[float] = []
+    prob_cols: dict[str, list[float]] = {"exact": []}
+    fid_cols: dict[str, list[float]] = {}
     cache = None
     for t in steps:
         circuit = build_walk_circuit(cfg.cycle, sched, t)
@@ -362,28 +359,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
             cache = BundleCache(cfg.noise, circuit.width)
         state = run_exact(circuit, _ground_state(circuit.width), cache)
         exact = measure_positions(state, circuit.measured)
-        p_exact.append(exact.outcomes.get(0, 0.0))
+        prob_cols["exact"].append(exact.outcomes.get(0, 0.0))
         if cfg.shots > 0:
             sampled = measure_positions(
                 state, circuit.measured, shots=cfg.shots, seed=_derived_seed(cfg.seed, t)
             )
-            p_sampled.append(sampled.outcomes.get(0, 0) / cfg.shots)
-            f_sampled.append(hellinger_fidelity(sampled, exact))
+            prob_cols.setdefault("sampled", []).append(sampled.outcomes.get(0, 0) / cfg.shots)
+            fid_cols.setdefault("sampled", []).append(hellinger_fidelity(sampled, exact))
         if cfg.noise is not None:
             noisy = _noisy_distribution(cfg, circuit, cache)
-            p_noisy.append(noisy.outcomes.get(0, 0.0))
-            f_noisy.append(hellinger_fidelity(noisy, exact))
-
-    prob_cols = {"exact": p_exact}
-    if p_sampled:
-        prob_cols["sampled"] = p_sampled
-    if p_noisy:
-        prob_cols["noisy"] = p_noisy
-    fid_cols = {}
-    if f_sampled:
-        fid_cols["sampled"] = f_sampled
-    if f_noisy:
-        fid_cols["noisy"] = f_noisy
+            prob_cols.setdefault("noisy", []).append(noisy.outcomes.get(0, 0.0))
+            fid_cols.setdefault("noisy", []).append(hellinger_fidelity(noisy, exact))
 
     prob_series = {k: ([float(t) for t in steps], v) for k, v in prob_cols.items()}
     if overlay is not None:

@@ -30,6 +30,7 @@ __all__ = [
     "ONE_QUBIT_KINDS",
     "TWO_QUBIT_KINDS",
     "NATIVE_KINDS",
+    "CONSTANT_MATRICES",
     "gate_matrix",
     "canonical_angle",
     "rz_matrix",
@@ -54,6 +55,14 @@ X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 SX_MATRIX = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 ECR_MATRIX = (np.kron(np.eye(2), X_MATRIX) - np.kron(X_MATRIX, _Y)) / math.sqrt(2)
+
+# the matrices fixed by the kind alone, shared by every gate of that kind
+CONSTANT_MATRICES = {
+    "H": H_MATRIX, "X": X_MATRIX, "SX": SX_MATRIX, "ID": np.eye(2, dtype=complex),
+    "ECR": ECR_MATRIX,
+}
+for _m in CONSTANT_MATRICES.values():
+    _m.flags.writeable = False
 
 
 def rz_matrix(theta: float) -> np.ndarray:
@@ -160,14 +169,8 @@ class Gate:
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense matrix of the gate in its local qubit ordering (qubits[0] = MSB)."""
     kind = gate.kind
-    if kind == "H":
-        return H_MATRIX
-    if kind == "X":
-        return X_MATRIX
-    if kind == "SX":
-        return SX_MATRIX
-    if kind == "ID":
-        return np.eye(2, dtype=complex)
+    if kind in CONSTANT_MATRICES:
+        return CONSTANT_MATRICES[kind]
     if kind == "RZ":
         return rz_matrix(gate.params[0])
     if kind == "PHASE":
@@ -180,6 +183,4 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         out = np.eye(4, dtype=complex)
         out[3, 3] = np.exp(1j * gate.params[0])
         return out
-    if kind == "ECR":
-        return ECR_MATRIX
     raise ValueError(f"gate kind {kind!r} has no matrix")

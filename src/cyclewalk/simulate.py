@@ -275,7 +275,7 @@ def run_noisy(
 
     channels = cache.channels
     folded: dict[tuple[Gate, ...], np.ndarray] = {}
-    plan = cache.plan("events", (_skeleton(gates), sc.start_times, sc.idle_windows),
+    plan = cache.plan("events", (_skeleton(gates), sc.start_times, sc.durations),
                       lambda: list(_noisy_events(sc, nm)))
     events = [(key, tuple([gates[i] for i in run])) for key, run in plan]
     rho = initial.astype(complex)

@@ -18,10 +18,15 @@ matrices ``_run_products`` builds.  The check applies each 2x2 run product with
 are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a bundle,
 the check's run plan and the schedule come from the cache while the
 skeleton repeats.
+
+A schedule is its start times and durations; its idle windows, where XY4
+pulses go and relaxation acts, are derived from them.  The start times come
+from the ASAP pass that ``circuit.depth_report`` also runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -29,8 +34,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, RunPlan, apply_matrix, lower_to_unitary
-from .gates import Gate, NATIVE_KINDS, canonical_angle, gate_matrix
+from .circuit import Circuit, RunPlan, _asap_starts, apply_matrix, lower_to_unitary
+from .gates import (CONSTANT_MATRICES, NATIVE_KINDS, ONE_QUBIT_KINDS, Gate, canonical_angle,
+                    gate_matrix)
 from .noise import NoiseModel, gate_duration
 from .synthesis import (
     ZERO_ANGLE,
@@ -129,7 +135,7 @@ def _skeleton(gates: list[Gate]) -> tuple:
 
 
 # one-qubit kinds whose matrix is fixed by the kind alone
-_CONSTANT_KINDS = ("ID", "SX", "X")
+_CONSTANT_KINDS = tuple([k for k in CONSTANT_MATRICES if k in ONE_QUBIT_KINDS])
 
 
 class _RunPlan(RunPlan):
@@ -263,18 +269,16 @@ def transpile(
 
 @dataclass(frozen=True)
 class ScheduledCircuit:
-    """A native circuit with as-soon-as-possible start times.
+    """A native circuit with a start time and a duration for each gate.
 
-    ``idle_windows`` lists (qubit, t_start, t_end) gaps between consecutive
-    gate events on a wire, i.e. the complement of busy time between the
-    wire's first and last gate.  ``run_noisy`` trusts all of these, so each
-    gate must have one finite time >= 0 and each window 0 <= t_start < t_end.
+    ``run_noisy`` trusts the times as given, so each gate must have one
+    finite time >= 0 and start no earlier than the gates before it on its
+    qubits.  Idle windows are derived from the times.
     """
 
     circuit: Circuit
     start_times: tuple[float, ...]
     durations: tuple[float, ...]
-    idle_windows: tuple[tuple[int, float, float], ...]
 
     def __post_init__(self) -> None:
         n = len(self.circuit.gates)
@@ -282,9 +286,13 @@ class ScheduledCircuit:
             raise ValueError(f"need one start time and one duration for each of {n} gates")
         if not all(0.0 <= x < math.inf for x in (*self.start_times, *self.durations)):
             raise ValueError("start times and durations must be finite and >= 0")
-        for q, t0, t1 in self.idle_windows:
-            if not (0 <= q < self.circuit.width and 0.0 <= t0 < t1 < math.inf):
-                raise ValueError(f"bad idle window {(q, t0, t1)} on width {self.circuit.width}")
+        last = [0.0] * self.circuit.width
+        for i, (gate, start) in enumerate(zip(self.circuit.gates, self.start_times)):
+            for q in gate.qubits:
+                if start < last[q]:
+                    raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
+                                     f"an earlier gate on qubit {q} at {last[q]}")
+                last[q] = start
 
     @property
     def total_time(self) -> float:
@@ -292,36 +300,30 @@ class ScheduledCircuit:
             return 0.0
         return max(s + d for s, d in zip(self.start_times, self.durations))
 
+    @functools.cached_property
+    def idle_windows(self) -> tuple[tuple[int, float, float], ...]:
+        """(qubit, t_start, t_end) gaps between consecutive gate events on a
+        wire, i.e. the complement of busy time between the wire's first and
+        last gate."""
+        events: dict[int, list[tuple[float, float]]] = {}
+        for gate, start, dur in zip(self.circuit.gates, self.start_times, self.durations):
+            if gate.kind == "BARRIER":
+                continue
+            for q in gate.qubits:
+                events.setdefault(q, []).append((start, start + dur))
+        windows = []
+        for q, spans in sorted(events.items()):
+            spans.sort()
+            for (_, end), (nxt, _) in zip(spans, spans[1:]):
+                if nxt - end > 1e-12:
+                    windows.append((q, end, nxt))
+        return tuple(windows)
 
-def _idle_windows(gates: list[Gate], starts: list[float], durs: list[float]) -> tuple:
-    events: dict[int, list[tuple[float, float]]] = {}
-    for gate, start, dur in zip(gates, starts, durs):
-        if gate.kind == "BARRIER":
-            continue
-        for q in gate.qubits:
-            events.setdefault(q, []).append((start, start + dur))
-    windows = []
-    for q, spans in sorted(events.items()):
-        spans.sort()
-        for (_, end), (nxt, _) in zip(spans, spans[1:]):
-            if nxt - end > 1e-12:
-                windows.append((q, end, nxt))
-    return tuple(windows)
 
-
-def _asap(circuit: Circuit, nm: NoiseModel) -> tuple[tuple, tuple, tuple]:
-    """Start times, durations and idle windows of the ASAP schedule."""
-    free = [0.0] * circuit.width
-    starts: list[float] = []
-    durs: list[float] = []
-    for gate in circuit.gates:
-        dur = gate_duration(gate, nm)
-        start = max(free[q] for q in gate.qubits)
-        for q in gate.qubits:
-            free[q] = start + dur
-        starts.append(start)
-        durs.append(dur)
-    return tuple(starts), tuple(durs), _idle_windows(circuit.gates, starts, durs)
+def _asap(circuit: Circuit, nm: NoiseModel) -> tuple[tuple, tuple]:
+    """Start times and durations of the ASAP schedule."""
+    durs = tuple([gate_duration(g, nm) for g in circuit.gates])
+    return tuple(_asap_starts(circuit.gates, durs, circuit.width)), durs
 
 
 def schedule(
@@ -384,5 +386,4 @@ def insert_dd(sc: ScheduledCircuit, nm: NoiseModel) -> ScheduledCircuit:
         out.append(gate)
         starts.append(start)
         durs.append(dur)
-    windows = _idle_windows(out.gates, starts, durs)
-    return ScheduledCircuit(out, tuple(starts), tuple(durs), windows)
+    return ScheduledCircuit(out, tuple(starts), tuple(durs))

@@ -337,6 +337,52 @@ class TestDepthReport:
         assert depth_report(c).depth == 1
 
 
+def _layered_depth(circuit):
+    """Reference: the greedy layering loop depth_report ran before it shared
+    the ASAP pass with the scheduler."""
+    ready = [0] * circuit.width
+    depth = n1 = n2 = 0
+    for gate in circuit.gates:
+        if gate.kind == "BARRIER":
+            floor = max(ready[q] for q in gate.qubits)
+            for q in gate.qubits:
+                ready[q] = floor
+            continue
+        layer = max(ready[q] for q in gate.qubits) + 1
+        for q in gate.qubits:
+            ready[q] = layer
+        depth = max(depth, layer)
+        if gate.n_qubits == 1:
+            n1 += 1
+        else:
+            n2 += 1
+    return depth, n1, n2
+
+
+@st.composite
+def _layered_circuits(draw):
+    """Width 1-4: one-qubit gates, ECRs and barriers on any qubit subset."""
+    width = draw(st.integers(1, 4))
+    c = Circuit(width)
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["SX", "ECR", "BARRIER"] if width > 1 else ["SX", "BARRIER"]))
+        if kind == "ECR":
+            c.add(kind, *draw(st.permutations(range(width)))[:2])
+        elif kind == "BARRIER":
+            c.add(kind, *draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True)))
+        else:
+            c.add(kind, draw(st.integers(0, width - 1)))
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layered_circuits())
+def test_depth_report_equals_the_layering_loop(c):
+    rep = depth_report(c)
+    assert (rep.depth, rep.counts_1q, rep.counts_2q) == _layered_depth(c)
+    assert all(type(x) is int for x in (rep.depth, rep.counts_1q, rep.counts_2q))
+
+
 class TestSerialization:
     def _sample(self):
         c = Circuit(3, name="sample", measured=(0, 1))

@@ -35,7 +35,7 @@ from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
 from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density, _liouville
 from cyclewalk.synthesis import _emit_matrix
-from cyclewalk.transpile import _fuse_runs, _lower_runs
+from cyclewalk.transpile import ScheduledCircuit, _fuse_runs, _lower_runs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -708,4 +708,16 @@ def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
         other = replace(nm, **durs)
         sc, fresh_sc = schedule(circuit, other, cache), schedule(circuit, other)
         assert (sc.start_times, sc.idle_windows) == (fresh_sc.start_times, fresh_sc.idle_windows)
+        assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
+
+
+def test_events_plan_follows_the_durations():
+    # same skeleton and start times; longer one-qubit gates close both idle windows
+    c = Circuit(2).add("SX", 0).add("SX", 1).add("ECR", 0, 1)
+    nm = NoiseModel()
+    rho0 = random_density(2, np.random.default_rng(5))
+    cache = BundleCache(nm, 2)
+    for durs in ((1.0, 1.0, 10.0), (3.0, 3.0, 10.0)):
+        sc = ScheduledCircuit(c, (0.0, 0.0, 3.0), durs)
+        assert len(sc.idle_windows) == (2 if durs[0] == 1.0 else 0)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))

@@ -398,7 +398,7 @@ class TestSchedule:
     def test_one_time_per_gate(self, starts, durs):
         c = Circuit(2).add("SX", 0).add("ECR", 0, 1)
         with pytest.raises(ValueError, match="one start time and one duration"):
-            ScheduledCircuit(c, starts, durs, ())
+            ScheduledCircuit(c, starts, durs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
     @pytest.mark.parametrize("field", ["start_times", "durations"])
@@ -410,15 +410,25 @@ class TestSchedule:
         with pytest.raises(ValueError, match="finite and >= 0"):
             replace(sc, **{field: tuple(times)})
 
-    @pytest.mark.parametrize("window", [
-        (2, 0.0, 1.0), (-1, 0.0, 1.0),  # qubit outside width 2
-        (0, 1.0, 1.0), (0, 2.0, 1.0),  # empty or reversed
-        (0, math.nan, 1.0), (0, 0.0, math.nan), (0, 0.0, math.inf), (0, -1.0, 1.0),
-    ])
-    def test_idle_windows_are_sound(self, window):
-        sc = schedule(Circuit(2).add("SX", 0).add("ECR", 0, 1), NoiseModel())
-        with pytest.raises(ValueError, match="bad idle window"):
-            replace(sc, idle_windows=(window,))
+    def test_start_times_keep_wire_order(self):
+        # were it accepted, run_noisy would apply RZ before SX: another unitary
+        c = Circuit(1).add("SX", 0).add("RZ", 0, params=(0.3,))
+        with pytest.raises(ValueError, match=r"gate 1 \(RZ\) starts at 0.0, before an earlier "
+                                             r"gate on qubit 0"):
+            ScheduledCircuit(c, (1.0, 0.0), (1.0, 0.0))
+        c = Circuit(2).add("SX", 0).add("SX", 1).add("ECR", 1, 0)
+        with pytest.raises(ValueError, match=r"gate 2 \(ECR\) .* qubit 1 at 2.0"):
+            ScheduledCircuit(c, (0.0, 2.0, 1.0), (1.0, 1.0, 1.0))
+        ScheduledCircuit(c, (0.0, 1.0, 1.0), (1.0, 0.0, 1.0))  # equal starts are in order
+
+    def test_idle_windows_follow_the_times(self):
+        # moving the ECR later opens a window on both wires; windows are not an input
+        sc = schedule(Circuit(2).add("SX", 0).add("SX", 1).add("ECR", 0, 1), NoiseModel())
+        assert sc.idle_windows == ()
+        moved = replace(sc, start_times=(0.0, 0.0, 3.0))
+        assert moved.idle_windows == ((0, 1.0, 3.0), (1, 1.0, 3.0))
+        with pytest.raises(TypeError):
+            replace(sc, idle_windows=((0, 1.0, 3.0),))
 
 
 class TestInsertDd:
