@@ -45,9 +45,11 @@ __all__ = [
 ONE_QUBIT_KINDS = frozenset({"H", "X", "SX", "ID", "RZ", "PHASE", "U3", "UNITARY"})
 TWO_QUBIT_KINDS = frozenset({"CP", "ECR"})
 NATIVE_KINDS = frozenset({"ID", "RZ", "SX", "X", "ECR"})
-_KINDS = ONE_QUBIT_KINDS | TWO_QUBIT_KINDS | {"BARRIER"}
-
-_PARAM_COUNT = {"RZ": 1, "PHASE": 1, "CP": 1, "U3": 3}
+# kind -> (qubit count, parameter count); a BARRIER takes any nonempty qubit set
+_SHAPES = {
+    **dict.fromkeys(ONE_QUBIT_KINDS, (1, 0)), **dict.fromkeys(TWO_QUBIT_KINDS, (2, 0)),
+    "RZ": (1, 1), "PHASE": (1, 1), "U3": (1, 3), "CP": (2, 1), "BARRIER": (None, 0),
+}
 _MAX_ANGLE = 1e6
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -107,43 +109,43 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.kind} gate has repeated qubits {self.qubits}")
-        if self.kind in ONE_QUBIT_KINDS and len(self.qubits) != 1:
-            raise ValueError(f"{self.kind} takes exactly 1 qubit, got {self.qubits}")
-        if self.kind in TWO_QUBIT_KINDS and len(self.qubits) != 2:
-            raise ValueError(f"{self.kind} takes exactly 2 qubits, got {self.qubits}")
-        if self.kind == "BARRIER" and not self.qubits:
-            raise ValueError("BARRIER needs at least one qubit")
-        expected = _PARAM_COUNT.get(self.kind, 0)
-        if len(self.params) != expected:
-            raise ValueError(
-                f"{self.kind} takes {expected} parameter(s), got {len(self.params)}"
-            )
+        kind, qubits, params = self.kind, self.qubits, self.params
+        shape = _SHAPES.get(kind)
+        if shape is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        n_qubits, n_params = shape
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"{kind} gate has repeated qubits {qubits}")
+        if n_qubits is None:
+            if not qubits:
+                raise ValueError("BARRIER needs at least one qubit")
+        elif len(qubits) != n_qubits:
+            plural = "s" if n_qubits > 1 else ""
+            raise ValueError(f"{kind} takes exactly {n_qubits} qubit{plural}, got {qubits}")
+        if len(params) != n_params:
+            raise ValueError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
         # NaN and +-inf fail the bound too; canonical_angle reduces by the float
         # 2*pi, 2.45e-16 short of the true value, so a reduced angle drifts by
         # |theta| * 3.9e-17: at most 4e-11 here, far inside transpile's 1e-8
-        if not all(-_MAX_ANGLE <= p <= _MAX_ANGLE for p in self.params):
-            if not all(map(math.isfinite, self.params)):
-                raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
-            raise ValueError(
-                f"{self.kind} parameters must be at most {_MAX_ANGLE:g} in magnitude, "
-                f"got {self.params}"
-            )
-        if self.kind == "UNITARY":
-            if self.matrix is None or self.matrix.shape != (2, 2):
+        for p in params:
+            if not -_MAX_ANGLE <= p <= _MAX_ANGLE:
+                if not all(map(math.isfinite, params)):
+                    raise ValueError(f"{kind} parameters must be finite, got {params}")
+                raise ValueError(
+                    f"{kind} parameters must be at most {_MAX_ANGLE:g} in magnitude, "
+                    f"got {params}"
+                )
+        matrix = self.matrix
+        if kind == "UNITARY":
+            if matrix is None or matrix.shape != (2, 2):
                 raise ValueError("UNITARY gate needs a 2x2 matrix payload")
-            defect = np.linalg.norm(
-                self.matrix @ self.matrix.conj().T - np.eye(2)
-            )
+            defect = np.linalg.norm(matrix @ matrix.conj().T - np.eye(2))
             if not (defect <= 1e-12):
                 raise ValueError(f"UNITARY payload is not unitary (defect {defect:.2e})")
-        elif self.matrix is not None:
-            raise ValueError(f"{self.kind} does not take a matrix payload")
+        elif matrix is not None:
+            raise ValueError(f"{kind} does not take a matrix payload")
         # dicts keyed by tuples of gates rehash every gate on each lookup
-        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.params)))
+        object.__setattr__(self, "_hash", hash((kind, qubits, params)))
 
     @property
     def n_qubits(self) -> int:

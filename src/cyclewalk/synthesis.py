@@ -10,7 +10,7 @@ Three layers, each verified against dense linear algebra:
   entanglers,
 * three qubits: cosine-sine recursion (two block demultiplexers around a
   multiplexed Y rotation), giving an entangler skeleton whose size depends
-  only on the width.
+  only on the width; its four two-qubit blocks take one stacked Cartan pass.
 
 Native streams are lists of ("u", wire, matrix) and ("ecr", hi, lo) items;
 adjacent single-qubit items on a wire merge before emission, in one stacked
@@ -130,6 +130,7 @@ _MAGIC = np.array(
     ],
     dtype=complex,
 ) / math.sqrt(2)
+_MAGIC_DAG = _MAGIC.conj().T
 
 _PAULI = {
     "X": X_MATRIX,
@@ -143,7 +144,7 @@ def _magic_signs() -> np.ndarray:
     rows = []
     for p in ("X", "Y", "Z"):
         pp = np.kron(_PAULI[p], _PAULI[p])
-        diag = _MAGIC.conj().T @ pp @ _MAGIC
+        diag = _MAGIC_DAG @ pp @ _MAGIC
         off = np.linalg.norm(diag - np.diag(np.diagonal(diag)))
         if off > 1e-12:
             raise AssertionError(f"{p}{p} is not diagonal in the magic basis")
@@ -156,96 +157,100 @@ _SIGNS = _magic_signs()
 
 
 def _joint_diagonalize(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Orthogonal O diagonalizing two commuting real symmetric matrices.
+    """Orthogonal O diagonalizing each pair of commuting real symmetric
+    matrices of two (n, 4, 4) stacks.
 
     Diagonalizes ``re`` first, then ``im`` restricted to each eigenspace of
-    ``re``; robust against degenerate spectra.
+    ``re``; robust against degenerate spectra.  Only rows with a degenerate
+    spectrum take the per-block pass.
     """
     w, o = np.linalg.eigh(re)
-    out = o.copy()
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[stop - 1] > 1e-9:
+    split = w[:, 1:] - w[:, :-1] > 1e-9
+    for i in np.flatnonzero(~split.all(axis=1)).tolist():
+        bounds = [0, *(np.flatnonzero(split[i]) + 1).tolist(), 4]
+        for start, stop in zip(bounds, bounds[1:]):
             if stop - start == 1:  # eigh of a 1x1 block gives [[1.0]]: keep o's column
-                start = stop
                 continue
-            block = o[:, start:stop]
-            sub = block.T @ im @ block
+            block = o[i, :, start:stop]
+            sub = block.T @ im[i] @ block
             _, p = np.linalg.eigh(0.5 * (sub + sub.T))
-            out[:, start:stop] = block @ p
-            start = stop
-    return out
+            o[i, :, start:stop] = block @ p
+    return o
 
 
-def interaction_matrix(a: float, b: float, c: float) -> np.ndarray:
-    """exp(i (a XX + b YY + c ZZ)), evaluated in the magic eigenbasis."""
-    phases = _SIGNS[:, :3] @ np.array([a, b, c])
-    return _MAGIC @ np.diag(np.exp(1j * phases)) @ _MAGIC.conj().T
+def interaction_matrix(a, b, c) -> np.ndarray:
+    """exp(i (a XX + b YY + c ZZ)), evaluated in the magic eigenbasis: one
+    4x4 matrix, or an (n, 4, 4) stack for (n,) arrays a, b, c."""
+    phases = np.stack([a, b, c], axis=-1) @ _SIGNS[:, :3].T
+    return _MAGIC * np.exp(1j * phases)[..., None, :] @ _MAGIC_DAG
 
 
-def _factor_kron(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an exact Kronecker product into (hi, lo) 2x2 factors."""
-    w = u4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def _factor_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split each exact Kronecker product of an (n, 4, 4) stack into its
+    (hi, lo) 2x2 factors, as two (n, 2, 2) stacks."""
+    w = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     u, s, vh = np.linalg.svd(w)
-    if s[1] > 1e-9:
-        raise AssertionError(f"matrix is not a Kronecker product (s1={s[1]:.2e})")
-    hi = (u[:, 0] * math.sqrt(s[0])).reshape(2, 2)
-    lo = (vh[0] * math.sqrt(s[0])).reshape(2, 2)
-    return hi, lo
+    if not (s[:, 1] <= 1e-9).all():
+        raise AssertionError(f"matrix is not a Kronecker product (s1={s[:, 1].max():.2e})")
+    scale = np.sqrt(s[:, :1])
+    return (u[:, :, 0] * scale).reshape(-1, 2, 2), (vh[:, 0] * scale).reshape(-1, 2, 2)
 
 
 def _kron2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 matrices, bit for bit, without its generic setup."""
-    return (hi[:, None, :, None] * lo[None, :, None, :]).reshape(4, 4)
+    """np.kron of each pair of an (n, 2, 2) stack, as an (n, 4, 4) stack."""
+    return (hi[:, :, None, :, None] * lo[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cartan decomposition of each unitary of an (n, 4, 4) stack, every
+    step one stacked call (a single matrix is the stack of one).
+
+    Returns (abcg, a1, a0, b1, b0): an (n, 4) stack of (a, b, c, g) and four
+    (n, 2, 2) stacks, with u[i] = e^{i g} (a1 (x) a0)
+    exp(i(a XX + b YY + c ZZ)) (b1 (x) b0) to machine precision.
+    """
+    n = len(u)
+    um = _MAGIC_DAG @ u @ _MAGIC
+    p = um @ um.mT
+    re, im = p.real, p.imag
+    o1 = _joint_diagonalize(0.5 * (re + re.mT), 0.5 * (im + im.mT))
+    theta = 0.5 * np.angle(np.diagonal(o1.mT @ p @ o1, axis1=1, axis2=2))
+    # diag(e^{-i theta}) as a matrix product: a broadcast one can flip the sign of a zero
+    phases = np.zeros((n, 4, 4), dtype=complex)
+    phases.reshape(n, 16)[:, ::5] = np.exp(-1j * theta)
+    q2t = phases @ o1.mT @ um
+    if not ((q2t.imag ** 2).sum(axis=(1, 2)) <= 1e-16).all():  # norm at most 1e-8
+        raise AssertionError("Cartan factor Q2 is not real")
+    # q2 = q2t^T; a factor of determinant -1 flips its first column into theta
+    q1, q2 = o1, q2t.real.mT.copy()
+    for q in (q1, q2):
+        flip = np.linalg.det(q) < 0
+        q[flip, :, 0] = -q[flip, :, 0]
+        theta[flip, 0] += math.pi
+    abcg = np.linalg.solve(_SIGNS, theta[:, :, None])[:, :, 0]
+    hi, lo = _factor_kron(_MAGIC @ np.concatenate([q1, q2.mT]) @ _MAGIC_DAG)
+    kron = _kron2(hi, lo)
+    middle = interaction_matrix(*abcg[:, :3].T)
+    rebuilt = np.exp(1j * abcg[:, 3, None, None]) * kron[:n] @ middle @ kron[n:]
+    err = np.linalg.norm(rebuilt - u, axis=(1, 2))
+    if not (err <= 1e-9).all():
+        raise AssertionError(f"Cartan reconstruction failed (residual {err.max():.2e})")
+    return abcg, hi[:n], lo[:n], hi[n:], lo[n:]
 
 
 def kak_decompose(
     u4: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray, float, float, float, np.ndarray, np.ndarray]:
-    """Cartan decomposition of a 4x4 unitary.
+    """Cartan decomposition of a 4x4 unitary: the one-row case of ``_cartan``.
 
     Returns (g, a1, a0, a, b, c, b1, b0) such that
     u4 = e^{ig} (a1 (x) a0) exp(i(a XX + b YY + c ZZ)) (b1 (x) b0)
     to machine precision.  The hi factor acts on the more significant of the
     two qubits the matrix is written in.
     """
-    um = _MAGIC.conj().T @ u4 @ _MAGIC
-    p = um @ um.T
-    o1 = _joint_diagonalize(0.5 * (p.real + p.real.T), 0.5 * (p.imag + p.imag.T))
-    d2 = np.diagonal(o1.T @ p @ o1)
-    theta = 0.5 * np.angle(d2)
-    q2t = np.diag(np.exp(-1j * theta)) @ o1.T @ um
-    q2 = q2t.T
-    if np.linalg.norm(q2.imag) > 1e-8:
-        raise AssertionError("Cartan factor Q2 is not real")
-    q2 = q2.real
-    q1 = o1
-    if np.linalg.det(q1) < 0:
-        q1 = q1.copy()
-        q1[:, 0] = -q1[:, 0]
-        theta = theta.copy()
-        theta[0] += math.pi
-    if np.linalg.det(q2) < 0:
-        q2 = q2.copy()
-        q2[:, 0] = -q2[:, 0]
-        theta = theta.copy()
-        theta[0] += math.pi
-    abcg = np.linalg.solve(_SIGNS, theta)
-    a, b, c, g = (float(x) for x in abcg)
-    left = _MAGIC @ q1 @ _MAGIC.conj().T
-    right = _MAGIC @ q2.T @ _MAGIC.conj().T
-    a1, a0 = _factor_kron(left)
-    b1, b0 = _factor_kron(right)
-    rebuilt = (
-        np.exp(1j * g)
-        * _kron2(a1, a0)
-        @ interaction_matrix(a, b, c)
-        @ _kron2(b1, b0)
-    )
-    err = np.linalg.norm(rebuilt - u4)
-    if err > 1e-9:
-        raise AssertionError(f"Cartan reconstruction failed (residual {err:.2e})")
-    return g, a1, a0, a, b, c, b1, b0
+    abcg, a1, a0, b1, b0 = _cartan(np.asarray(u4)[None])
+    a, b, c, g = abcg[0].tolist()
+    return g, a1[0], a0[0], a, b, c, b1[0], b0[0]
 
 
 _S_GATE = np.diag([1.0, 1j])
@@ -358,24 +363,30 @@ def _merged_cz_cx_stream(hi: int, lo: int) -> Stream:
     )
 
 
-def kak_stream(u4: np.ndarray, hi: int, lo: int) -> Stream:
-    """Native stream for an arbitrary 4x4 unitary, up to global phase.
+def _kak_stream(cartan: tuple[np.ndarray, ...], i: int, hi: int, lo: int) -> Stream:
+    """Native stream for row ``i`` of a ``_cartan`` result, up to global phase.
 
     Skeleton: three entangling blocks.  With W = exp(i(a XX + b YY + c ZZ)),
     W = CX . RX(-2a)_hi . CZ . (RX(2b)_hi RZ(-2c)_lo) . CZ . CX
     holds exactly; the first CX and the adjacent CZ merge into a single
     entangling block, leaving three two-qubit natives in total.
     """
-    g, a1, a0, a, b, c, b1, b0 = kak_decompose(u4)
-    del g
-    stream: Stream = [_u(hi, b1), _u(lo, b0)]
+    abcg, a1, a0, b1, b0 = cartan
+    a, b, c, _ = abcg[i].tolist()
+    stream: Stream = [_u(hi, b1[i]), _u(lo, b0[i])]
     stream += _merged_cz_cx_stream(hi, lo)
     stream += [_u(lo, rz_matrix(-2 * c)), _u(hi, _rx(2 * b))]
     stream += cz_stream(hi, lo)
     stream += [_u(hi, _rx(-2 * a))]
     stream += cx_stream(hi, lo)
-    stream += [_u(hi, a1), _u(lo, a0)]
+    stream += [_u(hi, a1[i]), _u(lo, a0[i])]
     return stream
+
+
+def kak_stream(u4: np.ndarray, hi: int, lo: int) -> Stream:
+    """Native stream for an arbitrary 4x4 unitary, up to global phase
+    (three ECRs; see ``_kak_stream``)."""
+    return _kak_stream(_cartan(np.asarray(u4)[None]), 0, hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +442,13 @@ def mux_rotation_stream(
     return stream
 
 
-def _demux_stream(
+def _demux(
     a_block: np.ndarray, b_block: np.ndarray, select: int, lower: list[int]
-) -> Stream:
-    """Stream for the block-diagonal operator A (+) B over the select qubit.
+) -> tuple[np.ndarray, np.ndarray, Stream]:
+    """Demultiplex the block-diagonal operator A (+) B over the select qubit.
 
     Uses A = V D W, B = V D^dag W with D = exp(i delta) from the spectrum of
-    A B^dag; the middle becomes a multiplexed RZ on ``select``.
+    A B^dag; returns W, V and the middle, a multiplexed RZ on ``select``.
     """
     m = a_block @ b_block.conj().T
     t, v = scipy.linalg.schur(m, output="complex")
@@ -447,11 +458,7 @@ def _demux_stream(
     delta = 0.5 * np.angle(np.diagonal(t))
     d = np.exp(1j * delta)
     w_block = np.diag(d) @ v.conj().T @ b_block
-    stream: Stream = []
-    stream += kak_stream(w_block, *lower)
-    stream += mux_rotation_stream("z", select, lower, -2.0 * delta)
-    stream += kak_stream(v, *lower)
-    return stream
+    return w_block, v, mux_rotation_stream("z", select, lower, -2.0 * delta)
 
 
 def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
@@ -459,17 +466,19 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
 
     u8 = (L1 (+) L2) . CS . (R1 (+) R2): the CS factor is a multiplexed RY
     on the top wire and each block-diagonal factor demultiplexes into two
-    4x4 blocks around a multiplexed RZ.
+    4x4 blocks around a multiplexed RZ.  The four blocks take one stacked
+    Cartan pass.
     """
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u8, p=4, q=4, separate=True)
     sel, *low = wires
     # the angles as the CS factor gives them: scipy builds it from cos, sin
     thetas = 2.0 * np.arctan2(np.sin(theta), np.cos(theta))
-    stream: Stream = []
-    stream += _demux_stream(v1h, v2h, sel, low)
-    stream += mux_rotation_stream("y", sel, low, thetas)
-    stream += _demux_stream(u1, u2, sel, low)
-    return stream
+    w_right, v_right, mux_right = _demux(v1h, v2h, sel, low)
+    w_left, v_left, mux_left = _demux(u1, u2, sel, low)
+    cartan = _cartan(np.array([w_right, v_right, w_left, v_left]))
+    k = [_kak_stream(cartan, i, *low) for i in range(4)]
+    mux_y = mux_rotation_stream("y", sel, low, thetas)
+    return k[0] + mux_right + k[1] + mux_y + k[2] + mux_left + k[3]
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ class ScheduledCircuit:
 
     ``run_noisy`` trusts the times as given, so each gate must have one
     finite time >= 0 and start no earlier than the gates before it on its
-    qubits.  Idle windows are derived from the times.
+    qubits, and a gate of nonzero duration no earlier than their ends (to
+    1e-12).  Idle windows are derived from the times.
     """
 
     circuit: Circuit
@@ -286,13 +287,23 @@ class ScheduledCircuit:
             raise ValueError(f"need one start time and one duration for each of {n} gates")
         if not all(0.0 <= x < math.inf for x in (*self.start_times, *self.durations)):
             raise ValueError("start times and durations must be finite and >= 0")
+        # per wire: the latest start, and the end of the busy time so far
         last = [0.0] * self.circuit.width
-        for i, (gate, start) in enumerate(zip(self.circuit.gates, self.start_times)):
+        busy = [0.0] * self.circuit.width
+        for i, (gate, start, dur) in enumerate(
+            zip(self.circuit.gates, self.start_times, self.durations)
+        ):
+            end = start + dur
             for q in gate.qubits:
                 if start < last[q]:
                     raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
                                      f"an earlier gate on qubit {q} at {last[q]}")
+                if dur and busy[q] - start > 1e-12:
+                    raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
+                                     f"an earlier gate on qubit {q} ends at {busy[q]}")
                 last[q] = start
+                if end > busy[q]:
+                    busy[q] = end
 
     @property
     def total_time(self) -> float:

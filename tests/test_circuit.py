@@ -88,6 +88,46 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="not unitary"):
             Gate("UNITARY", (0,), matrix=np.array([[1, 0], [0, math.nan]], dtype=complex))
 
+    @pytest.mark.parametrize("kind, qubits, params, matrix, message", [
+        # one case per error path
+        ("CNOT", (0, 1), (), None, "unknown gate kind 'CNOT'"),
+        ("ECR", (1, 1), (), None, "ECR gate has repeated qubits (1, 1)"),
+        ("H", (0, 1), (), None, "H takes exactly 1 qubit, got (0, 1)"),
+        ("X", (), (), None, "X takes exactly 1 qubit, got ()"),
+        ("CP", (0,), (1.0,), None, "CP takes exactly 2 qubits, got (0,)"),
+        ("BARRIER", (), (), None, "BARRIER needs at least one qubit"),
+        ("RZ", (0,), (), None, "RZ takes 1 parameter(s), got 0"),
+        ("ECR", (0, 1), (0.5,), None, "ECR takes 0 parameter(s), got 1"),
+        ("RZ", (0,), (math.nan,), None, "RZ parameters must be finite, got (nan,)"),
+        ("RZ", (0,), (2e6,), None,
+         "RZ parameters must be at most 1e+06 in magnitude, got (2000000.0,)"),
+        ("UNITARY", (0,), (), None, "UNITARY gate needs a 2x2 matrix payload"),
+        ("UNITARY", (0,), (), np.eye(3), "UNITARY gate needs a 2x2 matrix payload"),
+        ("UNITARY", (0,), (), np.diag([1, 2]).astype(complex),
+         "UNITARY payload is not unitary (defect 3.00e+00)"),
+        ("UNITARY", (0,), (), np.diag([1, math.nan]).astype(complex),
+         "UNITARY payload is not unitary (defect nan)"),
+        ("H", (0,), (), np.eye(2), "H does not take a matrix payload"),
+        ("BARRIER", (0,), (), np.eye(2), "BARRIER does not take a matrix payload"),
+        # several faults: the first check in this order names the gate
+        ("CNOT", (0, 0), (math.nan,), np.eye(2), "unknown gate kind 'CNOT'"),
+        ("H", (0, 0), (), None, "H gate has repeated qubits (0, 0)"),
+        ("BARRIER", (0, 0), (), None, "BARRIER gate has repeated qubits (0, 0)"),
+        ("CP", (0,), (), None, "CP takes exactly 2 qubits, got (0,)"),
+        ("CP", (0, 1, 2), (math.inf,), None, "CP takes exactly 2 qubits, got (0, 1, 2)"),
+        ("UNITARY", (0, 1), (), np.eye(3), "UNITARY takes exactly 1 qubit, got (0, 1)"),
+        ("BARRIER", (), (0.1,), None, "BARRIER needs at least one qubit"),
+        ("RZ", (0,), (math.nan, math.nan), None, "RZ takes 1 parameter(s), got 2"),
+        ("UNITARY", (0,), (0.1,), np.eye(2), "UNITARY takes 0 parameter(s), got 1"),
+        ("U3", (0,), (2e6, 0.1, math.nan), None,
+         "U3 parameters must be finite, got (2000000.0, 0.1, nan)"),
+        ("RZ", (0,), (2e6,), np.eye(2),
+         "RZ parameters must be at most 1e+06 in magnitude, got (2000000.0,)"),
+    ])
+    def test_every_error_path_and_its_precedence(self, kind, qubits, params, matrix, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Gate(kind, qubits, params, matrix)
+
     def test_circuit_width_check(self):
         c = Circuit(2)
         with pytest.raises(ValueError, match="outside circuit width"):

@@ -12,6 +12,9 @@ from cyclewalk import Gate, OptLevel, build_walk_circuit_3cycle, build_walk_circ
 from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, canonical_angle, rz_matrix, u3_matrix
 from cyclewalk.circuit import wire_runs
 from cyclewalk.synthesis import (
+    _MAGIC,
+    _SIGNS,
+    _cartan,
     _emit_matrix,
     _rx,
     _ry,
@@ -99,6 +102,113 @@ class TestCartan:
             for k in range(3):
                 m = np.kron(*layers[k + 1]) @ np.diag([1, 1, 1, np.exp(1j * cps[k])]) @ m
             assert np.linalg.norm(np.exp(1j * phase) * m - u) < 1e-9
+
+
+# The per-matrix Cartan decomposition that the stacked kernel replaced, kept
+# as the bit-for-bit reference (its raises are asserts here).
+
+def reference_joint_diagonalize(re, im):
+    w, o = np.linalg.eigh(re)
+    out = o.copy()
+    start = 0
+    for stop in range(1, len(w) + 1):
+        if stop == len(w) or w[stop] - w[stop - 1] > 1e-9:
+            if stop - start == 1:
+                start = stop
+                continue
+            block = o[:, start:stop]
+            sub = block.T @ im @ block
+            _, p = np.linalg.eigh(0.5 * (sub + sub.T))
+            out[:, start:stop] = block @ p
+            start = stop
+    return out
+
+
+def reference_factor_kron(u4):
+    w = u4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    u, s, vh = np.linalg.svd(w)
+    assert s[1] <= 1e-9
+    return (u[:, 0] * math.sqrt(s[0])).reshape(2, 2), (vh[0] * math.sqrt(s[0])).reshape(2, 2)
+
+
+def reference_kak_decompose(u4):
+    um = _MAGIC.conj().T @ u4 @ _MAGIC
+    p = um @ um.T
+    o1 = reference_joint_diagonalize(0.5 * (p.real + p.real.T), 0.5 * (p.imag + p.imag.T))
+    d2 = np.diagonal(o1.T @ p @ o1)
+    theta = 0.5 * np.angle(d2)
+    q2t = np.diag(np.exp(-1j * theta)) @ o1.T @ um
+    q2 = q2t.T
+    assert np.linalg.norm(q2.imag) <= 1e-8
+    q2 = q2.real
+    q1 = o1
+    if np.linalg.det(q1) < 0:
+        q1 = q1.copy()
+        q1[:, 0] = -q1[:, 0]
+        theta = theta.copy()
+        theta[0] += math.pi
+    if np.linalg.det(q2) < 0:
+        q2 = q2.copy()
+        q2[:, 0] = -q2[:, 0]
+        theta = theta.copy()
+        theta[0] += math.pi
+    a, b, c, g = (float(x) for x in np.linalg.solve(_SIGNS, theta))
+    a1, a0 = reference_factor_kron(_MAGIC @ q1 @ _MAGIC.conj().T)
+    b1, b0 = reference_factor_kron(_MAGIC @ q2.T @ _MAGIC.conj().T)
+    return g, a1, a0, a, b, c, b1, b0
+
+
+@st.composite
+def two_qubit_unitaries(draw):
+    """A Haar 4x4 unitary, a special case, or an exact Kronecker product of two
+    Haar 2x2 unitaries (the last two have degenerate spectra)."""
+    kind = draw(st.sampled_from(["haar", "special", "kron"]))
+    if kind == "special":
+        return draw(st.sampled_from(special_two_qubit_cases()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "haar":
+        return unitary_group.rvs(4, random_state=rng)
+    return np.kron(unitary_group.rvs(2, random_state=rng), unitary_group.rvs(2, random_state=rng))
+
+
+def cartan_rows(stack):
+    abcg, a1, a0, b1, b0 = _cartan(np.asarray(stack, dtype=complex))
+    return [(abcg[i], a1[i], a0[i], b1[i], b0[i]) for i in range(len(stack))]
+
+
+class TestStackedCartan:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(two_qubit_unitaries(), min_size=1, max_size=8))
+    def test_every_row_equals_the_per_matrix_reference(self, stack):
+        # row i of the stack, the n = 1 call and kak_decompose all give the
+        # reference's bits, so a row does not depend on its stack
+        rows = cartan_rows(stack)
+        for i, u in enumerate(stack):
+            g, a1, a0, a, b, c, b1, b0 = reference_kak_decompose(u)
+            want = (np.array([a, b, c, g]), a1, a0, b1, b0)
+            for got in (rows[i], cartan_rows(stack[i:i + 1])[0]):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            single = kak_decompose(u)
+            assert all(np.array_equal(x, y) for x, y in zip(single, (g, a1, a0, a, b, c, b1, b0)))
+
+    @pytest.mark.parametrize("bad", range(8))
+    def test_one_corrupt_row_fails_the_reconstruction_check(self, monkeypatch, bad):
+        # a wrong Kronecker factor on any one row of a stack of four: a1 for
+        # rows 0-3, b1 for rows 4-7 of the split's (2n, 2, 2) stack
+        from cyclewalk import synthesis
+
+        factor = synthesis._factor_kron
+
+        def corrupted(m):
+            hi, lo = factor(m)
+            hi[bad] = hi[bad] @ X_MATRIX
+            return hi, lo
+
+        monkeypatch.setattr(synthesis, "_factor_kron", corrupted)
+        rng = np.random.default_rng(bad)
+        stack = unitary_group.rvs(4, size=4, random_state=rng)
+        with pytest.raises(AssertionError, match="Cartan reconstruction failed"):
+            _cartan(stack)
 
 
 class TestStreams:

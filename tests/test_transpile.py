@@ -421,6 +421,25 @@ class TestSchedule:
             ScheduledCircuit(c, (0.0, 2.0, 1.0), (1.0, 1.0, 1.0))
         ScheduledCircuit(c, (0.0, 1.0, 1.0), (1.0, 0.0, 1.0))  # equal starts are in order
 
+    def test_gates_do_not_overlap_on_a_wire(self):
+        c = Circuit(1).add("SX", 0).add("SX", 0)
+        with pytest.raises(ValueError, match=r"gate 1 \(SX\) starts at 0.5, before an earlier "
+                                             r"gate on qubit 0 ends at 1.0"):
+            ScheduledCircuit(c, (0.0, 0.5), (1.0, 1.0))
+        c = Circuit(2).add("SX", 1).add("ECR", 0, 1)
+        with pytest.raises(ValueError, match=r"gate 1 \(ECR\) .* qubit 1 ends at 1.0"):
+            ScheduledCircuit(c, (0.0, 1.0 - 1e-9), (1.0, 1.0))
+        ScheduledCircuit(c, (0.0, 1.0 - 1e-13), (1.0, 1.0))  # within 1e-12
+        # a zero-duration gate occupies no time: only the start order binds it
+        c = Circuit(1).add("SX", 0).add("RZ", 0, params=(0.3,)).add("SX", 0)
+        ScheduledCircuit(c, (0.0, 0.5, 1.0), (1.0, 0.0, 1.0))
+
+    def test_idle_windows_are_ordered_by_wire_then_time(self):
+        # wire 1 has the first gate and the earlier windows; wire 0 still leads
+        c = Circuit(2).add("SX", 1).add("SX", 1).add("SX", 1).add("SX", 0).add("SX", 0)
+        sc = ScheduledCircuit(c, (0.0, 2.0, 4.0, 3.0, 6.0), (1.0,) * 5)
+        assert sc.idle_windows == ((0, 4.0, 6.0), (1, 1.0, 2.0), (1, 3.0, 4.0))
+
     def test_idle_windows_follow_the_times(self):
         # moving the ECR later opens a window on both wires; windows are not an input
         sc = schedule(Circuit(2).add("SX", 0).add("SX", 1).add("ECR", 0, 1), NoiseModel())
@@ -451,6 +470,29 @@ class TestInsertDd:
         assert len(xs) == 4  # two bare X pulses, two inside the Y pulses
         starts = [s for g, s in zip(out.circuit.gates, out.start_times) if g.kind == "X"]
         assert starts == pytest.approx([1.0, 2.0, 3.0, 4.0])  # delta = 0
+
+    @pytest.mark.parametrize("shortfall", [0.0, 1e-13])
+    def test_exact_fit_pulses_are_a_valid_schedule(self, shortfall):
+        # a window 1e-13 short of 4 * dur_1q still takes the train, whose
+        # gaps of -2.5e-14 overlap the pulses within the schedule's tolerance
+        nm = NoiseModel()
+        d = nm.dur_1q
+        c = Circuit(1).add("SX", 0).add("SX", 0)
+        out = insert_dd(ScheduledCircuit(c, (0.0, 5.0 * d - shortfall), (d, d)), nm)
+        assert [g.kind for g in out.circuit.gates].count("X") == 4
+        assert out.circuit.gates[-1] == Gate("SX", (0,))
+
+    def test_pulses_at_equal_times_follow_the_window_order(self):
+        # both wires idle over (1, 5); wire 1's gates come first in the
+        # circuit, yet at each pulse time wire 0's pulse is ordered first
+        nm = NoiseModel()
+        d = nm.dur_1q
+        c = Circuit(2).add("SX", 1).add("SX", 0).add("SX", 1).add("SX", 0)
+        out = insert_dd(ScheduledCircuit(c, (0.0, 0.0, 5.0 * d, 5.0 * d), (d,) * 4), nm)
+        y0, y1 = [("RZ", 0), ("X", 0), ("RZ", 0)], [("RZ", 1), ("X", 1), ("RZ", 1)]
+        pulses = 2 * (y0 + y1 + [("X", 0), ("X", 1)])
+        expected = [("SX", 1), ("SX", 0), *pulses, ("SX", 1), ("SX", 0)]
+        assert [(g.kind, *g.qubits) for g in out.circuit.gates] == expected
 
     def test_short_windows_untouched(self):
         nm = NoiseModel()
