@@ -109,43 +109,43 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        kind, qubits, params = self.kind, self.qubits, self.params
-        shape = _SHAPES.get(kind)
+        shape = _SHAPES.get(self.kind)
         if shape is None:
-            raise ValueError(f"unknown gate kind {kind!r}")
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         n_qubits, n_params = shape
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"{kind} gate has repeated qubits {qubits}")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError(f"{self.kind} gate has repeated qubits {self.qubits}")
         if n_qubits is None:
-            if not qubits:
+            if not self.qubits:
                 raise ValueError("BARRIER needs at least one qubit")
-        elif len(qubits) != n_qubits:
+        elif len(self.qubits) != n_qubits:
             plural = "s" if n_qubits > 1 else ""
-            raise ValueError(f"{kind} takes exactly {n_qubits} qubit{plural}, got {qubits}")
-        if len(params) != n_params:
-            raise ValueError(f"{kind} takes {n_params} parameter(s), got {len(params)}")
+            raise ValueError(
+                f"{self.kind} takes exactly {n_qubits} qubit{plural}, got {self.qubits}"
+            )
+        if len(self.params) != n_params:
+            raise ValueError(f"{self.kind} takes {n_params} parameter(s), got {len(self.params)}")
         # NaN and +-inf fail the bound too; canonical_angle reduces by the float
         # 2*pi, 2.45e-16 short of the true value, so a reduced angle drifts by
         # |theta| * 3.9e-17: at most 4e-11 here, far inside transpile's 1e-8
-        for p in params:
+        for p in self.params:
             if not -_MAX_ANGLE <= p <= _MAX_ANGLE:
-                if not all(map(math.isfinite, params)):
-                    raise ValueError(f"{kind} parameters must be finite, got {params}")
+                if not all(map(math.isfinite, self.params)):
+                    raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
                 raise ValueError(
-                    f"{kind} parameters must be at most {_MAX_ANGLE:g} in magnitude, "
-                    f"got {params}"
+                    f"{self.kind} parameters must be at most {_MAX_ANGLE:g} in magnitude, "
+                    f"got {self.params}"
                 )
-        matrix = self.matrix
-        if kind == "UNITARY":
-            if matrix is None or matrix.shape != (2, 2):
+        if self.kind == "UNITARY":
+            if self.matrix is None or self.matrix.shape != (2, 2):
                 raise ValueError("UNITARY gate needs a 2x2 matrix payload")
-            defect = np.linalg.norm(matrix @ matrix.conj().T - np.eye(2))
+            defect = np.linalg.norm(self.matrix @ self.matrix.conj().T - np.eye(2))
             if not (defect <= 1e-12):
                 raise ValueError(f"UNITARY payload is not unitary (defect {defect:.2e})")
-        elif matrix is not None:
-            raise ValueError(f"{kind} does not take a matrix payload")
+        elif self.matrix is not None:
+            raise ValueError(f"{self.kind} does not take a matrix payload")
         # dicts keyed by tuples of gates rehash every gate on each lookup
-        object.__setattr__(self, "_hash", hash((kind, qubits, params)))
+        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.params)))
 
     @property
     def n_qubits(self) -> int:

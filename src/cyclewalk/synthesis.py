@@ -211,24 +211,26 @@ def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     n = len(u)
     um = _MAGIC_DAG @ u @ _MAGIC
-    p = um @ um.mT
-    re, im = p.real, p.imag
-    o1 = _joint_diagonalize(0.5 * (re + re.mT), 0.5 * (im + im.mT))
-    theta = 0.5 * np.angle(np.diagonal(o1.mT @ p @ o1, axis1=1, axis2=2))
+    p = um @ um.transpose(0, 2, 1)
+    re, im = p.real, p.imag  # transpose(0, 2, 1), as ndarray.mT needs NumPy 2
+    o1 = _joint_diagonalize(
+        0.5 * (re + re.transpose(0, 2, 1)), 0.5 * (im + im.transpose(0, 2, 1))
+    )
+    theta = 0.5 * np.angle(np.diagonal(o1.transpose(0, 2, 1) @ p @ o1, axis1=1, axis2=2))
     # diag(e^{-i theta}) as a matrix product: a broadcast one can flip the sign of a zero
     phases = np.zeros((n, 4, 4), dtype=complex)
     phases.reshape(n, 16)[:, ::5] = np.exp(-1j * theta)
-    q2t = phases @ o1.mT @ um
+    q2t = phases @ o1.transpose(0, 2, 1) @ um
     if not ((q2t.imag ** 2).sum(axis=(1, 2)) <= 1e-16).all():  # norm at most 1e-8
         raise AssertionError("Cartan factor Q2 is not real")
     # q2 = q2t^T; a factor of determinant -1 flips its first column into theta
-    q1, q2 = o1, q2t.real.mT.copy()
+    q1, q2 = o1, q2t.real.transpose(0, 2, 1).copy()
     for q in (q1, q2):
         flip = np.linalg.det(q) < 0
         q[flip, :, 0] = -q[flip, :, 0]
         theta[flip, 0] += math.pi
     abcg = np.linalg.solve(_SIGNS, theta[:, :, None])[:, :, 0]
-    hi, lo = _factor_kron(_MAGIC @ np.concatenate([q1, q2.mT]) @ _MAGIC_DAG)
+    hi, lo = _factor_kron(_MAGIC @ np.concatenate([q1, q2.transpose(0, 2, 1)]) @ _MAGIC_DAG)
     kron = _kron2(hi, lo)
     middle = interaction_matrix(*abcg[:, :3].T)
     rebuilt = np.exp(1j * abcg[:, 3, None, None]) * kron[:n] @ middle @ kron[n:]

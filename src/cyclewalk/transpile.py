@@ -274,7 +274,8 @@ class ScheduledCircuit:
     ``run_noisy`` trusts the times as given, so each gate must have one
     finite time >= 0 and start no earlier than the gates before it on its
     qubits, and a gate of nonzero duration no earlier than their ends (to
-    1e-12).  Idle windows are derived from the times.
+    1e-12 * max(1, t) at time t, above the few-ulp rounding of summed times,
+    as for idle windows).  Idle windows are derived from the times.
     """
 
     circuit: Circuit
@@ -298,7 +299,7 @@ class ScheduledCircuit:
                 if start < last[q]:
                     raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
                                      f"an earlier gate on qubit {q} at {last[q]}")
-                if dur and busy[q] - start > 1e-12:
+                if dur and busy[q] - start > 1e-12 * (start if start > 1.0 else 1.0):
                     raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
                                      f"an earlier gate on qubit {q} ends at {busy[q]}")
                 last[q] = start
@@ -326,7 +327,7 @@ class ScheduledCircuit:
         for q, spans in sorted(events.items()):
             spans.sort()
             for (_, end), (nxt, _) in zip(spans, spans[1:]):
-                if nxt - end > 1e-12:
+                if nxt - end > 1e-12 * max(1.0, nxt):
                     windows.append((q, end, nxt))
         return tuple(windows)
 
@@ -379,7 +380,7 @@ def insert_dd(sc: ScheduledCircuit, nm: NoiseModel) -> ScheduledCircuit:
     seq = len(entries)
     for qubit, t0, t1 in sc.idle_windows:
         length = t1 - t0
-        if length < 4.0 * d - 1e-12:
+        if length < 4.0 * d - 1e-12 * max(1.0, t1):
             continue
         gap = (length - 4.0 * d) / 4.0
         cursor = t0

@@ -430,6 +430,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match=r"gate 1 \(ECR\) .* qubit 1 ends at 1.0"):
             ScheduledCircuit(c, (0.0, 1.0 - 1e-9), (1.0, 1.0))
         ScheduledCircuit(c, (0.0, 1.0 - 1e-13), (1.0, 1.0))  # within 1e-12
+        # past t = 1 the tolerance is relative: 1e-8 at t = 1e4, where a float is 1.8e-12 apart
+        late = Circuit(1).add("SX", 0).add("SX", 0)
+        ScheduledCircuit(late, (0.0, 1e4 - 5e-9), (1e4, 1.0))
+        assert ScheduledCircuit(late, (0.0, 1e4 + 5e-9), (1e4, 1.0)).idle_windows == ()
+        with pytest.raises(ValueError, match=r"gate 1 \(SX\) .* qubit 0 ends at 10000.0"):
+            ScheduledCircuit(late, (0.0, 1e4 - 2e-8), (1e4, 1.0))
         # a zero-duration gate occupies no time: only the start order binds it
         c = Circuit(1).add("SX", 0).add("RZ", 0, params=(0.3,)).add("SX", 0)
         ScheduledCircuit(c, (0.0, 0.5, 1.0), (1.0, 0.0, 1.0))
@@ -471,14 +477,17 @@ class TestInsertDd:
         starts = [s for g, s in zip(out.circuit.gates, out.start_times) if g.kind == "X"]
         assert starts == pytest.approx([1.0, 2.0, 3.0, 4.0])  # delta = 0
 
-    @pytest.mark.parametrize("shortfall", [0.0, 1e-13])
-    def test_exact_fit_pulses_are_a_valid_schedule(self, shortfall):
+    @pytest.mark.parametrize("t0, d, shortfall", [(1.0, 1.0, 0.0), (1.0, 1.0, 1e-13),
+                                                  (1e4, 0.35, 0.0), (1e5, 0.35, 0.0)])
+    def test_exact_fit_pulses_are_a_valid_schedule(self, t0, d, shortfall):
         # a window 1e-13 short of 4 * dur_1q still takes the train, whose
-        # gaps of -2.5e-14 overlap the pulses within the schedule's tolerance
-        nm = NoiseModel()
-        d = nm.dur_1q
+        # gaps of -2.5e-14 overlap the pulses within the schedule's tolerance;
+        # past t = 1e4 the summed times of a non-dyadic dur_1q round by 1e-12
+        # or more: a fixed 1e-12 bound rejected the train's last pulse (1e4)
+        # or measured the window as too short for it (1e5)
+        nm = NoiseModel(dur_1q=d)
         c = Circuit(1).add("SX", 0).add("SX", 0)
-        out = insert_dd(ScheduledCircuit(c, (0.0, 5.0 * d - shortfall), (d, d)), nm)
+        out = insert_dd(ScheduledCircuit(c, (0.0, t0 + 4.0 * d - shortfall), (t0, d)), nm)
         assert [g.kind for g in out.circuit.gates].count("X") == 4
         assert out.circuit.gates[-1] == Gate("SX", (0,))
 
