@@ -48,10 +48,14 @@ class PeriodResult:
         return self.period is not None
 
 
-def _check_unitary(u: np.ndarray) -> None:
+def _check_inputs(u: np.ndarray, t_max: int, tol: float) -> None:
     defect = unitarity_defect(u)
     if not (defect <= 1e-8):
         raise ValueError(f"operator is not unitary (defect {defect:.2e})")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _unit_phase(z: np.ndarray, floor: float) -> np.ndarray:
@@ -96,23 +100,25 @@ def find_period_power(
     """Search for the smallest T <= t_max with U^T = I by direct matrix powers.
 
     Each power is one product U @ U^(T-1), never a squaring or a function of
-    the spectrum, and a block of consecutive powers is checked at once.  In
-    phase-insensitive mode the comparison allows a common phase, fixed from
-    the largest-magnitude diagonal entry of U^T.  The residual is the
-    Frobenius distance ||U^T - e^{i gamma} I||_F.
+    the spectrum: one ``ndarray.dot`` into its slot of the block, the same
+    BLAS call as ``np.dot`` without its Python dispatcher.  A block of
+    consecutive powers is checked at once.  In phase-insensitive mode the
+    comparison allows a common phase, fixed from the largest-magnitude
+    diagonal entry of U^T.  The residual is the Frobenius distance
+    ||U^T - e^{i gamma} I||_F.
     """
-    _check_unitary(u)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_inputs(u, t_max, tol)
     dim = u.shape[0]
     block = np.empty((min(BLOCK, t_max), dim, dim), dtype=complex)
+    outs = list(block)
+    dot = u.dot
     power = np.eye(dim, dtype=complex)
 
     def residuals_of(start: int, n: int) -> np.ndarray:
         nonlocal power
         powers = block[:n]
-        for out in powers:
-            power = np.dot(u, power, out=out)
+        for out in outs[:n]:
+            power = dot(power, out)
         power = power.copy()  # the block becomes U^t - e^{i gamma} I below
         diagonals = powers.reshape(n, -1)[:, :: dim + 1]
         if phase_insensitive:
@@ -140,9 +146,7 @@ def find_period_eigen(
     gamma = 0.  The reported residual is max_j |lambda_j^T - e^{i gamma}|.
     A block of consecutive candidates is checked at once.
     """
-    _check_unitary(u)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_inputs(u, t_max, tol)
     try:
         eigenvalues = np.linalg.eigvals(u)
     except np.linalg.LinAlgError as exc:

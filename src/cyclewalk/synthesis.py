@@ -207,9 +207,15 @@ def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns (abcg, a1, a0, b1, b0): an (n, 4) stack of (a, b, c, g) and four
     (n, 2, 2) stacks, with u[i] = e^{i g} (a1 (x) a0)
-    exp(i(a XX + b YY + c ZZ)) (b1 (x) b0) to machine precision.
+    exp(i(a XX + b YY + c ZZ)) (b1 (x) b0) to machine precision.  Raises
+    ValueError naming the first row with ||u u^dag - I||_F > 1e-8 (or NaN).
     """
     n = len(u)
+    defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(4), axis=(1, 2))
+    bad = np.flatnonzero(~(defect <= 1e-8))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"row {i} of the stack is not unitary (defect {defect[i]:.2e})")
     um = _MAGIC_DAG @ u @ _MAGIC
     p = um @ um.transpose(0, 2, 1)
     re, im = p.real, p.imag  # transpose(0, 2, 1), as ndarray.mT needs NumPy 2

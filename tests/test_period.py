@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclewalk import (
     CoinParams,
@@ -11,7 +11,15 @@ from cyclewalk import (
     find_period_power,
     step_operator,
 )
-from cyclewalk.period import BLOCK, DEFAULT_TOL, EigendecompositionError, PeriodResult
+from cyclewalk.period import (
+    BLOCK,
+    DEFAULT_TOL,
+    EigendecompositionError,
+    PeriodResult,
+    _frobenius,
+    _search,
+    _unit_phase,
+)
 
 HADAMARD = CoinParams(0.5)
 
@@ -100,6 +108,23 @@ def test_bad_t_max():
         find_period_eigen(np.eye(2, dtype=complex), t_max=0)
 
 
+@pytest.mark.parametrize("finder", [find_period_power, find_period_eigen])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1.0, math.inf, -math.inf])
+def test_bad_tol(finder, tol):
+    # nan or <= 0 found no period with residual 0.0, inf found period 1
+    with pytest.raises(ValueError, match=rf"^tol must be finite and > 0, got {tol}$"):
+        finder(np.eye(2, dtype=complex), t_max=10, tol=tol)
+
+
+@pytest.mark.parametrize("finder", [find_period_power, find_period_eigen])
+def test_input_messages_and_their_order(finder):
+    # unitarity first, then t_max, then tol
+    with pytest.raises(ValueError, match=r"^operator is not unitary \(defect 4\.24e\+00\)$"):
+        finder(2 * np.eye(2, dtype=complex), t_max=0, tol=math.nan)
+    with pytest.raises(ValueError, match=r"^t_max must be >= 1, got 0$"):
+        finder(np.eye(2, dtype=complex), t_max=0, tol=math.nan)
+
+
 def test_eigendecomposition_error_is_distinct():
     assert issubclass(EigendecompositionError, RuntimeError)
 
@@ -140,6 +165,30 @@ def reference_eigen(u, t_max, tol=DEFAULT_TOL, phase_insensitive=False):
         if residual < tol:
             return PeriodResult(period=t, residual=residual, bound=t_max)
     return PeriodResult(period=None, residual=best, bound=t_max)
+
+
+def block_power(u, t_max, tol=DEFAULT_TOL, phase_insensitive=False):
+    # find_period_power as it was with each power one np.dot(u, power, out=out)
+    # into the block; the bound ndarray.dot must give every bit of it
+    dim = u.shape[0]
+    block = np.empty((min(BLOCK, t_max), dim, dim), dtype=complex)
+    power = np.eye(dim, dtype=complex)
+
+    def residuals_of(start, n):
+        nonlocal power
+        powers = block[:n]
+        for out in powers:
+            power = np.dot(u, power, out=out)
+        power = power.copy()
+        diagonals = powers.reshape(n, -1)[:, :: dim + 1]
+        if phase_insensitive:
+            lead = diagonals[np.arange(n), np.argmax(np.abs(diagonals), axis=1)]
+            diagonals -= _unit_phase(lead, np.finfo(float).tiny)[:, None]
+        else:
+            diagonals -= 1.0
+        return _frobenius(powers)
+
+    return _search(residuals_of, t_max, tol)
 
 
 FINDERS = [(find_period_power, reference_power), (find_period_eigen, reference_eigen)]
@@ -239,3 +288,31 @@ def test_power_and_eigen_agree_on_random_coins(cycle, r, a, b, t_max, phase_inse
         missed = find_period_eigen if power.period == first else find_period_power
         wide = 2 * math.sqrt(u.shape[0]) * DEFAULT_TOL
         assert missed(u, first, tol=wide, phase_insensitive=phase_insensitive).found
+
+
+BLOCK_EDGES = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 1000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.sampled_from(BLOCK_EDGES),
+    st.booleans(),
+)
+def test_power_search_equals_the_np_dot_block_loop(cycle, r, a, b, t_max, phase_insensitive):
+    # == on PeriodResult: the same period and the same residual bits
+    u = step_operator(cycle, CoinParams(r, a, b))
+    got = find_period_power(u, t_max, phase_insensitive=phase_insensitive)
+    assert got == block_power(u, t_max, phase_insensitive=phase_insensitive)
+
+
+@pytest.mark.parametrize("phase_insensitive", [False, True])
+@pytest.mark.parametrize("period", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_found_periods_equal_the_np_dot_block_loop(period, phase_insensitive):
+    u = root_of_unity_operator(period)
+    got = find_period_power(u, 3 * BLOCK, phase_insensitive=phase_insensitive)
+    assert got.period == period
+    assert got == block_power(u, 3 * BLOCK, phase_insensitive=phase_insensitive)

@@ -114,3 +114,17 @@ def test_traced_bundle_keeps_the_trace_contract(tmp_path, workload):
     assert tracer.violations == []
     cols = workloads.read_bundle(tmp_path)
     assert workloads.check_bundle(bundle, seed, cols, workloads.load_reference()) == []
+
+
+def test_traced_coin_search_keeps_the_trace_contract():
+    # the benchmark's coin-search job under its "bench" root span: walk and
+    # both period finders are reached through the module attributes it probes
+    tracing, workloads = perfbench_module("tracing"), perfbench_module("workloads")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        job = tracer.open("bench")
+        rows = workloads.run_coin_search(workloads.coin_batch(1))
+        tracer.close(job)
+    tracer.check_job(workloads.EXPECTED_PROBES[workloads.COIN_SEARCH])
+    assert tracer.violations == []
+    assert workloads.check_coin_search(rows) == []

@@ -210,6 +210,27 @@ class TestStackedCartan:
         with pytest.raises(AssertionError, match="Cartan reconstruction failed"):
             _cartan(stack)
 
+    def test_scaled_unitary_is_rejected(self):
+        # decomposition and reconstruction check are both covariant under scaling
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(3))
+        with pytest.raises(ValueError, match=r"^row 0 of the stack is not unitary"):
+            kak_decompose(1.01 * u)
+
+    @pytest.mark.parametrize("bad", range(4))
+    def test_the_first_non_unitary_row_is_named(self, bad):
+        stack = unitary_group.rvs(4, size=4, random_state=np.random.default_rng(bad))
+        stack[bad] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=rf"^row {bad} of the stack is not unitary"):
+            _cartan(stack)
+        stack[bad] /= 1.0 + 1e-6
+        _cartan(stack)
+
+    def test_nan_entry_is_rejected_before_lapack(self):
+        stack = unitary_group.rvs(4, size=4, random_state=np.random.default_rng(9))
+        stack[2, 1, 3] = math.nan
+        with pytest.raises(ValueError, match=r"^row 2 of the stack is not unitary \(defect nan\)$"):
+            _cartan(stack)
+
 
 class TestStreams:
     def test_cx_stream(self):

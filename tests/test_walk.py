@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclewalk import (
     CoinParams,
@@ -15,7 +16,8 @@ from cyclewalk import (
     return_probability,
     parrondo_schedule,
 )
-from cyclewalk.walk import unitarity_defect
+from cyclewalk import walk
+from cyclewalk.walk import NORM_TOL, unitarity_defect
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -204,6 +206,71 @@ class TestEvolve:
         for se, sp in zip(exact, padded):
             assert np.linalg.norm(se - sp[live]) < 1e-10
             assert abs(sp[3]) < 1e-12 and abs(sp[7]) < 1e-12
+
+
+def matmul_evolve(state, schedule, n_nodes, embedding="exact"):
+    # evolve as it was with each step ops[label] @ current and np.linalg.norm;
+    # the ndarray.dot loop must give every bit of it
+    ops = {
+        label: walk.step_operator(n_nodes, params, embedding)
+        for label, params in schedule.coins.items()
+    }
+    trajectory = []
+    current = state
+    for i in range(schedule.length):
+        current = ops[schedule.label_at(i)] @ current
+        norm = np.linalg.norm(current)
+        if not (abs(norm - 1.0) <= NORM_TOL):
+            raise ArithmeticError(f"state norm drifted to {norm} at step {i + 1}")
+        trajectory.append(current)
+    return trajectory
+
+
+coins = st.builds(
+    CoinParams,
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+
+
+class TestEvolveBits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 8),
+        coins,
+        coins,
+        st.sampled_from(["AABB", "AB", "A"]),
+        st.sampled_from(["exact", "padded"]),
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+    )
+    def test_every_state_equals_the_matmul_loop(self, cycle, a, b, pattern, embedding, theta, phi):
+        schedule = parrondo_schedule(pattern, {"A": a, "B": b}, 50)
+        state = initial_state(theta, phi, cycle, embedding)
+        got = evolve(state, schedule, cycle, embedding)
+        want = matmul_evolve(state, schedule, cycle, embedding)
+        assert len(got) == len(want) == 50
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_scaled_operator_fails_at_its_first_step(self, monkeypatch, coins_4cycle):
+        # coin B first acts at step 3 of AABB; the operators come from the
+        # module's step_operator, so a scaled one reaches evolve
+        build = walk.step_operator
+
+        def scaled_b(n_nodes, coin, embedding="exact"):
+            u = build(n_nodes, coin, embedding)
+            return 1.001 * u if coin == coins_4cycle["B"] else u
+
+        monkeypatch.setattr(walk, "step_operator", scaled_b)
+        schedule = parrondo_schedule("AABB", coins_4cycle, 8)
+        state = initial_state(0, 0, 4)
+        with pytest.raises(ArithmeticError) as expected:
+            matmul_evolve(state, schedule, 4)
+        message = str(expected.value)
+        assert message.endswith("at step 3")
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            evolve(state, schedule, 4)
 
 
 class TestReturnProbability:
