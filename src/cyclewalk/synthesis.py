@@ -36,6 +36,7 @@ from .gates import (
     phase_matrix,
     rz_matrix,
 )
+from .walk import unitarity_defect
 
 __all__ = [
     "zxzxz_angles",
@@ -475,8 +476,11 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
     u8 = (L1 (+) L2) . CS . (R1 (+) R2): the CS factor is a multiplexed RY
     on the top wire and each block-diagonal factor demultiplexes into two
     4x4 blocks around a multiplexed RZ.  The four blocks take one stacked
-    Cartan pass.
+    Cartan pass.  Raises ValueError if ||u8 u8^dag - I||_F > 1e-8 (or NaN).
     """
+    defect = unitarity_defect(u8)
+    if not defect <= 1e-8:
+        raise ValueError(f"qsd_stream needs a unitary matrix (defect {defect:.2e})")
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u8, p=4, q=4, separate=True)
     sel, *low = wires
     # the angles as the CS factor gives them: scipy builds it from cos, sin

@@ -20,15 +20,14 @@ the check's run plan and the schedule come from the cache while the
 skeleton repeats.
 
 A schedule is its start times and durations; its idle windows, where XY4
-pulses go and relaxation acts, are derived from them.  The start times come
-from the ASAP pass that ``circuit.depth_report`` also runs.
+pulses go and relaxation acts, are found in the pass that checks them.  The
+start times come from the ASAP pass that ``circuit.depth_report`` also runs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
@@ -274,13 +273,17 @@ class ScheduledCircuit:
     ``run_noisy`` trusts the times as given, so each gate must have one
     finite time >= 0 and start no earlier than the gates before it on its
     qubits, and a gate of nonzero duration no earlier than their ends (to
-    1e-12 * max(1, t) at time t, above the few-ulp rounding of summed times,
-    as for idle windows).  Idle windows are derived from the times.
+    1e-12 * max(1, t) at time t, above the few-ulp rounding of summed times).
+    A barrier takes no time.  The same pass finds ``idle_windows``, (qubit,
+    t_start, t_end) by wire, then time: the gaps beyond that slack in each
+    wire's busy time (barriers not counted) between its first and last gate.
     """
 
     circuit: Circuit
     start_times: tuple[float, ...]
     durations: tuple[float, ...]
+    idle_windows: tuple[tuple[int, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.circuit.gates)
@@ -288,48 +291,40 @@ class ScheduledCircuit:
             raise ValueError(f"need one start time and one duration for each of {n} gates")
         if not all(0.0 <= x < math.inf for x in (*self.start_times, *self.durations)):
             raise ValueError("start times and durations must be finite and >= 0")
-        # per wire: the latest start, and the end of the busy time so far
+        # per wire: the latest start, and the end of the busy time so far (no
+        # entry before the wire's first gate that is not a barrier)
         last = [0.0] * self.circuit.width
-        busy = [0.0] * self.circuit.width
+        busy: dict[int, float] = {}
+        windows = []
         for i, (gate, start, dur) in enumerate(
             zip(self.circuit.gates, self.start_times, self.durations)
         ):
+            barrier = gate.kind == "BARRIER"
+            if barrier and dur:
+                raise ValueError(f"gate {i} (BARRIER) has duration {dur}, not 0")
             end = start + dur
+            slack = 1e-12 * (start if start > 1.0 else 1.0)
             for q in gate.qubits:
                 if start < last[q]:
                     raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
                                      f"an earlier gate on qubit {q} at {last[q]}")
-                if dur and busy[q] - start > 1e-12 * (start if start > 1.0 else 1.0):
-                    raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
-                                     f"an earlier gate on qubit {q} ends at {busy[q]}")
                 last[q] = start
-                if end > busy[q]:
-                    busy[q] = end
+                if barrier:
+                    continue
+                prev = busy.get(q, start)
+                if start - prev > slack:
+                    windows.append((q, prev, start))
+                elif dur and prev - start > slack:
+                    raise ValueError(f"gate {i} ({gate.kind}) starts at {start}, before "
+                                     f"an earlier gate on qubit {q} ends at {prev}")
+                busy[q] = end if end > prev else prev
+        object.__setattr__(self, "idle_windows", tuple(sorted(windows)))
 
     @property
     def total_time(self) -> float:
         if not self.start_times:
             return 0.0
         return max(s + d for s, d in zip(self.start_times, self.durations))
-
-    @functools.cached_property
-    def idle_windows(self) -> tuple[tuple[int, float, float], ...]:
-        """(qubit, t_start, t_end) gaps between consecutive gate events on a
-        wire, i.e. the complement of busy time between the wire's first and
-        last gate."""
-        events: dict[int, list[tuple[float, float]]] = {}
-        for gate, start, dur in zip(self.circuit.gates, self.start_times, self.durations):
-            if gate.kind == "BARRIER":
-                continue
-            for q in gate.qubits:
-                events.setdefault(q, []).append((start, start + dur))
-        windows = []
-        for q, spans in sorted(events.items()):
-            spans.sort()
-            for (_, end), (nxt, _) in zip(spans, spans[1:]):
-                if nxt - end > 1e-12 * max(1.0, nxt):
-                    windows.append((q, end, nxt))
-        return tuple(windows)
 
 
 def _asap(circuit: Circuit, nm: NoiseModel) -> tuple[tuple, tuple]:

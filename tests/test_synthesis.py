@@ -277,6 +277,20 @@ class TestStreams:
             assert sum(1 for item in st if item[0] == "ecr") == 24
             assert phase_aligned(assemble_stream(st, 3), u) < 1e-9
 
+    @pytest.mark.parametrize("damage", ["scaled", "column", "nan"])
+    def test_qsd_stream_rejects_a_non_unitary_matrix(self, damage):
+        # before the check, 1.01 U and U with column 0 scaled by 1.2 gave
+        # streams 0.028 and 0.20 from their input (phase-aligned Frobenius)
+        u = unitary_group.rvs(8, random_state=1)
+        if damage == "scaled":
+            u = 1.01 * u
+        elif damage == "column":
+            u[:, 0] *= 1.2
+        else:
+            u[2, 5] = np.nan
+        with pytest.raises(ValueError, match=r"^qsd_stream needs a unitary matrix \(defect "):
+            qsd_stream(u, [2, 1, 0])
+
     def test_fixed_shape_emission_is_input_independent(self):
         rng = np.random.default_rng(8)
         shapes = set()

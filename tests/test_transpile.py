@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from cyclewalk.circuit import MAX_LOWER_WIDTH, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.synthesis import ZERO_ANGLE
 from cyclewalk.gates import NATIVE_KINDS, gate_matrix, u3_matrix
+from cyclewalk.noise import thermal_relaxation_kraus
 from cyclewalk.transpile import ScheduledCircuit, TranspileError
 
 
@@ -452,8 +454,126 @@ class TestSchedule:
         assert sc.idle_windows == ()
         moved = replace(sc, start_times=(0.0, 0.0, 3.0))
         assert moved.idle_windows == ((0, 1.0, 3.0), (1, 1.0, 3.0))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="init=False"):
             replace(sc, idle_windows=((0, 1.0, 3.0),))
+
+    def _rz_inside_span(self, second: float) -> ScheduledCircuit:
+        # the RZ starts at 5, inside the first SX's busy time (0, 10)
+        c = Circuit(1).add("SX", 0).add("RZ", 0, params=(0.3,)).add("SX", 0)
+        return ScheduledCircuit(c, (0.0, 5.0, second), (10.0, 0.0, 1.0))
+
+    def test_a_zero_duration_gate_inside_a_span_opens_no_window(self):
+        assert self._rz_inside_span(12.0).idle_windows == ((0, 10.0, 12.0),)
+
+    def test_relaxation_spans_only_the_idle_time(self):
+        # no depolarizing, so rho is SX, RZ, 2 units of relaxation, SX
+        nm = NoiseModel(p1=0.0)
+        sc = self._rz_inside_span(12.0)
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        for g in sc.circuit.gates[:2]:
+            u = gate_matrix(g)
+            rho = u @ rho @ u.conj().T
+        rho = sum(k @ rho @ k.conj().T for k in thermal_relaxation_kraus(nm.t1, nm.t2, 2.0))
+        u = gate_matrix(sc.circuit.gates[2])
+        rho = u @ rho @ u.conj().T
+        out = run_noisy(sc, np.diag([1.0, 0.0]).astype(complex), nm)
+        assert np.abs(out - rho).max() <= 1e-12
+
+    @pytest.mark.parametrize("second, pulses", [(12.0, 0), (20.0, 4)])
+    def test_pulses_fill_only_the_idle_time(self, second, pulses):
+        nm = NoiseModel()
+        out = insert_dd(self._rz_inside_span(second), nm)
+        assert isinstance(out, ScheduledCircuit)
+        xs = [s for g, s in zip(out.circuit.gates, out.start_times) if g.kind == "X"]
+        assert len(xs) == pulses and all(10.0 <= s <= second - nm.dur_1q for s in xs)
+
+    def test_a_barrier_takes_no_time(self):
+        c = Circuit(2).add("SX", 0).add("SX", 1).add("BARRIER", 0, 1).add("SX", 0)
+        with pytest.raises(ValueError, match=r"gate 2 \(BARRIER\) has duration 5.0"):
+            ScheduledCircuit(c, (0.0, 0.0, 1.0, 6.0), (1.0, 1.0, 5.0, 1.0))
+        sc = ScheduledCircuit(c, (0.0, 0.0, 1.0, 6.0), (1.0, 1.0, 0.0, 1.0))
+        assert sc.idle_windows == ((0, 1.0, 6.0),)
+
+
+_SLACK = 1e-12
+
+
+@st.composite
+def valid_schedules(draw):
+    """A ScheduledCircuit on 1-3 wires whose times are valid by construction:
+    SX/X of dur_1q, RZ of duration 0 (some starting inside an earlier span),
+    ECR of dur_2q and zero-duration barriers, each after a random delay."""
+    nm = NoiseModel()
+    width = draw(st.integers(1, 3))
+    last = [0.0] * width  # latest start per wire
+    free = [0.0] * width  # busy end per wire
+    c, starts, durs = Circuit(width), [], []
+    delays = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.0, 8.0))
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["SX", "X", "RZ", "RZ", "ECR", "BARRIER"]))
+        if kind == "ECR" and width < 2:
+            kind = "SX"
+        if kind == "ECR":
+            qubits = tuple(draw(st.permutations(range(width)))[:2])
+        elif kind == "BARRIER":
+            qubits = tuple(sorted(draw(st.sets(st.integers(0, width - 1), min_size=1))))
+        else:
+            qubits = (draw(st.integers(0, width - 1)),)
+        earliest = max(last[q] for q in qubits)
+        if kind == "RZ" and draw(st.booleans()):
+            # somewhere between the wire's latest start and its busy end
+            start = earliest + draw(st.floats(0.0, 1.0)) * max(0.0, free[qubits[0]] - earliest)
+        elif kind in ("RZ", "BARRIER"):
+            start = earliest + draw(delays)
+        else:
+            start = max(earliest, *[free[q] for q in qubits]) + draw(delays)
+        dur = {"SX": nm.dur_1q, "X": nm.dur_1q, "ECR": nm.dur_2q}.get(kind, 0.0)
+        c.add(kind, *qubits, params=(draw(st.floats(-4.0, 4.0)),) if kind == "RZ" else ())
+        starts.append(start)
+        durs.append(dur)
+        for q in qubits:
+            last[q] = start
+            if kind != "BARRIER":
+                free[q] = max(free[q], start + dur)
+    return ScheduledCircuit(c, tuple(starts), tuple(durs))
+
+
+def interval_gaps(sc):
+    """Per wire, merge the [start, start + dur] intervals of the non-barrier
+    gates (touching within the slack) and list the gaps between them."""
+    spans = {}
+    for gate, start, dur in zip(sc.circuit.gates, sc.start_times, sc.durations):
+        if gate.kind != "BARRIER":
+            for q in gate.qubits:
+                spans.setdefault(q, []).append((start, start + dur))
+    gaps = []
+    for q in sorted(spans):
+        merged = []
+        for a, b in sorted(spans[q]):
+            if merged and a - merged[-1][1] <= _SLACK * max(1.0, a):
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        gaps += [(q, x[1], y[0]) for x, y in zip(merged, merged[1:])]
+    return tuple(gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_schedules())
+def test_idle_windows_are_the_gaps_in_busy_time(sc):
+    assert sc.idle_windows == interval_gaps(sc)
+    nm = NoiseModel()
+    out = insert_dd(sc, nm)
+    assert isinstance(out, ScheduledCircuit)
+    # the pulses are what insert_dd added: the output's entries less the input's
+    entries = Counter(zip(out.circuit.gates, out.start_times, out.durations))
+    entries.subtract(Counter(zip(sc.circuit.gates, sc.start_times, sc.durations)))
+    assert min(entries.values(), default=0) >= 0
+    for gate, start, dur in +entries:
+        slack = _SLACK * max(1.0, start + dur)
+        assert any(w == gate.qubits[0] and t0 - slack <= start and start + dur <= t1 + slack
+                   for w, t0, t1 in sc.idle_windows)
+
 
 
 class TestInsertDd:
