@@ -5,7 +5,8 @@ qubit n is the coin, qubits n-1 .. 0 encode the position as
 position = sum_k 2**k q_k.  One Fourier block opens the circuit and its
 gate-wise inverse closes it; every step in between is a coin gate, a phase
 kick PHASE(-2pi 2**(n-1-k) / N) on each position qubit k and a controlled
-kick CP(4pi 2**(n-1-k) / N) from the coin, the same body for every cycle.
+kick CP(4pi 2**(n-1-k) / N) from the coin, the same body for every cycle;
+its gates are built once per circuit and shared by all steps.
 
 Both Fourier blocks are bit-reversed (no swap network).  The 2**n-cycle
 block is the Hadamard/controlled-phase ladder, whose lowered unitary is the
@@ -124,16 +125,14 @@ def _walk_circuit(
     all_qubits = tuple(range(n + 1))
     circuit.extend(fourier)
     circuit.add("BARRIER", *all_qubits)
+    kicks = [Gate("PHASE", (k,), (-2 * PI * 2 ** (n - 1 - k) / cycle,)) for k in range(n)]
+    kicks += [Gate("CP", (coin_q, k), (angle,)) for k in (*range(1, n), 0)
+              if (angle := 4 * PI * 2 ** (n - 1 - k) / cycle) != 2 * PI]
+    coins = {label: Gate("UNITARY", (coin_q,), matrix=coin_operator(schedule.coins[label]))
+             for label in set(schedule.pattern)}
     for step in range(steps):
-        circuit.append(
-            Gate("UNITARY", (coin_q,), matrix=coin_operator(schedule.coin_at(step)))
-        )
-        for k in range(n):
-            circuit.add("PHASE", k, params=(-2 * PI * 2 ** (n - 1 - k) / cycle,))
-        for k in (*range(1, n), 0):
-            angle = 4 * PI * 2 ** (n - 1 - k) / cycle
-            if angle != 2 * PI:
-                circuit.add("CP", coin_q, k, params=(angle,))
+        circuit.append(coins[schedule.label_at(step)])
+        circuit.extend(kicks)
     circuit.add("BARRIER", *all_qubits)
     circuit.extend(_inverse_block(fourier))
     return circuit

@@ -8,14 +8,16 @@ into one event, the product U = g_n ... g_1 then D_p, 1 - p = (1 - p1)**n.
 This is exact: depolarizing channels commute with unitaries on their qubits
 and compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event
 is one local superoperator, its channel's sum_k K_k (x) conj(K_k) times
-U (x) conj(U): 4x4 on one qubit, 16x16 on two.  It acts on rho read as a
-vector over a doubled register of 2w qubits, where row qubit q is qubit
-q + w and column qubit q is qubit q, through the one gate kernel
-``circuit.apply_matrix``.  No full-width operator is built.
+U (x) conj(U) (one broadcast for a call's one-qubit runs): 4x4 on one
+qubit, 16x16 on two.  It acts on rho read as a vector over a doubled
+register of 2w qubits, where row qubit q is qubit q + w and column qubit q
+is qubit q, through the one gate kernel ``circuit.apply_matrix``.  No
+full-width operator is built.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -186,10 +188,10 @@ def _apply_kraus(rho: np.ndarray, op: np.ndarray, qubits: tuple[int, ...]) -> np
 
 
 def _liouville(u: np.ndarray) -> np.ndarray:
-    """u (x) conj(u), the superoperator of rho -> u rho u^dagger, built by
-    broadcasting (an einsum takes longer at this size)."""
-    n = len(u)
-    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(n * n, n * n)
+    """u (x) conj(u), the superoperator of rho -> u rho u^dagger, of each u of a
+    stack (one u is a stack of one), by broadcasting (an einsum is slower here)."""
+    n = u.shape[-1]
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, n * n, n * n)
 
 
 def _channel(key: tuple, nm: NoiseModel) -> np.ndarray | None:
@@ -203,9 +205,7 @@ def _channel(key: tuple, nm: NoiseModel) -> np.ndarray | None:
     else:
         p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** size
         kraus = depolarizing_kraus(p, len(qubits))
-    if len(kraus) == 1:
-        return None
-    return sum(_liouville(k) for k in kraus)
+    return None if len(kraus) == 1 else sum(_liouville(np.array(kraus)))
 
 
 def _check_density(rho: np.ndarray, where: str) -> None:
@@ -274,7 +274,6 @@ def run_noisy(
         trail = None if cache.resynthesized else cache.noisy
 
     channels = cache.channels
-    folded: dict[tuple[Gate, ...], np.ndarray] = {}
     plan = cache.plan("events", (_skeleton(gates), sc.start_times, sc.durations),
                       lambda: list(_noisy_events(sc, nm)))
     events = [(key, tuple([gates[i] for i in run])) for key, run in plan]
@@ -283,20 +282,26 @@ def run_noisy(
     if trail is not None:
         done = trail.resume(rho, events)
         rho = trail.arrays[-1]
-    for key, run in events[done:]:
+    events = events[done:]
+    # u (x) conj(u) of each one-qubit run to apply (u = g_n ... g_1, the check's if it
+    # left one) in one broadcast; two-qubit folds are kept per channel and gate
+    runs = [cache.products[run] if run in cache.products else
+            functools.reduce(lambda u, g: gate_matrix(g) @ u, run[1:], gate_matrix(run[0]))
+            for key, run in events if run and len(key[1]) == 1]
+    singles = iter(_liouville(np.reshape(runs, (-1, 2, 2))))
+    pairs: dict[tuple[tuple, Gate], np.ndarray] = {}
+    for key, run in events:
         if key not in channels:
             channels[key] = _channel(key, nm)
         op = channels[key]
-        if run:
-            fold = folded.get(run)
-            if fold is None:
-                u = cache.products.get(run)
-                if u is None:
-                    u = gate_matrix(run[0])
-                    for gate in run[1:]:
-                        u = gate_matrix(gate) @ u
-                fold = folded[run] = _liouville(u) if op is None else op @ _liouville(u)
-            op = fold
+        if run and len(key[1]) == 1:
+            sup = next(singles)
+            op = sup if op is None else op @ sup
+        elif run:
+            if (key, run[0]) not in pairs:
+                sup = _liouville(gate_matrix(run[0])[None])[0]
+                pairs[key, run[0]] = sup if op is None else op @ sup
+            op = pairs[key, run[0]]
         if op is not None:
             rho = _apply_kraus(rho, op, key[1])
         _check_density(rho, "during noisy run")

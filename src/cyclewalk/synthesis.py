@@ -59,12 +59,23 @@ ZERO_ANGLE = 1e-12
 # ---------------------------------------------------------------------------
 # one qubit
 
+def _check_unitary_2x2(u: np.ndarray, caller: str) -> None:
+    """Raise ValueError if ||u u^dag - I||_F > 1e-8 (or NaN), in plain float
+    arithmetic on the four entries: cheaper here than any numpy call."""
+    (a, b), (c, d) = u.tolist()
+    defect = math.hypot(abs(a) ** 2 + abs(b) ** 2 - 1.0, abs(c) ** 2 + abs(d) ** 2 - 1.0,
+                        math.sqrt(2.0) * abs(a * c.conjugate() + b * d.conjugate()))
+    if not defect <= 1e-8:
+        raise ValueError(f"{caller} needs a unitary matrix (defect {defect:.2e})")
+
+
 def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     """Angles (a, b, c, delta) with u = e^{i delta} RZ(a) SX RZ(b) SX RZ(c).
 
     Uses SX RZ(b) SX = [[sin(b/2), cos(b/2)], [cos(b/2), -sin(b/2)]], which
-    holds exactly (no leftover phase).
+    holds exactly (no leftover phase).  A non-unitary u raises ValueError.
     """
+    _check_unitary_2x2(u, "zxzxz_angles")
     s = abs(u[0, 0])
     cmag = abs(u[0, 1])
     b = 2.0 * math.atan2(s, cmag)
@@ -98,7 +109,9 @@ def zxzxz_matrix(a: float, b: float, c: float) -> np.ndarray:
 
 
 def u3_params(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Parameters (theta, phi, lam, delta) with u = e^{i delta} U3(theta, phi, lam)."""
+    """Parameters (theta, phi, lam, delta) with u = e^{i delta} U3(theta, phi, lam);
+    a non-unitary u raises ValueError."""
+    _check_unitary_2x2(u, "u3_params")
     mag00 = abs(u[0, 0])
     theta = 2.0 * math.atan2(abs(u[1, 0]), mag00)
     if mag00 > _EPS:

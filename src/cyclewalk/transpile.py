@@ -10,14 +10,14 @@ on the step count; wider circuits run L1 and are named after it.
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
 gate by gate (once: it is also L3's input), the output run by run.  L1
-fusion and the check share one run kernel: ``circuit.RunPlan`` groups the
-per-wire one-qubit runs and multiplies them in one stacked pass, from the
-matrices ``_run_products`` builds.  The check applies each 2x2 run product with
-``circuit.apply_matrix`` and leaves it in a bundle cache, where
-``run_noisy`` folds it into its events' superoperators.  Both lowerings
+fusion and the check share one run kernel: ``circuit.RunPlan`` multiplies
+the per-wire one-qubit runs in one stacked pass.  The check forms each
+two-qubit gate with the runs leading into it, g (u_hi (x) u_lo), in one
+more, applies them with ``circuit.apply_matrix`` and leaves the 2x2 run
+products in a bundle cache, where ``run_noisy`` folds them.  Both lowerings
 are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a bundle,
-the check's run plan and the schedule come from the cache while the
-skeleton repeats.
+the check's run plan and the schedule, its times checked once, come from
+the cache while the skeleton repeats.
 
 A schedule is its start times and durations; its idle windows, where XY4
 pulses go and relaxation acts, are found in the pass that checks them.  The
@@ -45,6 +45,7 @@ from .synthesis import (
     qsd_stream,
     stream_to_gates,
     _emit_matrix,
+    _kron2,
     _u,
 )
 
@@ -139,8 +140,9 @@ _CONSTANT_KINDS = tuple([k for k in CONSTANT_MATRICES if k in ONE_QUBIT_KINDS])
 
 class _RunPlan(RunPlan):
     """What ``_fuse_runs`` and ``_lower_runs`` read of a skeleton: the
-    ``RunPlan`` of its one-qubit runs (a barrier separates runs), and where
-    their RZ gates, gates of each constant kind and other gates are."""
+    ``RunPlan`` of its one-qubit runs (a barrier separates runs), where
+    their RZ, constant-kind and other gates are, and the check's steps: a
+    two-qubit gate with its leading runs, or a run closed by a barrier or the end."""
 
     def __init__(self, gates: list[Gate]) -> None:
         super().__init__([g.qubits for g in gates],
@@ -151,6 +153,20 @@ class _RunPlan(RunPlan):
         self.rz = by_kind.pop("RZ", [])
         self.constant = [by_kind.pop(kind) for kind in _CONSTANT_KINDS if kind in by_kind]
         self.other = [i for positions in by_kind.values() for i in positions]
+        # wire_runs emits a run just before its wire's next other item
+        lead: dict[int, int] = {}  # the runs that no gate or barrier took yet
+        fused, self.check = [], []  # (position, hi run, lo run); (fused?, index, qubits)
+        for positions, j in self.items:
+            gate = gates[positions[0]]
+            if j is not None:
+                lead[gate.qubits[0]] = j
+            elif gate.kind == "BARRIER":
+                self.check += [(False, lead.pop(q), (q,)) for q in gate.qubits if q in lead]
+            else:
+                self.check.append((True, len(fused), gate.qubits))
+                fused.append((positions[0], *[lead.pop(q, -1) for q in gate.qubits]))
+        self.check += [(False, j, (q,)) for q, j in lead.items()]
+        self.fused = np.array(fused, dtype=np.intp).reshape(-1, 3).T
 
 
 def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
@@ -191,11 +207,11 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
 
 
 def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarray:
-    """The circuit's dense unitary, applied one ``wire_runs`` item at a time
-    (barriers skipped), a one-qubit run as its 2x2 product from
-    ``_run_products``.  With a bundle ``cache`` these products replace
-    ``cache.products`` for ``run_noisy`` to fold, and the plan is kept while
-    the skeleton repeats."""
+    """The circuit's dense unitary, applied one check step of the plan at a
+    time, the runs as their 2x2 products u from ``_run_products``: each
+    two-qubit gate g as g (u_hi (x) u_lo), all formed in one stacked pass.
+    With a bundle ``cache`` the products replace ``cache.products`` for
+    ``run_noisy`` to fold, and the plan is kept while the skeleton repeats."""
     gates, width = circuit.gates, circuit.width
     if cache is None:
         plan, products = _RunPlan(gates), {}
@@ -203,14 +219,13 @@ def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarra
         plan = cache.plan("runs", _skeleton(gates), lambda: _RunPlan(gates))
         products = cache.products = {}
     ops = _run_products(gates, plan)
+    products.update(zip([tuple([gates[i] for i in p]) for p in plan.runs], ops))
+    padded = np.concatenate([ops, CONSTANT_MATRICES["ID"][None]])  # index -1: no run leads in
+    entanglers = np.reshape([gate_matrix(gates[i]) for i in plan.fused[0].tolist()], (-1, 4, 4))
+    stacks = (ops, entanglers @ _kron2(*padded[plan.fused[1:]]))  # g (u_hi (x) u_lo)
     rows = np.eye(1 << width, dtype=complex)
-    for positions, j in plan.items:
-        gate = gates[positions[0]]
-        if j is not None:
-            products[tuple([gates[i] for i in positions])] = ops[j]
-            rows = apply_matrix(rows, ops[j], gate.qubits, width)
-        elif gate.kind != "BARRIER":
-            rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
+    for fused, k, qubits in plan.check:
+        rows = apply_matrix(rows, stacks[fused][k], qubits, width)
     return rows
 
 
@@ -327,21 +342,23 @@ class ScheduledCircuit:
         return max(s + d for s, d in zip(self.start_times, self.durations))
 
 
-def _asap(circuit: Circuit, nm: NoiseModel) -> tuple[tuple, tuple]:
-    """Start times and durations of the ASAP schedule."""
+def _asap(circuit: Circuit, nm: NoiseModel) -> ScheduledCircuit:
+    """The ASAP schedule, its times checked and idle windows found."""
     durs = tuple([gate_duration(g, nm) for g in circuit.gates])
-    return tuple(_asap_starts(circuit.gates, durs, circuit.width)), durs
+    return ScheduledCircuit(circuit, tuple(_asap_starts(circuit.gates, durs, circuit.width)), durs)
 
 
 def schedule(
     circuit: Circuit, nm: NoiseModel, cache: BundleCache | None = None
 ) -> ScheduledCircuit:
-    """As-soon-as-possible schedule under the noise model's durations; it
-    depends only on the skeleton, so a bundle ``cache`` plans it."""
+    """As-soon-as-possible schedule under the noise model's durations; it depends
+    only on the skeleton, so a bundle ``cache`` plans it, times checked once."""
     if cache is None:
-        return ScheduledCircuit(circuit, *_asap(circuit, nm))
-    key = (nm, _skeleton(circuit.gates))
-    return ScheduledCircuit(circuit, *cache.plan("schedule", key, lambda: _asap(circuit, nm)))
+        return _asap(circuit, nm)
+    planned = cache.plan("schedule", (nm, _skeleton(circuit.gates)), lambda: _asap(circuit, nm))
+    sc = object.__new__(ScheduledCircuit)  # the key fixes all that __post_init__ reads
+    sc.__dict__.update(vars(planned), circuit=circuit)
+    return sc
 
 
 # ---------------------------------------------------------------------------

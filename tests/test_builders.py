@@ -23,6 +23,8 @@ from cyclewalk import (
     to_text,
 )
 from cyclewalk.builders import _fourier3_gates, _inverse_block, _qft_noswap_gates
+from cyclewalk.gates import Gate
+from cyclewalk.walk import coin_operator
 
 
 def walk_operator_product(cycle, schedule, steps):
@@ -204,6 +206,52 @@ class TestWalkCircuits:
         rt = from_text(to_text(c))
         assert phase_aligned(lower_to_unitary(rt), lower_to_unitary(c)) < 1e-12
         assert to_text(rt) == to_text(c)
+
+
+def per_step_walk_circuit(cycle, n, fourier, schedule, steps):
+    """The walk circuit as built gate by gate, a new coin and new kicks at
+    every step: the oracle for the builder, which shares them."""
+    coin_q = n
+    circuit = Circuit(n + 1, name=f"walk{cycle}cycle-t{steps}", measured=tuple(range(n)))
+    all_qubits = tuple(range(n + 1))
+    circuit.extend(fourier)
+    circuit.add("BARRIER", *all_qubits)
+    for step in range(steps):
+        circuit.append(
+            Gate("UNITARY", (coin_q,), matrix=coin_operator(schedule.coin_at(step)))
+        )
+        for k in range(n):
+            circuit.add("PHASE", k, params=(-2 * math.pi * 2 ** (n - 1 - k) / cycle,))
+        for k in (*range(1, n), 0):
+            angle = 4 * math.pi * 2 ** (n - 1 - k) / cycle
+            if angle != 2 * math.pi:
+                circuit.add("CP", coin_q, k, params=(angle,))
+    circuit.add("BARRIER", *all_qubits)
+    circuit.extend(_inverse_block(fourier))
+    return circuit
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 25])
+@pytest.mark.parametrize("cycle", [3, 4, 8])
+def test_shared_step_gates_serialize_as_the_per_step_circuit(cycle, steps):
+    coins = {"A": CoinParams(0.998489), "B": CoinParams(0.119545, 0.3, 1.1)}
+    sched = parrondo_schedule("AABB", coins, steps)
+    if cycle == 3:
+        got = build_walk_circuit_3cycle(sched, steps)
+        want = per_step_walk_circuit(3, 2, _fourier3_gates(hi=1, lo=0), sched, steps)
+    else:
+        n = cycle.bit_length() - 1
+        got = build_walk_circuit_even(n, sched, steps)
+        want = per_step_walk_circuit(cycle, n, _qft_noswap_gates(n), sched, steps)
+    assert to_text(got) == to_text(want)
+    assert got.gates == want.gates
+    # every step with the same label appends the one coin gate of that label
+    coin_gates = [g for g in got.gates if g.kind == "UNITARY"]
+    assert len(coin_gates) == steps
+    for step, gate in enumerate(coin_gates):
+        first = sched.labels().index(sched.label_at(step))
+        assert gate is coin_gates[first]
+    assert len({id(g) for g in coin_gates}) == len(set(sched.labels()))
 
 
 class TestDepthFormula:

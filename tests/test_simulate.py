@@ -29,13 +29,15 @@ from cyclewalk import (
     transpile,
     validate_density,
 )
-from cyclewalk.circuit import _row_orders, apply_matrix, wire_runs
+from cyclewalk.circuit import Trail, _row_orders, apply_matrix, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
-from cyclewalk.simulate import BundleCache, _apply_kraus, _check_density, _liouville
+from cyclewalk.simulate import (BundleCache, _apply_kraus, _check_density, _liouville,
+                                _noisy_events)
 from cyclewalk.synthesis import _emit_matrix
-from cyclewalk.transpile import ScheduledCircuit, _fuse_runs, _lower_runs
+from cyclewalk.transpile import (ScheduledCircuit, _fuse_runs, _lower_runs, _run_products,
+                                 _RunPlan)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -531,7 +533,7 @@ def test_apply_kraus_matches_operator_sum(n_ops, width):
              for _ in range(n_ops)]
     rho = random_density(width, rng)
     want = sum(e @ rho @ e.conj().T for e in (kron_embed(k, qubits, width) for k in stack))
-    op = sum(_liouville(k) for k in stack)
+    op = sum(_liouville(np.array(stack)))
     assert np.abs(_apply_kraus(rho, op, qubits) - want).max() <= 1e-14
 
 
@@ -563,15 +565,69 @@ def with_barriers(circuit, barriers):
     return c
 
 
-@settings(max_examples=80, deadline=None)
-@given(native_circuits(), st.lists(st.integers(0, 64), max_size=3))
+def per_item_check(circuit):
+    """The check as it applied one ``wire_runs`` item at a time, each run as
+    its own 2x2 product and each two-qubit gate alone: the oracle for the
+    fused steps.  Returns the unitary and the run products."""
+    gates, width = circuit.gates, circuit.width
+    plan = _RunPlan(gates)
+    ops = _run_products(gates, plan)
+    products = {}
+    rows = np.eye(1 << width, dtype=complex)
+    for positions, j in plan.items:
+        gate = gates[positions[0]]
+        if j is not None:
+            products[tuple([gates[i] for i in positions])] = ops[j]
+            rows = apply_matrix(rows, ops[j], gate.qubits, width)
+        elif gate.kind != "BARRIER":
+            rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
+    return rows, products
+
+
+def _barrier_between_run_and_entangler():
+    # q0's run (SX, RZ) is closed by a barrier, not by the ECR after it; the
+    # ECR takes q1's run alone, and a run on q1 is left open at the end
+    c = Circuit(2).add("SX", 0).add("RZ", 0, params=(0.4,)).add("X", 1).add("BARRIER", 0)
+    return c.add("ECR", 0, 1).add("SX", 1).add("ECR", 1, 0).add("RZ", 1, params=(1.0,))
+
+
+@st.composite
+def barrier_sets(draw):
+    """Positions and wire masks of barriers to put into a circuit."""
+    return draw(st.lists(st.tuples(st.integers(0, 64), st.integers(1, 15)), max_size=4))
+
+
+def with_barrier_sets(circuit, barriers):
+    """The circuit with a barrier before gate i on the wires of each (i, mask)
+    (bit q of the mask for wire q; wire 0 if none is inside the width)."""
+    c = Circuit(circuit.width)
+    for i, g in enumerate(circuit.gates + [None]):
+        for _, mask in [b for b in barriers if b[0] == i]:
+            c.add("BARRIER", *([q for q in range(c.width) if mask >> q & 1] or [0]))
+        if g is not None:
+            c.append(g)
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(native_circuits(), barrier_sets())
+@example(_barrier_between_run_and_entangler(), [])
+@example(_barrier_between_run_and_entangler(), [(1, 3), (6, 2)])
 def test_run_products_are_the_per_gate_products(circuit, barriers):
     # the check leaves one entry per one-qubit run in cache.products: the
-    # per-gate 2x2 product u = g_n ... g_1; barriers split runs and have none
-    c = with_barriers(circuit, barriers)
+    # per-gate 2x2 product u = g_n ... g_1; barriers split runs and have none.
+    # Its steps (a two-qubit gate with its leading runs, or a run that a
+    # barrier or the end closes) give what the per-item check gives
+    c = with_barrier_sets(circuit, barriers)
     cache = BundleCache(None, c.width)
     rows = _lower_runs(c, cache)
+    want, products = per_item_check(c)
     assert np.abs(rows - lower_to_unitary(c)).max() <= 1e-12
+    assert np.abs(want - lower_to_unitary(c)).max() <= 1e-12
+    assert cache.products.keys() == products.keys()
+    assert all(np.array_equal(u, products[k]) for k, u in cache.products.items())
+    plan = _RunPlan(c.gates)
+    assert sum(fused for fused, _, _ in plan.check) == sum(g.kind == "ECR" for g in c.gates)
     joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in c.gates]
     runs = {tuple([c.gates[i] for i in p]) for p in wire_runs([g.qubits for g in c.gates], joins)
             if joins[p[0]]}
@@ -721,3 +777,113 @@ def test_events_plan_follows_the_durations():
         sc = ScheduledCircuit(c, (0.0, 0.0, 3.0), durs)
         assert len(sc.idle_windows) == (2 if durs[0] == 1.0 else 0)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
+
+
+# ---------------------------------------------------------------------------
+# stacked folds against the per-event folds, and the planned schedule
+
+def _liouville_2d(u):
+    n = len(u)
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(n * n, n * n)
+
+
+def per_event_channel(key, nm):
+    kind, qubits, size = key
+    if kind == "idle":
+        kraus = thermal_relaxation_kraus(nm.t1, nm.t2, size)
+    else:
+        p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** size
+        kraus = depolarizing_kraus(p, len(qubits))
+    return None if len(kraus) == 1 else sum(_liouville_2d(k) for k in kraus)
+
+
+def per_event_noisy(sc, rho, nm, products):
+    """``run_noisy`` as it folded one event at a time: the run's product from
+    ``products`` or gate by gate, its own u (x) conj(u), then its channel,
+    each fold kept per run for the call.  The oracle for the stacked folds."""
+    gates = sc.circuit.gates
+    channels, folded = {}, {}
+    for key, positions in _noisy_events(sc, nm):
+        run = tuple([gates[i] for i in positions])
+        if key not in channels:
+            channels[key] = per_event_channel(key, nm)
+        op = channels[key]
+        if run:
+            fold = folded.get(run)
+            if fold is None:
+                u = products.get(run)
+                if u is None:
+                    u = gate_matrix(run[0])
+                    for gate in run[1:]:
+                        u = gate_matrix(gate) @ u
+                fold = _liouville_2d(u) if op is None else op @ _liouville_2d(u)
+                folded[run] = fold
+            op = fold
+        if op is not None:
+            rho = _apply_kraus(rho, op, key[1])
+    return 0.5 * (rho + rho.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_circuits(), noise_models(), st.booleans(), st.integers(0, 99))
+@example(_repeated_gates(), _NOISE, False, 0)
+@example(_repeated_gates(), NoiseModel(p1=0.0, p2=0.0), True, 1)
+@example(_run_into_dd_window(), _NOISE, True, 2)
+def test_stacked_folds_equal_the_per_event_folds(circuit, nm, dd, seed):
+    # bit for bit, without a cache, and in a bundle where the check leaves
+    # its products and the second, longer circuit resumes the trail
+    rho0 = random_density(circuit.width, np.random.default_rng(seed))
+    longer = Circuit(circuit.width).extend(circuit.gates).add("SX", 0).add("X", circuit.width - 1)
+    cache = BundleCache(nm, circuit.width)
+    for c in (circuit, longer):
+        _lower_runs(c, cache)
+        sc = schedule(c, nm, cache)
+        if dd:
+            sc = insert_dd(sc, nm)
+        assert np.array_equal(run_noisy(sc, rho0, nm, cache),
+                              per_event_noisy(sc, rho0, nm, dict(cache.products)))
+        assert np.array_equal(run_noisy(sc, rho0, nm), per_event_noisy(sc, rho0, nm, {}))
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_stacked_folds_after_a_resumed_trail(monkeypatch, dd):
+    resumed = []
+    resume = Trail.resume
+    monkeypatch.setattr(Trail, "resume",
+                        lambda self, *a: resumed.append(resume(self, *a)) or resumed[-1])
+    rho0 = random_density(3, np.random.default_rng(3))
+    cache = BundleCache(_NOISE, 3)
+    first = _repeated_gates()
+    second = Circuit(3).extend(first.gates).add("SX", 2).add("ECR", 2, 0)
+    second.add("RZ", 0, params=(0.3,))
+    for c in (first, second):
+        _lower_runs(c, cache)
+        sc = schedule(c, _NOISE, cache)
+        if dd:
+            sc = insert_dd(sc, _NOISE)
+        got = run_noisy(sc, rho0, _NOISE, cache)
+        assert np.array_equal(got, per_event_noisy(sc, rho0, _NOISE, dict(cache.products)))
+    assert resumed[0] == 0 and resumed[1] > 0
+
+
+def test_a_planned_schedule_takes_the_new_circuit_without_a_second_check(monkeypatch):
+    nm = NoiseModel()
+    first, second = (Circuit(2).add("SX", 0).add("SX", 0).add("RZ", 0, params=(angle,))
+                     .add("X", 1).add("ECR", 0, 1) for angle in (0.1, 0.2))
+    cache = BundleCache(nm, 2)
+    planned = schedule(first, nm, cache)
+    checked = []
+    post_init = ScheduledCircuit.__post_init__
+    monkeypatch.setattr(ScheduledCircuit, "__post_init__",
+                        lambda self: checked.append(self.circuit) or post_init(self))
+    sc = schedule(second, nm, cache)
+    assert checked == []
+    assert sc.circuit is second and planned.circuit is first
+    fresh = ScheduledCircuit(second, sc.start_times, sc.durations)  # any other way: checked
+    assert checked == [second]
+    assert (sc.start_times, sc.durations, sc.idle_windows) == (
+        fresh.start_times, fresh.durations, fresh.idle_windows)
+    assert sc.idle_windows == ((1, 1.0, 2.0),)  # q1 waits for q0's run
+    other = Circuit(2).add("SX", 1).add("ECR", 0, 1)  # a new skeleton is planned and checked
+    schedule(other, nm, cache)
+    assert checked == [second, other]

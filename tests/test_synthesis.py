@@ -18,6 +18,7 @@ from cyclewalk.synthesis import (
     _emit_matrix,
     _rx,
     _ry,
+    _zxzxz_stack,
     assemble_stream,
     cp_template,
     cx_stream,
@@ -69,6 +70,53 @@ class TestOneQubit:
             u = unitary_group.rvs(2, random_state=rng)
             t, p, l, d = u3_params(u)
             assert np.linalg.norm(np.exp(1j * d) * u3_matrix(t, p, l) - u) < 1e-12
+
+    @pytest.mark.parametrize("damage", ["scaled", "row", "skewed", "nan", "inf"])
+    @pytest.mark.parametrize("angles", [zxzxz_angles, u3_params])
+    def test_a_non_unitary_matrix_is_rejected(self, angles, damage):
+        # before the check, both returned angles for another matrix, 1.1 U
+        # and U with a scaled row among them
+        u = unitary_group.rvs(2, random_state=1)
+        if damage == "scaled":
+            u = 1.1 * u
+        elif damage == "row":
+            u[1] *= 1.2
+        elif damage == "skewed":  # unit rows that are not orthogonal
+            u[1] = u[0] * 1j
+        else:
+            u[1, 0] = np.nan if damage == "nan" else np.inf
+        message = rf"^{angles.__name__} needs a unitary matrix \(defect "
+        with pytest.raises(ValueError, match=message):
+            angles(u)
+
+    def test_the_defect_is_the_frobenius_norm(self):
+        # the check's plain float arithmetic reports numpy's norm, and a
+        # matrix just inside the bound of 1e-8 passes
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            with pytest.raises(ValueError) as err:
+                zxzxz_angles(m)
+            defect = np.linalg.norm(m @ m.conj().T - np.eye(2))
+            assert str(err.value).endswith(f"(defect {defect:.2e})")
+        u = unitary_group.rvs(2, random_state=4) * (1 + 3e-9)  # defect 8.5e-9
+        assert np.linalg.norm(u @ u.conj().T - np.eye(2)) < 1e-8
+        zxzxz_angles(u)
+        u3_params(u)
+
+    def test_stack_reduces_an_angle_of_minus_two_pi_as_the_scalar_form(self):
+        # -u11/u00 = -1 - 0j and u10/u01 = -1 + 0j split into a = 0,
+        # c = -pi; the branch test then shifts c to exactly -2 pi, which
+        # the fmod reduction maps to -0.0 as canonical_angle does (without
+        # it, the interval shift gives +0.0)
+        cos, sin = math.cos(0.3), math.sin(0.3)
+        u = np.array([[complex(cos, -0.0), sin], [-sin, cos]])
+        assert np.angle(-u[1, 1] / u[0, 0]) == -math.pi and np.angle(u[1, 0] / u[0, 1]) == math.pi
+        got = _zxzxz_stack(u[None])[0].tolist()
+        want = [canonical_angle(x) for x in zxzxz_angles(u)[:3]]
+        assert got == want
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+        assert math.copysign(1.0, got[2]) == -1.0
 
 
 class TestCartan:
