@@ -215,6 +215,35 @@ def _kron2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (hi[:, :, None, :, None] * lo[:, None, :, None, :]).reshape(-1, 4, 4)
 
 
+def _rotated_split(p: np.ndarray) -> np.ndarray:
+    """Orthogonal O with O^T p O diagonal for each symmetric unitary of an
+    (n, 4, 4) stack, from one eigh of Re(e^{-it} p) per row.
+
+    Eigenvalues e^{i phi_j}, e^{i phi_k} of p merge in Re(e^{-it} p) only at
+    t = (phi_j + phi_k) / 2 (mod pi), so t is the one of twelve angles in
+    [0, pi) farthest from all six such points: there |sin| >= sin(pi/24), and
+    a close pair of p's eigenvalues leaves a residual of a few ulps.
+    """
+    phi = np.angle(np.linalg.eigvals(p))
+    j, k = np.triu_indices(4, 1)
+    merge = 0.5 * (phi[:, j] + phi[:, k])
+    grid = np.arange(12) * (math.pi / 12)
+    clearance = np.abs(np.sin(grid[None, :, None] - merge[:, None, :])).min(axis=2)
+    t = grid[clearance.argmax(axis=1)]
+    m = (np.exp(-1j * t)[:, None, None] * p).real
+    return np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))[1]
+
+
+def _phases_and_q2t(o1: np.ndarray, p: np.ndarray, um: np.ndarray) -> tuple[np.ndarray, ...]:
+    """theta = arg(diag(o1^T p o1)) / 2 and Q2^T = diag(e^{-i theta}) o1^T um
+    for each row of the stacks."""
+    theta = 0.5 * np.angle(np.diagonal(o1.transpose(0, 2, 1) @ p @ o1, axis1=1, axis2=2))
+    # diag(e^{-i theta}) as a matrix product: a broadcast one can flip the sign of a zero
+    phases = np.zeros((len(o1), 4, 4), dtype=complex)
+    phases.reshape(-1, 16)[:, ::5] = np.exp(-1j * theta)
+    return theta, phases @ o1.transpose(0, 2, 1) @ um
+
+
 def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cartan decomposition of each unitary of an (n, 4, 4) stack, every
     step one stacked call (a single matrix is the stack of one).
@@ -236,11 +265,14 @@ def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
     o1 = _joint_diagonalize(
         0.5 * (re + re.transpose(0, 2, 1)), 0.5 * (im + im.transpose(0, 2, 1))
     )
-    theta = 0.5 * np.angle(np.diagonal(o1.transpose(0, 2, 1) @ p @ o1, axis1=1, axis2=2))
-    # diag(e^{-i theta}) as a matrix product: a broadcast one can flip the sign of a zero
-    phases = np.zeros((n, 4, 4), dtype=complex)
-    phases.reshape(n, 16)[:, ::5] = np.exp(-1j * theta)
-    q2t = phases @ o1.transpose(0, 2, 1) @ um
+    theta, q2t = _phases_and_q2t(o1, p, um)
+    # a gap of Re p just above the split tolerance leaves its eigenvectors too
+    # loose for Im p; dropping an Im Q2 of norm e moves the rebuilt u by about
+    # e, so rows with e above 1e-10 take the rotated split instead
+    loose = np.flatnonzero(~((q2t.imag ** 2).sum(axis=(1, 2)) <= 1e-20))
+    if loose.size:
+        o1[loose] = _rotated_split(p[loose])
+        theta[loose], q2t[loose] = _phases_and_q2t(o1[loose], p[loose], um[loose])
     if not ((q2t.imag ** 2).sum(axis=(1, 2)) <= 1e-16).all():  # norm at most 1e-8
         raise AssertionError("Cartan factor Q2 is not real")
     # q2 = q2t^T; a factor of determinant -1 flips its first column into theta
@@ -494,6 +526,11 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
     defect = unitarity_defect(u8)
     if not defect <= 1e-8:
         raise ValueError(f"qsd_stream needs a unitary matrix (defect {defect:.2e})")
+    # LAPACK's zuncsd can fail to converge on parts near 1e-150 (a sine of a
+    # tiny angle); zeroing parts below 1e-100 moves u8 by less than 1e-99
+    u8 = np.array(u8, dtype=complex)
+    for part in (u8.real, u8.imag):
+        part[np.abs(part) < 1e-100] = 0.0
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u8, p=4, q=4, separate=True)
     sel, *low = wires
     # the angles as the CS factor gives them: scipy builds it from cos, sin

@@ -10,7 +10,7 @@ from conftest import phase_aligned
 
 from cyclewalk import Gate, OptLevel, build_walk_circuit_3cycle, build_walk_circuit_4cycle, transpile
 from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, canonical_angle, rz_matrix, u3_matrix
-from cyclewalk.circuit import wire_runs
+from cyclewalk.circuit import Circuit, lower_to_unitary, wire_runs
 from cyclewalk.synthesis import (
     _MAGIC,
     _SIGNS,
@@ -273,6 +273,30 @@ class TestStackedCartan:
         stack[bad] /= 1.0 + 1e-6
         _cartan(stack)
 
+    @pytest.mark.parametrize("case", ["cp", "unitary"])
+    def test_a_gap_just_above_the_split_tolerance(self, case):
+        # Re p of these has eigenvalue gaps of 1.0000001e-9 and 2.0000001e-9,
+        # just above the split tolerance of 1e-9: its eigenvectors left Q2 an
+        # imaginary part of 1e-7 ("not real") and 1.2e-9 (reconstruction 1.2e-9)
+        c = Circuit(2)
+        if case == "cp":
+            c.add("CP", 0, 1, params=(1e-9,))
+            for kind, qubits in [("SX", (0,)), ("SX", (0,)), ("ECR", (0, 1)), ("H", (0,))]:
+                c.add(kind, *qubits)
+        else:
+            c.add("UNITARY", 0, matrix=np.diag([1, 1 + 1e-9j]))
+            for kind, qubits in [("ECR", (0, 1)), ("H", (0,)), ("H", (1,)), ("X", (0,)), ("X", (0,))]:
+                c.add(kind, *qubits)
+            c.add("RZ", 0, params=(4 * math.pi,))
+        u = lower_to_unitary(c)
+        assert phase_aligned(assemble_stream(kak_stream(u, 1, 0), 2), u) < 1e-9
+        # in a stack the other rows keep the bits of their own decomposition
+        haar = unitary_group.rvs(4, size=2, random_state=np.random.default_rng(4))
+        rows = cartan_rows(np.array([haar[0], u, haar[1]]))
+        for i, row in zip((0, 2), (rows[0], rows[2])):
+            alone = cartan_rows(haar[i // 2:i // 2 + 1])[0]
+            assert all(np.array_equal(x, y) for x, y in zip(row, alone))
+
     def test_nan_entry_is_rejected_before_lapack(self):
         stack = unitary_group.rvs(4, size=4, random_state=np.random.default_rng(9))
         stack[2, 1, 3] = math.nan
@@ -324,6 +348,16 @@ class TestStreams:
             st = qsd_stream(u, [2, 1, 0])
             assert sum(1 for item in st if item[0] == "ecr") == 24
             assert phase_aligned(assemble_stream(st, 3), u) < 1e-9
+
+    @pytest.mark.parametrize("angle", [1e-147, 1e-150, 1e-159])
+    def test_qsd_stream_with_a_sine_near_underflow(self, angle):
+        # a top-wire rotation by a tiny angle: zuncsd did not converge on these
+        ry = np.exp(-1j * angle) * np.array(
+            [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        )
+        u = np.kron(ry, np.kron(np.eye(2), H_MATRIX))
+        st = qsd_stream(u, [2, 1, 0])
+        assert phase_aligned(assemble_stream(st, 3), u) < 1e-9
 
     @pytest.mark.parametrize("damage", ["scaled", "column", "nan"])
     def test_qsd_stream_rejects_a_non_unitary_matrix(self, damage):
