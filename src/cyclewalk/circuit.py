@@ -216,8 +216,8 @@ class RunPlan:
         self.back = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
 
     def products(self, mats: np.ndarray) -> np.ndarray:
-        """Each run's u = m_n ... m_1 (``mats``: a 2x2 matrix per item), one
-        stacked matmul per step, bit for bit the scalar products."""
+        """Each run's u = m_n ... m_1 (``mats``: a 2x2 matrix, or a stack of n,
+        per item), one stacked matmul per step, bit for bit the scalar products."""
         stack = mats[self.steps]
         u = stack[0]
         for k, count in enumerate(self.active, 1):

@@ -343,8 +343,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     Writes probability.csv / probability.svg (exact, sampled and noisy
     probability at the starting position vs step), fidelity.csv /
     fidelity.svg (Hellinger fidelity of sampled and noisy against exact),
-    and a manifest sufficient to regenerate everything.  One BundleCache
-    carries the work the circuits for successive t share.
+    and a manifest sufficient to regenerate everything.  The circuits are
+    built first, and one BundleCache carries the work they share.
     """
     overlay = _read_overlay(cfg.overlay) if cfg.overlay else None
     out = _output_dir(cfg.out_dir, "out")
@@ -352,11 +352,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     steps = list(range(1, cfg.t_max + 1))
     prob_cols: dict[str, list[float]] = {"exact": []}
     fid_cols: dict[str, list[float]] = {}
-    cache = None
-    for t in steps:
-        circuit = build_walk_circuit(cfg.cycle, sched, t)
-        if cache is None:
-            cache = BundleCache(cfg.noise, circuit.width)
+    circuits = [build_walk_circuit(cfg.cycle, sched, t) for t in steps]
+    cache = BundleCache(cfg.noise, circuits[0].width, circuits)
+    for t, circuit in zip(steps, circuits):
         state = run_exact(circuit, _ground_state(circuit.width), cache)
         exact = measure_positions(state, circuit.measured)
         prob_cols["exact"].append(exact.outcomes.get(0, 0.0))

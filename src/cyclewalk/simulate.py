@@ -18,7 +18,7 @@ full-width operator is built.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +66,9 @@ class Distribution:
 class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
-    the channels' local superoperators; trails (``circuit.Trail``) of the
+    the bundle's ``circuits``, all resynthesized in the first L3 ``transpile``
+    (its "resynthesis" plan: their source unitaries and native angles); the
+    channels' local superoperators; trails (``circuit.Trail``) of the
     source unitary, the statevector and rho, which resume after the prefix
     circuit t shares with t - 1 (rho keeps none for a circuit
     ``resynthesized`` whole at L3, whose events share no prefix with another
@@ -78,9 +80,10 @@ class BundleCache:
     start times and idle windows, the noisy events.
     """
 
-    def __init__(self, nm: NoiseModel | None, width: int) -> None:
+    def __init__(self, nm: NoiseModel | None, width: int, circuits: Sequence[Circuit] = ()) -> None:
         self.nm = nm
         self.width = width
+        self.circuits = tuple(circuits)
         self.source = Trail()
         self.state = Trail()
         self.noisy = Trail()

@@ -12,9 +12,11 @@ Three layers, each verified against dense linear algebra:
   multiplexed Y rotation), giving an entangler skeleton whose size depends
   only on the width; its four two-qubit blocks take one stacked Cartan pass.
 
-Native streams are lists of ("u", wire, matrix) and ("ecr", hi, lo) items;
-adjacent single-qubit items on a wire merge before emission, in one stacked
-pass planned once per skeleton, so the emitted gate count is
+Each layer synthesizes a stack of n unitaries in one call (one matrix is a
+stack of one).  Native streams are lists of ("u", wire, matrix) and ("ecr",
+hi, lo) items, a "u" matrix an (n, 2, 2) stack or a 2x2 constant of all
+rows; adjacent single-qubit items on a wire merge before emission, in one
+stacked pass planned once per skeleton, so the emitted gate count is
 structure-determined, never angle-determined.
 """
 
@@ -22,21 +24,20 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .circuit import Circuit, RunPlan, lower_to_unitary
+from .circuit import RunPlan
 from .gates import (
     Gate,
     H_MATRIX,
-    SX_MATRIX,
     X_MATRIX,
     canonical_angle,
     phase_matrix,
     rz_matrix,
 )
-from .walk import unitarity_defect
 
 __all__ = [
     "zxzxz_angles",
@@ -46,7 +47,6 @@ __all__ = [
     "kak_stream",
     "qsd_stream",
     "stream_to_gates",
-    "assemble_stream",
     "cx_stream",
     "cp_stream",
 ]
@@ -102,10 +102,6 @@ def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
         c = 0.0
         delta = np.angle(u[0, 0]) + 0.5 * (a + c)
     return float(a), float(b), float(c), float(delta)
-
-
-def zxzxz_matrix(a: float, b: float, c: float) -> np.ndarray:
-    return rz_matrix(a) @ SX_MATRIX @ rz_matrix(b) @ SX_MATRIX @ rz_matrix(c)
 
 
 def u3_params(u: np.ndarray) -> tuple[float, float, float, float]:
@@ -168,6 +164,15 @@ def _magic_signs() -> np.ndarray:
 
 
 _SIGNS = _magic_signs()
+
+
+def _check_rows_unitary(u: np.ndarray, message: str) -> None:
+    """Raise ValueError(``message`` formatted with ``row`` and ``defect``) for
+    the first row of an (n, d, d) stack with ||u u^dag - I||_F > 1e-8 (or NaN)."""
+    defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(u.shape[-1]), axis=(1, 2))
+    bad = np.flatnonzero(~(defect <= 1e-8))
+    if bad.size:
+        raise ValueError(message.format(row=int(bad[0]), defect=defect[bad[0]]))
 
 
 def _joint_diagonalize(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -238,10 +243,15 @@ def _phases_and_q2t(o1: np.ndarray, p: np.ndarray, um: np.ndarray) -> tuple[np.n
     """theta = arg(diag(o1^T p o1)) / 2 and Q2^T = diag(e^{-i theta}) o1^T um
     for each row of the stacks."""
     theta = 0.5 * np.angle(np.diagonal(o1.transpose(0, 2, 1) @ p @ o1, axis1=1, axis2=2))
-    # diag(e^{-i theta}) as a matrix product: a broadcast one can flip the sign of a zero
-    phases = np.zeros((len(o1), 4, 4), dtype=complex)
-    phases.reshape(-1, 16)[:, ::5] = np.exp(-1j * theta)
-    return theta, phases @ o1.transpose(0, 2, 1) @ um
+    return theta, _diag(np.exp(-1j * theta)) @ o1.transpose(0, 2, 1) @ um
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """The diagonal matrices of the rows of an (n, 4) array, as a stack: a product
+    with it is np.diag's, where a broadcast can flip the sign of a zero."""
+    out = np.zeros((len(d), 4, 4), dtype=complex)
+    out.reshape(-1, 16)[:, ::5] = d
+    return out
 
 
 def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -254,11 +264,7 @@ def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
     ValueError naming the first row with ||u u^dag - I||_F > 1e-8 (or NaN).
     """
     n = len(u)
-    defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(4), axis=(1, 2))
-    bad = np.flatnonzero(~(defect <= 1e-8))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"row {i} of the stack is not unitary (defect {defect[i]:.2e})")
+    _check_rows_unitary(u, "row {row} of the stack is not unitary (defect {defect:.2e})")
     um = _MAGIC_DAG @ u @ _MAGIC
     p = um @ um.transpose(0, 2, 1)
     re, im = p.real, p.imag  # transpose(0, 2, 1), as ndarray.mT needs NumPy 2
@@ -360,6 +366,12 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _rows(rotation: Callable[[float], np.ndarray], theta: np.ndarray) -> np.ndarray:
+    """``rotation`` at each angle of an (n,) array, as an (n, 2, 2) stack: one
+    scalar call per row, since vector trig may differ in the last bit."""
+    return np.array([rotation(t) for t in theta.tolist()])
+
+
 @functools.cache
 def _cx_locals() -> tuple[np.ndarray, np.ndarray]:
     """The constant (control, target) locals of cx_stream, from
@@ -417,8 +429,8 @@ def _merged_cz_cx_stream(hi: int, lo: int) -> Stream:
     )
 
 
-def _kak_stream(cartan: tuple[np.ndarray, ...], i: int, hi: int, lo: int) -> Stream:
-    """Native stream for row ``i`` of a ``_cartan`` result, up to global phase.
+def _kak_stream(cartan: tuple[np.ndarray, ...], hi: int, lo: int) -> Stream:
+    """Native stream for each row of a ``_cartan`` result, up to global phase.
 
     Skeleton: three entangling blocks.  With W = exp(i(a XX + b YY + c ZZ)),
     W = CX . RX(-2a)_hi . CZ . (RX(2b)_hi RZ(-2c)_lo) . CZ . CX
@@ -426,21 +438,21 @@ def _kak_stream(cartan: tuple[np.ndarray, ...], i: int, hi: int, lo: int) -> Str
     entangling block, leaving three two-qubit natives in total.
     """
     abcg, a1, a0, b1, b0 = cartan
-    a, b, c, _ = abcg[i].tolist()
-    stream: Stream = [_u(hi, b1[i]), _u(lo, b0[i])]
+    a, b, c, _ = abcg.T
+    stream: Stream = [_u(hi, b1), _u(lo, b0)]
     stream += _merged_cz_cx_stream(hi, lo)
-    stream += [_u(lo, rz_matrix(-2 * c)), _u(hi, _rx(2 * b))]
+    stream += [_u(lo, _rows(rz_matrix, -2 * c)), _u(hi, _rows(_rx, 2 * b))]
     stream += cz_stream(hi, lo)
-    stream += [_u(hi, _rx(-2 * a))]
+    stream += [_u(hi, _rows(_rx, -2 * a))]
     stream += cx_stream(hi, lo)
-    stream += [_u(hi, a1[i]), _u(lo, a0[i])]
+    stream += [_u(hi, a1), _u(lo, a0)]
     return stream
 
 
 def kak_stream(u4: np.ndarray, hi: int, lo: int) -> Stream:
-    """Native stream for an arbitrary 4x4 unitary, up to global phase
-    (three ECRs; see ``_kak_stream``)."""
-    return _kak_stream(_cartan(np.asarray(u4)[None]), 0, hi, lo)
+    """Native stream for a 4x4 unitary or an (n, 4, 4) stack, up to global
+    phase (three ECRs; see ``_kak_stream``)."""
+    return _kak_stream(_cartan(np.reshape(u4, (-1, 4, 4))), hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +472,22 @@ def _gray_signs(n: int) -> np.ndarray:
     return m
 
 
-def _mux_angles(thetas: np.ndarray) -> np.ndarray:
-    """Solve theta_j = sum_i phi_i (-1)^{popcount(gray(i) & j)} for phi."""
-    return np.linalg.solve(_gray_signs(len(thetas)), np.asarray(thetas, dtype=float))
-
-
 def mux_rotation_stream(
     axis: str, target: int, controls: list[int], thetas: np.ndarray
 ) -> Stream:
-    """Uniformly controlled RZ or RY on ``target``.
+    """Uniformly controlled RZ or RY on ``target`` for each row of an (n, 2**k)
+    stack of angles (one row of 2**k is a stack of one).
 
-    ``thetas[p]`` applies when the control bits spell p (controls[0] is the
-    most significant).  Gray-code construction: 2**k rotations interleaved
-    with 2**k CNOTs whose controls follow the Gray transition bit.
+    ``thetas[:, p]`` applies when the control bits spell p (controls[0] is
+    the most significant).  Gray-code construction: 2**k rotations, whose
+    angles phi solve theta_j = sum_i phi_i (-1)^{popcount(gray(i) & j)},
+    interleaved with 2**k CNOTs whose controls follow the Gray transition bit.
     """
     k = len(controls)
     n = 1 << k
-    if len(thetas) != n:
-        raise ValueError(f"need {n} angles for {k} controls, got {len(thetas)}")
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.shape[1] != n:
+        raise ValueError(f"need {n} angles for {k} controls, got {thetas.shape[1]}")
     if axis == "z":
         rot = rz_matrix
     elif axis == "y":
@@ -485,11 +495,11 @@ def mux_rotation_stream(
     else:
         raise ValueError(f"unsupported rotation axis {axis!r}")
     if k == 0:
-        return [_u(target, rot(float(thetas[0])))]
-    phis = _mux_angles(thetas)
+        return [_u(target, _rows(rot, thetas[:, 0]))]
+    phis = np.linalg.solve(_gray_signs(n), thetas[:, :, None])[:, :, 0]
     stream: Stream = []
     for i in range(n):
-        stream.append(_u(target, rot(float(phis[i]))))
+        stream.append(_u(target, _rows(rot, phis[:, i])))
         transition = _gray(i) ^ _gray((i + 1) % n)
         bit = transition.bit_length() - 1
         stream += cx_stream(controls[k - 1 - bit], target)
@@ -499,52 +509,53 @@ def mux_rotation_stream(
 def _demux(
     a_block: np.ndarray, b_block: np.ndarray, select: int, lower: list[int]
 ) -> tuple[np.ndarray, np.ndarray, Stream]:
-    """Demultiplex the block-diagonal operator A (+) B over the select qubit.
+    """Demultiplex each block-diagonal operator A (+) B of two (n, 4, 4) stacks.
 
     Uses A = V D W, B = V D^dag W with D = exp(i delta) from the spectrum of
-    A B^dag; returns W, V and the middle, a multiplexed RZ on ``select``.
+    A B^dag (a Schur form per row); returns W, V and the middle, a
+    multiplexed RZ on the select qubit.
     """
-    m = a_block @ b_block.conj().T
-    t, v = scipy.linalg.schur(m, output="complex")
-    off = np.linalg.norm(t - np.diag(np.diagonal(t)))
-    if off > 1e-9:
-        raise AssertionError(f"schur form of a normal matrix not diagonal ({off:.2e})")
-    delta = 0.5 * np.angle(np.diagonal(t))
-    d = np.exp(1j * delta)
-    w_block = np.diag(d) @ v.conj().T @ b_block
+    m = a_block @ b_block.conj().transpose(0, 2, 1)
+    t, v = map(np.array, zip(*[scipy.linalg.schur(x, output="complex") for x in m]))
+    off = np.linalg.norm(np.triu(t, 1), axis=(1, 2))
+    if not (off <= 1e-9).all():
+        raise AssertionError(f"schur form of a normal matrix not diagonal ({off.max():.2e})")
+    delta = 0.5 * np.angle(np.diagonal(t, axis1=1, axis2=2))
+    w_block = _diag(np.exp(1j * delta)) @ v.conj().transpose(0, 2, 1) @ b_block
     return w_block, v, mux_rotation_stream("z", select, lower, -2.0 * delta)
 
 
 def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
-    """Cosine-sine synthesis of an 8x8 unitary on wires [hi, mid, lo].
+    """Cosine-sine synthesis of an 8x8 unitary or (n, 8, 8) stack on wires [hi, mid, lo].
 
     u8 = (L1 (+) L2) . CS . (R1 (+) R2): the CS factor is a multiplexed RY
     on the top wire and each block-diagonal factor demultiplexes into two
-    4x4 blocks around a multiplexed RZ.  The four blocks take one stacked
-    Cartan pass.  Raises ValueError if ||u8 u8^dag - I||_F > 1e-8 (or NaN).
+    4x4 blocks around a multiplexed RZ.  The 4n blocks take one stacked
+    Cartan pass.  Raises ValueError naming the first row with
+    ||u8 u8^dag - I||_F > 1e-8 (or NaN).
     """
-    defect = unitarity_defect(u8)
-    if not defect <= 1e-8:
-        raise ValueError(f"qsd_stream needs a unitary matrix (defect {defect:.2e})")
+    u8 = np.array(u8, dtype=complex).reshape(-1, 8, 8)
+    _check_rows_unitary(u8, "qsd_stream needs a unitary matrix (defect {defect:.2e} in row {row})")
     # LAPACK's zuncsd can fail to converge on parts near 1e-150 (a sine of a
     # tiny angle); zeroing parts below 1e-100 moves u8 by less than 1e-99
-    u8 = np.array(u8, dtype=complex)
     for part in (u8.real, u8.imag):
         part[np.abs(part) < 1e-100] = 0.0
-    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u8, p=4, q=4, separate=True)
+    left, theta, right = map(np.array, zip(*[  # (n, 2, 4, 4), (n, 4), (n, 2, 4, 4)
+        scipy.linalg.cossin(u, p=4, q=4, separate=True) for u in u8]))
     sel, *low = wires
     # the angles as the CS factor gives them: scipy builds it from cos, sin
     thetas = 2.0 * np.arctan2(np.sin(theta), np.cos(theta))
-    w_right, v_right, mux_right = _demux(v1h, v2h, sel, low)
-    w_left, v_left, mux_left = _demux(u1, u2, sel, low)
-    cartan = _cartan(np.array([w_right, v_right, w_left, v_left]))
-    k = [_kak_stream(cartan, i, *low) for i in range(4)]
+    w_right, v_right, mux_right = _demux(right[:, 0], right[:, 1], sel, low)
+    w_left, v_left, mux_left = _demux(left[:, 0], left[:, 1], sel, low)
+    cartan = _cartan(np.concatenate([w_right, v_right, w_left, v_left]))
+    n = len(u8)
+    k = [_kak_stream([x[i * n:(i + 1) * n] for x in cartan], *low) for i in range(4)]
     mux_y = mux_rotation_stream("y", sel, low, thetas)
     return k[0] + mux_right + k[1] + mux_y + k[2] + mux_left + k[3]
 
 
 # ---------------------------------------------------------------------------
-# stream emission and verification
+# stream emission
 
 @functools.cache
 def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
@@ -613,41 +624,38 @@ def _emit_matrix(wire: int, matrix: np.ndarray) -> list[Gate]:
 _stream_plan = functools.lru_cache(maxsize=64)(RunPlan)  # per stream skeleton
 
 
-def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[Gate]:
-    """Merge per-wire single-qubit runs, then emit native gates.
+def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> Callable[[int], list[Gate]]:
+    """Merge per-wire single-qubit runs, then emit native gates, for each of
+    the stream's n rows; returns ``gates``, where gates(i) emits row i.
 
-    The stream's skeleton is planned once, and the runs of its stacked "u"
-    matrices are multiplied by ``RunPlan.products``.  Each merged run becomes
+    The stream's skeleton is planned once, and the runs of all rows are
+    multiplied by one ``RunPlan.products`` call.  Each merged run becomes
     its shortest form (``_emit_matrix``), or with ``fixed_shape`` exactly
-    five gates (RZ SX RZ SX RZ), their angles taken for all runs in one
-    pass, so the output shape depends only on the entangler skeleton.
+    five gates (RZ SX RZ SX RZ), their angles taken for all runs of all
+    rows in one pass here, so the output shape depends only on the
+    entangler skeleton.
     """
     joins = tuple([item[0] == "u" for item in stream])
     wires = tuple([item[1:2] if join else item[1:] for item, join in zip(stream, joins)])
     plan = _stream_plan(wires, joins)
-    mats = np.zeros((len(stream), 2, 2), dtype=complex)
-    mats[plan.joined] = np.reshape([stream[i][2] for i in plan.joined], (-1, 2, 2))
-    products = plan.products(mats)
+    n = max([len(item[2]) for item in stream if item[0] == "u" and item[2].ndim == 3], default=1)
+    mats = np.zeros((len(stream), n, 2, 2), dtype=complex)
+    for i in plan.joined:
+        mats[i] = stream[i][2]  # a constant broadcasts over the rows
+    runs = plan.products(mats)  # (runs, n, 2, 2)
     if fixed_shape:
-        angles = _zxzxz_stack(products).tolist()
-    gates: list[Gate] = []
-    for positions, j in plan.items:
-        wire = wires[positions[0]]
-        if j is None:
-            gates.append(_fixed_gate("ECR", wire))
-        elif fixed_shape:
-            gates.extend(_zxzxz_gates(wire[0], *angles[j]))
-        else:
-            gates.extend(_emit_matrix(wire[0], products[j]))
+        runs = _zxzxz_stack(runs.reshape(-1, 2, 2)).reshape(-1, n, 3).tolist()
+
+    def gates(i: int) -> list[Gate]:
+        out: list[Gate] = []
+        for positions, j in plan.items:
+            wire = wires[positions[0]]
+            if j is None:
+                out.append(_fixed_gate("ECR", wire))
+            elif fixed_shape:
+                out.extend(_zxzxz_gates(wire[0], *runs[j][i]))
+            else:
+                out.extend(_emit_matrix(wire[0], runs[j][i]))
+        return out
+
     return gates
-
-
-def assemble_stream(stream: Stream, width: int) -> np.ndarray:
-    """Dense unitary of a stream (verification helper)."""
-    circuit = Circuit(width)
-    for item in stream:
-        if item[0] == "u":
-            circuit.add("UNITARY", item[1], matrix=item[2])
-        else:
-            circuit.add("ECR", item[1], item[2])
-    return lower_to_unitary(circuit)

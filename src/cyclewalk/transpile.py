@@ -4,8 +4,8 @@ levels, time scheduling and XY4 dynamical-decoupling insertion.
 Levels: L0 decomposes gate by gate.  L1 also fuses each per-wire one-qubit
 run once, keeping a resynthesis only when it is strictly shorter.  L3
 resynthesizes the whole circuit from its dense unitary (width <= 3) at a
-fixed shape, so native gate count and depth depend only on the width, never
-on the step count; wider circuits run L1 and are named after it.
+fixed shape, a bundle's circuits in one stacked pass, so gate count and
+depth depend only on the width; wider circuits run L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
@@ -26,14 +26,16 @@ start times come from the ASAP pass that ``circuit.depth_report`` also runs.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, RunPlan, _asap_starts, apply_matrix, lower_to_unitary
+from .circuit import Circuit, RunPlan, Trail, _asap_starts, apply_matrix, lower_to_unitary
 from .gates import (CONSTANT_MATRICES, NATIVE_KINDS, ONE_QUBIT_KINDS, Gate, canonical_angle,
                     gate_matrix)
 from .noise import NoiseModel, gate_duration
@@ -115,7 +117,7 @@ def decompose_cp(theta: float, control: int, target: int) -> list[Gate]:
     angle = canonical_angle(theta)
     if abs(angle) < ZERO_ANGLE:
         return []
-    return stream_to_gates(cp_stream(angle, control, target), fixed_shape=False)
+    return stream_to_gates(cp_stream(angle, control, target))(0)
 
 
 def _decompose_gate(gate: Gate) -> list[Gate]:
@@ -141,8 +143,9 @@ _CONSTANT_KINDS = tuple([k for k in CONSTANT_MATRICES if k in ONE_QUBIT_KINDS])
 class _RunPlan(RunPlan):
     """What ``_fuse_runs`` and ``_lower_runs`` read of a skeleton: the
     ``RunPlan`` of its one-qubit runs (a barrier separates runs), where
-    their RZ, constant-kind and other gates are, and the check's steps: a
-    two-qubit gate with its leading runs, or a run closed by a barrier or the end."""
+    their RZ and constant-kind gates (a native circuit's one-qubit kinds) are,
+    and the check's steps: a two-qubit gate with its leading runs, or a run
+    closed by a barrier or the end."""
 
     def __init__(self, gates: list[Gate]) -> None:
         super().__init__([g.qubits for g in gates],
@@ -152,7 +155,6 @@ class _RunPlan(RunPlan):
             by_kind.setdefault(gates[i].kind, []).append(i)
         self.rz = by_kind.pop("RZ", [])
         self.constant = [by_kind.pop(kind) for kind in _CONSTANT_KINDS if kind in by_kind]
-        self.other = [i for positions in by_kind.values() for i in positions]
         # wire_runs emits a run just before its wire's next other item
         lead: dict[int, int] = {}  # the runs that no gate or barrier took yet
         fused, self.check = [], []  # (position, hi run, lo run); (fused?, index, qubits)
@@ -181,8 +183,6 @@ def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
         mats[plan.rz, 1, 1] = np.exp(0.5j * theta)
     for positions in plan.constant:
         mats[positions] = gate_matrix(gates[positions[0]])
-    if plan.other:
-        mats[plan.other] = [gate_matrix(gates[i]) for i in plan.other]
     return plan.products(mats)
 
 
@@ -232,15 +232,20 @@ def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarra
 # ---------------------------------------------------------------------------
 # whole-circuit resynthesis (L3)
 
-def _resynthesize(unitary: np.ndarray, width: int) -> list[Gate]:
-    """Fixed-shape native gates for the dense unitary of a width <= 3 circuit."""
-    if width == 1:
-        stream: Stream = [_u(0, unitary)]
-    elif width == 2:
-        stream = kak_stream(unitary, 1, 0)
+def _resynthesize(
+    circuits: tuple[Circuit, ...], trail: Trail | None
+) -> tuple[np.ndarray, Callable[[int], list[Gate]]]:
+    """The dense unitaries of circuits of one width <= 3, lowered through
+    ``trail``, and their fixed-shape native gates from one stacked
+    resynthesis: gates(i) emits row i."""
+    sources = np.array([lower_to_unitary(c, trail) for c in circuits])
+    if circuits[0].width == 1:
+        stream: Stream = [_u(0, sources)]
+    elif circuits[0].width == 2:
+        stream = kak_stream(sources, 1, 0)
     else:
-        stream = qsd_stream(unitary, [2, 1, 0])
-    return stream_to_gates(stream, fixed_shape=True)
+        stream = qsd_stream(sources, [2, 1, 0])
+    return sources, stream_to_gates(stream, fixed_shape=True)
 
 
 def transpile(
@@ -249,7 +254,9 @@ def transpile(
     """Rewrite a circuit over the native gate set at the given level (L3 above
     width 3 runs L1, and the result's name ends in ``-native1``).  With a
     bundle ``cache``, the source lowering resumes its trail, the check leaves
-    its one-qubit run products there, and the cache notes an L3 resynthesis.
+    its one-qubit run products there, and the cache notes an L3 resynthesis;
+    at L3 the first call for one of its ``circuits`` lowers and resynthesizes
+    them all in one stacked pass, and each call emits its own row's gates.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
@@ -257,10 +264,14 @@ def transpile(
     if cache is not None:
         cache.resynthesized = level == OptLevel.L3
     # the source unitary, lowered once: the L3 input and the check's reference
-    source = lower_to_unitary(circuit, None if cache is None else cache.source)
     if level == OptLevel.L3:
-        gates = _resynthesize(source, circuit.width)
+        bundle = cache.circuits if cache is not None and circuit in cache.circuits else (circuit,)
+        build = functools.partial(_resynthesize, bundle, None if cache is None else cache.source)
+        sources, emit = build() if cache is None else cache.plan("resynthesis", bundle, build)
+        i = bundle.index(circuit)
+        source, gates = sources[i], emit(i)
     else:
+        source = lower_to_unitary(circuit, None if cache is None else cache.source)
         gates = [g for src in circuit.gates for g in _decompose_gate(src)]
         if level == OptLevel.L1:
             gates = _fuse_runs(gates)

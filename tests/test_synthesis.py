@@ -9,7 +9,8 @@ from scipy.stats import unitary_group
 from conftest import phase_aligned
 
 from cyclewalk import Gate, OptLevel, build_walk_circuit_3cycle, build_walk_circuit_4cycle, transpile
-from cyclewalk.gates import ECR_MATRIX, H_MATRIX, X_MATRIX, canonical_angle, rz_matrix, u3_matrix
+from cyclewalk.gates import (ECR_MATRIX, H_MATRIX, SX_MATRIX, X_MATRIX, canonical_angle, rz_matrix,
+                             u3_matrix)
 from cyclewalk.circuit import Circuit, lower_to_unitary, wire_runs
 from cyclewalk.synthesis import (
     _MAGIC,
@@ -19,7 +20,6 @@ from cyclewalk.synthesis import (
     _rx,
     _ry,
     _zxzxz_stack,
-    assemble_stream,
     cp_template,
     cx_stream,
     cz_stream,
@@ -32,8 +32,23 @@ from cyclewalk.synthesis import (
     stream_to_gates,
     u3_params,
     zxzxz_angles,
-    zxzxz_matrix,
 )
+
+
+def zxzxz_matrix(a, b, c):
+    return rz_matrix(a) @ SX_MATRIX @ rz_matrix(b) @ SX_MATRIX @ rz_matrix(c)
+
+
+def assemble_stream(stream, width, row=0):
+    """Dense unitary of row ``row`` of a stream; a 2x2 "u" item is shared by all rows."""
+    circuit = Circuit(width)
+    for item in stream:
+        if item[0] == "u":
+            circuit.add("UNITARY", item[1], matrix=item[2] if item[2].ndim == 2 else item[2][row])
+        else:
+            circuit.add("ECR", item[1], item[2])
+    return lower_to_unitary(circuit)
+
 
 CX_10 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ = np.diag([1.0, 1, 1, -1]).astype(complex)
@@ -70,6 +85,19 @@ class TestOneQubit:
             u = unitary_group.rvs(2, random_state=rng)
             t, p, l, d = u3_params(u)
             assert np.linalg.norm(np.exp(1j * d) * u3_matrix(t, p, l) - u) < 1e-12
+
+    @pytest.mark.parametrize("shape", ["diagonal", "anti-diagonal"])
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.3, -2.1), (math.pi, -math.pi), (-3.0, 1e-13)])
+    def test_u3_params_special_cases(self, shape, phases):
+        # u10 = 0 takes the branch with phi = lam; u00 = 0 the one with theta = pi
+        p, q = np.exp(1j * np.array(phases))
+        u = np.diag([p, q]) if shape == "diagonal" else np.array([[0, p], [q, 0]])
+        t, phi, lam, d = u3_params(u)
+        if shape == "diagonal":
+            assert t == 0.0 and phi == lam
+        else:
+            assert (t, d) == (math.pi, 0.0)
+        assert np.linalg.norm(np.exp(1j * d) * u3_matrix(t, phi, lam) - u) < 1e-12
 
     @pytest.mark.parametrize("damage", ["scaled", "row", "skewed", "nan", "inf"])
     @pytest.mark.parametrize("angles", [zxzxz_angles, u3_params])
@@ -224,6 +252,32 @@ def cartan_rows(stack):
     return [(abcg[i], a1[i], a0[i], b1[i], b0[i]) for i in range(len(stack))]
 
 
+def split_gap_unitary(case):
+    """A two-qubit unitary whose Re p has an eigenvalue gap just above the
+    Cartan split tolerance: a CP(1e-9) or a UNITARY diag(1, 1 + 1e-9j) before
+    an ECR."""
+    c = Circuit(2)
+    if case == "cp":
+        c.add("CP", 0, 1, params=(1e-9,))
+        for kind, qubits in [("SX", (0,)), ("SX", (0,)), ("ECR", (0, 1)), ("H", (0,))]:
+            c.add(kind, *qubits)
+    else:
+        c.add("UNITARY", 0, matrix=np.diag([1, 1 + 1e-9j]))
+        for kind, qubits in [("ECR", (0, 1)), ("H", (0,)), ("H", (1,)), ("X", (0,)), ("X", (0,))]:
+            c.add(kind, *qubits)
+        c.add("RZ", 0, params=(4 * math.pi,))
+    return lower_to_unitary(c)
+
+
+def underflow_unitary(angle):
+    """A three-qubit unitary with a top-wire rotation by a tiny ``angle``, whose
+    cosine-sine parts are near underflow."""
+    ry = np.exp(-1j * angle) * np.array(
+        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    )
+    return np.kron(ry, np.kron(np.eye(2), H_MATRIX))
+
+
 class TestStackedCartan:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(two_qubit_unitaries(), min_size=1, max_size=8))
@@ -278,17 +332,7 @@ class TestStackedCartan:
         # Re p of these has eigenvalue gaps of 1.0000001e-9 and 2.0000001e-9,
         # just above the split tolerance of 1e-9: its eigenvectors left Q2 an
         # imaginary part of 1e-7 ("not real") and 1.2e-9 (reconstruction 1.2e-9)
-        c = Circuit(2)
-        if case == "cp":
-            c.add("CP", 0, 1, params=(1e-9,))
-            for kind, qubits in [("SX", (0,)), ("SX", (0,)), ("ECR", (0, 1)), ("H", (0,))]:
-                c.add(kind, *qubits)
-        else:
-            c.add("UNITARY", 0, matrix=np.diag([1, 1 + 1e-9j]))
-            for kind, qubits in [("ECR", (0, 1)), ("H", (0,)), ("H", (1,)), ("X", (0,)), ("X", (0,))]:
-                c.add(kind, *qubits)
-            c.add("RZ", 0, params=(4 * math.pi,))
-        u = lower_to_unitary(c)
+        u = split_gap_unitary(case)
         assert phase_aligned(assemble_stream(kak_stream(u, 1, 0), 2), u) < 1e-9
         # in a stack the other rows keep the bits of their own decomposition
         haar = unitary_group.rvs(4, size=2, random_state=np.random.default_rng(4))
@@ -342,20 +386,20 @@ class TestStreams:
             assert phase_aligned(got, direct) < 1e-12
 
     def test_qsd_stream(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            u = unitary_group.rvs(8, random_state=rng)
+        # five unitaries one at a time, then as one stack whose rows are read apart
+        stack = unitary_group.rvs(8, size=5, random_state=np.random.default_rng(7))
+        for u in stack:
             st = qsd_stream(u, [2, 1, 0])
             assert sum(1 for item in st if item[0] == "ecr") == 24
             assert phase_aligned(assemble_stream(st, 3), u) < 1e-9
+        st = qsd_stream(stack, [2, 1, 0])
+        assert sum(1 for item in st if item[0] == "ecr") == 24
+        assert all(phase_aligned(assemble_stream(st, 3, i), u) < 1e-9 for i, u in enumerate(stack))
 
     @pytest.mark.parametrize("angle", [1e-147, 1e-150, 1e-159])
     def test_qsd_stream_with_a_sine_near_underflow(self, angle):
         # a top-wire rotation by a tiny angle: zuncsd did not converge on these
-        ry = np.exp(-1j * angle) * np.array(
-            [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-        )
-        u = np.kron(ry, np.kron(np.eye(2), H_MATRIX))
+        u = underflow_unitary(angle)
         st = qsd_stream(u, [2, 1, 0])
         assert phase_aligned(assemble_stream(st, 3), u) < 1e-9
 
@@ -373,17 +417,33 @@ class TestStreams:
         with pytest.raises(ValueError, match=r"^qsd_stream needs a unitary matrix \(defect "):
             qsd_stream(u, [2, 1, 0])
 
+    @pytest.mark.parametrize("bad", range(3))
+    def test_a_non_unitary_row_is_named(self, bad):
+        # a stack resynthesized in one pass names the row that fails, at
+        # width 3 (qsd_stream) and width 2 (kak_stream, through _cartan)
+        rng = np.random.default_rng(bad)
+        for dim, call, message in [
+            (8, lambda m: qsd_stream(m, [2, 1, 0]),
+             rf"^qsd_stream needs a unitary matrix \(defect 5\.66e-06 in row {bad}\)$"),
+            (4, lambda m: kak_stream(m, 1, 0),
+             rf"^row {bad} of the stack is not unitary \(defect 4\.00e-06\)$"),
+        ]:
+            stack = unitary_group.rvs(dim, size=3, random_state=rng)
+            stack[bad] *= 1.0 + 1e-6
+            with pytest.raises(ValueError, match=message):
+                call(stack)
+
     def test_fixed_shape_emission_is_input_independent(self):
         rng = np.random.default_rng(8)
         shapes = set()
         for _ in range(3):
             u = unitary_group.rvs(8, random_state=rng)
-            gates = stream_to_gates(qsd_stream(u, [2, 1, 0]), fixed_shape=True)
+            gates = stream_to_gates(qsd_stream(u, [2, 1, 0]), fixed_shape=True)(0)
             shapes.add(tuple((g.kind, g.qubits) for g in gates))
         assert len(shapes) == 1
 
     def test_minimal_emission_drops_identity_rotations(self):
-        gates = stream_to_gates([("u", 0, np.eye(2, dtype=complex))], fixed_shape=False)
+        gates = stream_to_gates([("u", 0, np.eye(2, dtype=complex))], fixed_shape=False)(0)
         assert gates == []
 
 
@@ -428,7 +488,7 @@ def test_fixed_shape_emission_equals_the_scalar_reference(seed, n_random, degene
         wire = int(rng.integers(3))
         stream += [("u", wire, matrices[k]), ("ecr", wire, (wire + 1) % 3)]
         expected += scalar_fixed_shape(wire, matrices[k]) + [Gate("ECR", (wire, (wire + 1) % 3))]
-    assert stream_to_gates(stream, fixed_shape=True) == expected
+    assert stream_to_gates(stream, fixed_shape=True)(0) == expected
 
 
 @st.composite
@@ -477,7 +537,51 @@ def scalar_emission(stream, fixed_shape):
 def test_stacked_emission_equals_the_scalar_fold(stream, fixed_shape):
     # runs of several items, multiplied as stacks, emit what the scalar left
     # fold of each run emits, in both modes; a stream may have no "u" item
-    assert stream_to_gates(stream, fixed_shape) == scalar_emission(stream, fixed_shape)
+    assert stream_to_gates(stream, fixed_shape)(0) == scalar_emission(stream, fixed_shape)
+
+
+def resynthesis_stream(stack, width):
+    """The fixed-shape stream of a stack of unitaries of one width, as L3 builds it."""
+    if width == 1:
+        return [("u", 0, stack)]
+    return kak_stream(stack, 1, 0) if width == 2 else qsd_stream(stack, [2, 1, 0])
+
+
+def gate_bits(gates):
+    """Each gate's kind, qubits and the exact bits of its parameters."""
+    return [(g.kind, g.qubits, [p.hex() for p in g.params]) for g in gates]
+
+
+@st.composite
+def resynthesis_stacks(draw):
+    """A width of 1 to 3 and a stack of 1 to 6 unitaries of it: Haar-random
+    rows mixed with rows that strain one layer (degenerate 2x2 rows, Cartan
+    split gaps, cosine-sine parts near underflow)."""
+    width = draw(st.integers(1, 3))
+    special = {
+        1: degenerate_unitaries(),
+        2: st.sampled_from([split_gap_unitary("cp"), split_gap_unitary("unitary")]
+                           + special_two_qubit_cases()),
+        3: st.sampled_from([underflow_unitary(a) for a in (1e-147, 1e-150, 1e-159)]
+                           + [np.kron(H_MATRIX, split_gap_unitary("cp"))]),
+    }[width]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = [draw(special) if draw(st.booleans()) else unitary_group.rvs(1 << width, random_state=rng)
+             for _ in range(draw(st.integers(1, 6)))]
+    return width, np.array(stack, dtype=complex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(resynthesis_stacks())
+def test_every_row_of_a_stack_emits_the_gates_of_its_stack_of_one(case):
+    # one stacked resynthesis of n unitaries (L3's pass over a bundle) and n
+    # passes of one emit the same gates, bit for bit, and each row is exact
+    width, stack = case
+    rows = stream_to_gates(resynthesis_stream(stack, width), fixed_shape=True)
+    for i, u in enumerate(stack):
+        alone = stream_to_gates(resynthesis_stream(stack[i:i + 1], width), fixed_shape=True)(0)
+        assert rows(i) == alone and gate_bits(rows(i)) == gate_bits(alone)
+        assert phase_aligned(lower_to_unitary(Circuit(width).extend(alone)), u) < 1e-9
 
 
 class TestClosedFormRotations:

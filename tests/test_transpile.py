@@ -37,11 +37,12 @@ from cyclewalk import (
     trace_distance,
     readout_distribution,
 )
-from cyclewalk.circuit import MAX_LOWER_WIDTH, wire_runs
+from cyclewalk.circuit import MAX_LOWER_WIDTH, to_text, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.synthesis import ZERO_ANGLE
 from cyclewalk.gates import NATIVE_KINDS, gate_matrix, u3_matrix
 from cyclewalk.noise import thermal_relaxation_kraus
+from cyclewalk.simulate import BundleCache
 from cyclewalk.transpile import ScheduledCircuit, TranspileError
 
 
@@ -246,6 +247,25 @@ class TestTranspile:
         assert [c is source for c in calls["lower_to_unitary"]] == [True]
         assert [c is native for c in calls["_lower_runs"]] == [True]
 
+    def test_bundle_resynthesis_equals_each_circuit_alone(self, monkeypatch):
+        # the 4-cycle bundle's 25 circuits take one stacked qsd_stream and one
+        # lowering each, and every t emits the gates of its own stack of one
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        calls = Counter()
+        for name in ("qsd_stream", "lower_to_unitary"):
+            original = getattr(transpile_module, name)
+            monkeypatch.setattr(transpile_module, name, lambda *args, name=name, original=original:
+                                calls.update([name]) or original(*args))
+        sched = parrondo_schedule("AABB", default_coins(4), 25)
+        circuits = [build_walk_circuit(4, sched, t) for t in range(1, 26)]
+        cache = BundleCache(NoiseModel(), 3, circuits)
+        natives = [transpile(c, OptLevel.L3, cache) for c in circuits]
+        assert calls == {"qsd_stream": 1, "lower_to_unitary": 25}
+        for c, native in zip(circuits, natives):
+            alone = transpile(c, OptLevel.L3)
+            assert native.gates == alone.gates and to_text(native) == to_text(alone)
+        assert calls == {"qsd_stream": 26, "lower_to_unitary": 50}
+
     def test_semantic_guard_raises_on_tamper(self):
         # non-unitary payloads cannot arise through the public API; the
         # guard is exercised through the error type being exported
@@ -267,22 +287,40 @@ class TestTranspile:
 
     def test_run_wise_check_catches_a_shifted_rz(self, monkeypatch, schedule_4cycle):
         # the check applies each one-qubit run as one product, so a tampered
-        # gate inside a five-gate RZ-SX-RZ-SX-RZ run must still be caught
+        # gate inside a five-gate RZ-SX-RZ-SX-RZ run must still be caught: in
+        # a bundle resynthesized in one stacked pass, at the tampered row's t
+        # and there only, and in a circuit resynthesized alone
         transpile_module = importlib.import_module("cyclewalk.transpile")
         resynthesize = transpile_module._resynthesize
+        circuits = [build_walk_circuit_4cycle(schedule_4cycle, t) for t in (1, 2, 3)]
+        passes = []
 
-        def tampered(unitary, width):
-            gates = resynthesize(unitary, width)
-            joins = [g.n_qubits == 1 for g in gates]
-            run = next(r for r in wire_runs([g.qubits for g in gates], joins) if len(r) == 5)
-            i = run[2]
-            assert gates[i].kind == "RZ"
-            gates[i] = Gate("RZ", gates[i].qubits, (gates[i].params[0] + 1e-6,))
-            return gates
+        def tampered(bundle, trail):
+            passes.append(bundle)
+            sources, emit = resynthesize(bundle, trail)
+
+            def emit_tampered(i):
+                gates = emit(i)
+                if bundle[i] is circuits[1]:
+                    joins = [g.n_qubits == 1 for g in gates]
+                    run = next(r for r in wire_runs([g.qubits for g in gates], joins)
+                               if len(r) == 5)
+                    k = run[2]
+                    assert gates[k].kind == "RZ"
+                    gates[k] = Gate("RZ", gates[k].qubits, (gates[k].params[0] + 1e-6,))
+                return gates
+
+            return sources, emit_tampered
 
         monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
+        cache = BundleCache(None, 3, circuits)
+        transpile(circuits[0], OptLevel.L3, cache)
         with pytest.raises(TranspileError, match="deviates"):
-            transpile(build_walk_circuit_4cycle(schedule_4cycle, 3), OptLevel.L3)
+            transpile(circuits[1], OptLevel.L3, cache)
+        transpile(circuits[2], OptLevel.L3, cache)
+        with pytest.raises(TranspileError, match="deviates"):
+            transpile(circuits[1], OptLevel.L3)
+        assert passes == [tuple(circuits), (circuits[1],)]
 
     def test_too_wide_to_verify_raises(self):
         with pytest.raises(ValueError, match="refusing to lower"):
