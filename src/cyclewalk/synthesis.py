@@ -166,13 +166,19 @@ def _magic_signs() -> np.ndarray:
 _SIGNS = _magic_signs()
 
 
-def _check_rows_unitary(u: np.ndarray, message: str) -> None:
-    """Raise ValueError(``message`` formatted with ``row`` and ``defect``) for
-    the first row of an (n, d, d) stack with ||u u^dag - I||_F > 1e-8 (or NaN)."""
+def _stack(u: np.ndarray, d: int) -> np.ndarray:
+    """A copy of a d x d matrix or an (n, d, d) stack, as a stack; other shapes raise ValueError."""
+    u = np.array(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+        raise ValueError(f"need a {d}x{d} matrix or an (n, {d}, {d}) stack, got shape {u.shape}")
+    return u.reshape(-1, d, d)
+
+
+def _first_non_unitary(u: np.ndarray) -> tuple[int, float] | None:
+    """(row, defect) of a stack's first row with ||u u^dag - I||_F > 1e-8 (or NaN), or None."""
     defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(u.shape[-1]), axis=(1, 2))
     bad = np.flatnonzero(~(defect <= 1e-8))
-    if bad.size:
-        raise ValueError(message.format(row=int(bad[0]), defect=defect[bad[0]]))
+    return (int(bad[0]), float(defect[bad[0]])) if bad.size else None
 
 
 def _joint_diagonalize(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -264,7 +270,8 @@ def _cartan(u: np.ndarray) -> tuple[np.ndarray, ...]:
     ValueError naming the first row with ||u u^dag - I||_F > 1e-8 (or NaN).
     """
     n = len(u)
-    _check_rows_unitary(u, "row {row} of the stack is not unitary (defect {defect:.2e})")
+    if (bad := _first_non_unitary(u)) is not None:
+        raise ValueError("row {} of the stack is not unitary (defect {:.2e})".format(*bad))
     um = _MAGIC_DAG @ u @ _MAGIC
     p = um @ um.transpose(0, 2, 1)
     re, im = p.real, p.imag  # transpose(0, 2, 1), as ndarray.mT needs NumPy 2
@@ -451,8 +458,8 @@ def _kak_stream(cartan: tuple[np.ndarray, ...], hi: int, lo: int) -> Stream:
 
 def kak_stream(u4: np.ndarray, hi: int, lo: int) -> Stream:
     """Native stream for a 4x4 unitary or an (n, 4, 4) stack, up to global
-    phase (three ECRs; see ``_kak_stream``)."""
-    return _kak_stream(_cartan(np.reshape(u4, (-1, 4, 4))), hi, lo)
+    phase (three ECRs; see ``_kak_stream``); another shape raises ValueError."""
+    return _kak_stream(_cartan(_stack(u4, 4)), hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +495,8 @@ def mux_rotation_stream(
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != n:
         raise ValueError(f"need {n} angles for {k} controls, got {thetas.shape[1]}")
-    if axis == "z":
-        rot = rz_matrix
-    elif axis == "y":
-        rot = _ry
-    else:
+    rot = {"z": rz_matrix, "y": _ry}.get(axis)
+    if rot is None:
         raise ValueError(f"unsupported rotation axis {axis!r}")
     if k == 0:
         return [_u(target, _rows(rot, thetas[:, 0]))]
@@ -531,11 +535,13 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
     u8 = (L1 (+) L2) . CS . (R1 (+) R2): the CS factor is a multiplexed RY
     on the top wire and each block-diagonal factor demultiplexes into two
     4x4 blocks around a multiplexed RZ.  The 4n blocks take one stacked
-    Cartan pass.  Raises ValueError naming the first row with
-    ||u8 u8^dag - I||_F > 1e-8 (or NaN).
+    Cartan pass.  Raises ValueError on another shape, and naming the first
+    row with ||u8 u8^dag - I||_F > 1e-8 (or NaN).
     """
-    u8 = np.array(u8, dtype=complex).reshape(-1, 8, 8)
-    _check_rows_unitary(u8, "qsd_stream needs a unitary matrix (defect {defect:.2e} in row {row})")
+    u8 = _stack(u8, 8)
+    if (bad := _first_non_unitary(u8)) is not None:
+        raise ValueError("qsd_stream needs a unitary matrix (defect {1:.2e} in row {0})"
+                         .format(*bad))
     # LAPACK's zuncsd can fail to converge on parts near 1e-150 (a sine of a
     # tiny angle); zeroing parts below 1e-100 moves u8 by less than 1e-99
     for part in (u8.real, u8.imag):
@@ -548,8 +554,7 @@ def qsd_stream(u8: np.ndarray, wires: list[int]) -> Stream:
     w_right, v_right, mux_right = _demux(right[:, 0], right[:, 1], sel, low)
     w_left, v_left, mux_left = _demux(left[:, 0], left[:, 1], sel, low)
     cartan = _cartan(np.concatenate([w_right, v_right, w_left, v_left]))
-    n = len(u8)
-    k = [_kak_stream([x[i * n:(i + 1) * n] for x in cartan], *low) for i in range(4)]
+    k = [_kak_stream(block, *low) for block in zip(*[np.split(x, 4) for x in cartan])]
     mux_y = mux_rotation_stream("y", sel, low, thetas)
     return k[0] + mux_right + k[1] + mux_y + k[2] + mux_left + k[3]
 
@@ -624,16 +629,15 @@ def _emit_matrix(wire: int, matrix: np.ndarray) -> list[Gate]:
 _stream_plan = functools.lru_cache(maxsize=64)(RunPlan)  # per stream skeleton
 
 
-def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> Callable[[int], list[Gate]]:
-    """Merge per-wire single-qubit runs, then emit native gates, for each of
-    the stream's n rows; returns ``gates``, where gates(i) emits row i.
+def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[list[Gate]]:
+    """Merge per-wire single-qubit runs, then emit native gates: item i of
+    the result holds the gates of the stream's row i.
 
-    The stream's skeleton is planned once, and the runs of all rows are
-    multiplied by one ``RunPlan.products`` call.  Each merged run becomes
-    its shortest form (``_emit_matrix``), or with ``fixed_shape`` exactly
-    five gates (RZ SX RZ SX RZ), their angles taken for all runs of all
-    rows in one pass here, so the output shape depends only on the
-    entangler skeleton.
+    The skeleton is planned once, and the runs of all rows are multiplied
+    by one ``RunPlan.products`` call.  Each merged run becomes its shortest
+    form (``_emit_matrix``), or with ``fixed_shape`` exactly five gates
+    (RZ SX RZ SX RZ), their angles taken for all runs of all rows in one
+    pass, so the output shape depends only on the entangler skeleton.
     """
     joins = tuple([item[0] == "u" for item in stream])
     wires = tuple([item[1:2] if join else item[1:] for item, join in zip(stream, joins)])
@@ -645,17 +649,14 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> Callable[[int]
     runs = plan.products(mats)  # (runs, n, 2, 2)
     if fixed_shape:
         runs = _zxzxz_stack(runs.reshape(-1, 2, 2)).reshape(-1, n, 3).tolist()
-
-    def gates(i: int) -> list[Gate]:
-        out: list[Gate] = []
-        for positions, j in plan.items:
-            wire = wires[positions[0]]
+    rows: list[list[Gate]] = [[] for _ in range(n)]
+    for positions, j in plan.items:
+        wire = wires[positions[0]]
+        for i, out in enumerate(rows):
             if j is None:
                 out.append(_fixed_gate("ECR", wire))
             elif fixed_shape:
                 out.extend(_zxzxz_gates(wire[0], *runs[j][i]))
             else:
                 out.extend(_emit_matrix(wire[0], runs[j][i]))
-        return out
-
-    return gates
+    return rows

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING
@@ -117,7 +116,7 @@ def decompose_cp(theta: float, control: int, target: int) -> list[Gate]:
     angle = canonical_angle(theta)
     if abs(angle) < ZERO_ANGLE:
         return []
-    return stream_to_gates(cp_stream(angle, control, target))(0)
+    return stream_to_gates(cp_stream(angle, control, target))[0]
 
 
 def _decompose_gate(gate: Gate) -> list[Gate]:
@@ -234,10 +233,10 @@ def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarra
 
 def _resynthesize(
     circuits: tuple[Circuit, ...], trail: Trail | None
-) -> tuple[np.ndarray, Callable[[int], list[Gate]]]:
+) -> tuple[np.ndarray, list[list[Gate]]]:
     """The dense unitaries of circuits of one width <= 3, lowered through
-    ``trail``, and their fixed-shape native gates from one stacked
-    resynthesis: gates(i) emits row i."""
+    ``trail``, and the fixed-shape native gates of each from one stacked
+    resynthesis."""
     sources = np.array([lower_to_unitary(c, trail) for c in circuits])
     if circuits[0].width == 1:
         stream: Stream = [_u(0, sources)]
@@ -267,9 +266,9 @@ def transpile(
     if level == OptLevel.L3:
         bundle = cache.circuits if cache is not None and circuit in cache.circuits else (circuit,)
         build = functools.partial(_resynthesize, bundle, None if cache is None else cache.source)
-        sources, emit = build() if cache is None else cache.plan("resynthesis", bundle, build)
+        sources, rows = build() if cache is None else cache.plan("resynthesis", bundle, build)
         i = bundle.index(circuit)
-        source, gates = sources[i], emit(i)
+        source, gates = sources[i], rows[i]
     else:
         source = lower_to_unitary(circuit, None if cache is None else cache.source)
         gates = [g for src in circuit.gates for g in _decompose_gate(src)]

@@ -433,17 +433,28 @@ class TestStreams:
             with pytest.raises(ValueError, match=message):
                 call(stack)
 
+    def test_a_wrong_shape_is_a_shape_error(self):
+        # an 8x8 holds as many entries as a stack of four 4x4s, and a 4x4
+        # stack of 4 as one 8x8; neither may be read as the other
+        u8 = unitary_group.rvs(8, random_state=np.random.default_rng(2))
+        u4 = unitary_group.rvs(4, size=4, random_state=np.random.default_rng(2))
+        for call, arg, shape in [(lambda m: kak_stream(m, 1, 0), u8, r"\(8, 8\)"),
+                                 (lambda m: kak_stream(m, 1, 0), u4[None], r"\(1, 4, 4, 4\)"),
+                                 (lambda m: qsd_stream(m, [2, 1, 0]), u4, r"\(4, 4, 4\)")]:
+            with pytest.raises(ValueError, match=rf"^need a \dx\d matrix or an .* got shape {shape}$"):
+                call(arg)
+
     def test_fixed_shape_emission_is_input_independent(self):
         rng = np.random.default_rng(8)
         shapes = set()
         for _ in range(3):
             u = unitary_group.rvs(8, random_state=rng)
-            gates = stream_to_gates(qsd_stream(u, [2, 1, 0]), fixed_shape=True)(0)
+            gates = stream_to_gates(qsd_stream(u, [2, 1, 0]), fixed_shape=True)[0]
             shapes.add(tuple((g.kind, g.qubits) for g in gates))
         assert len(shapes) == 1
 
     def test_minimal_emission_drops_identity_rotations(self):
-        gates = stream_to_gates([("u", 0, np.eye(2, dtype=complex))], fixed_shape=False)(0)
+        gates = stream_to_gates([("u", 0, np.eye(2, dtype=complex))], fixed_shape=False)[0]
         assert gates == []
 
 
@@ -488,7 +499,7 @@ def test_fixed_shape_emission_equals_the_scalar_reference(seed, n_random, degene
         wire = int(rng.integers(3))
         stream += [("u", wire, matrices[k]), ("ecr", wire, (wire + 1) % 3)]
         expected += scalar_fixed_shape(wire, matrices[k]) + [Gate("ECR", (wire, (wire + 1) % 3))]
-    assert stream_to_gates(stream, fixed_shape=True)(0) == expected
+    assert stream_to_gates(stream, fixed_shape=True)[0] == expected
 
 
 @st.composite
@@ -537,7 +548,7 @@ def scalar_emission(stream, fixed_shape):
 def test_stacked_emission_equals_the_scalar_fold(stream, fixed_shape):
     # runs of several items, multiplied as stacks, emit what the scalar left
     # fold of each run emits, in both modes; a stream may have no "u" item
-    assert stream_to_gates(stream, fixed_shape)(0) == scalar_emission(stream, fixed_shape)
+    assert stream_to_gates(stream, fixed_shape)[0] == scalar_emission(stream, fixed_shape)
 
 
 def resynthesis_stream(stack, width):
@@ -579,8 +590,8 @@ def test_every_row_of_a_stack_emits_the_gates_of_its_stack_of_one(case):
     width, stack = case
     rows = stream_to_gates(resynthesis_stream(stack, width), fixed_shape=True)
     for i, u in enumerate(stack):
-        alone = stream_to_gates(resynthesis_stream(stack[i:i + 1], width), fixed_shape=True)(0)
-        assert rows(i) == alone and gate_bits(rows(i)) == gate_bits(alone)
+        alone = stream_to_gates(resynthesis_stream(stack[i:i + 1], width), fixed_shape=True)[0]
+        assert rows[i] == alone and gate_bits(rows[i]) == gate_bits(alone)
         assert phase_aligned(lower_to_unitary(Circuit(width).extend(alone)), u) < 1e-9
 
 

@@ -297,20 +297,15 @@ class TestTranspile:
 
         def tampered(bundle, trail):
             passes.append(bundle)
-            sources, emit = resynthesize(bundle, trail)
-
-            def emit_tampered(i):
-                gates = emit(i)
-                if bundle[i] is circuits[1]:
-                    joins = [g.n_qubits == 1 for g in gates]
-                    run = next(r for r in wire_runs([g.qubits for g in gates], joins)
-                               if len(r) == 5)
-                    k = run[2]
-                    assert gates[k].kind == "RZ"
-                    gates[k] = Gate("RZ", gates[k].qubits, (gates[k].params[0] + 1e-6,))
-                return gates
-
-            return sources, emit_tampered
+            sources, rows = resynthesize(bundle, trail)
+            if circuits[1] in bundle:
+                gates = rows[bundle.index(circuits[1])]
+                joins = [g.n_qubits == 1 for g in gates]
+                run = next(r for r in wire_runs([g.qubits for g in gates], joins) if len(r) == 5)
+                k = run[2]
+                assert gates[k].kind == "RZ"
+                gates[k] = Gate("RZ", gates[k].qubits, (gates[k].params[0] + 1e-6,))
+            return sources, rows
 
         monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
         cache = BundleCache(None, 3, circuits)
