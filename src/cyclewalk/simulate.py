@@ -67,7 +67,7 @@ class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
     the bundle's ``circuits``, all resynthesized in the first L3 ``transpile``
-    (its "resynthesis" plan: their source unitaries and native angles); the
+    (its "resynthesis" plan: their source unitaries and native gates); the
     channels' local superoperators; trails (``circuit.Trail``) of the
     source unitary, the statevector and rho, which resume after the prefix
     circuit t shares with t - 1 (rho keeps none for a circuit

@@ -255,7 +255,7 @@ def transpile(
     bundle ``cache``, the source lowering resumes its trail, the check leaves
     its one-qubit run products there, and the cache notes an L3 resynthesis;
     at L3 the first call for one of its ``circuits`` lowers and resynthesizes
-    them all in one stacked pass, and each call emits its own row's gates.
+    them all in one stacked pass, and each call takes its own row's gates.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
