@@ -6,7 +6,7 @@ position = sum_k 2**k q_k.  One Fourier block opens the circuit and its
 gate-wise inverse closes it; every step in between is a coin gate, a phase
 kick PHASE(-2pi 2**(n-1-k) / N) on each position qubit k and a controlled
 kick CP(4pi 2**(n-1-k) / N) from the coin, the same body for every cycle;
-its gates are built once per circuit and shared by all steps.
+its gates are built once per cycle and coins and shared by all circuits.
 
 Both Fourier blocks are bit-reversed (no swap network).  The 2**n-cycle
 block is the Hadamard/controlled-phase ladder, whose lowered unitary is the
@@ -112,29 +112,34 @@ def _inverse_block(gates: list[Gate]) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # walk circuits
 
-def _walk_circuit(
-    cycle: int, n: int, fourier: list[Gate], schedule: CoinSchedule, steps: int
-) -> Circuit:
+@functools.lru_cache(maxsize=8)
+def _walk_gates(cycle: int, n: int, coins: tuple[tuple[str, bytes], ...]) -> tuple:
+    """The gates, shared and read only, of all walk circuits on the cycle with these coins
+    (label, matrix bytes); CP(2pi) = I is left out (k = 0 on a power-of-two cycle)."""
+    block = _fourier3_gates(hi=1, lo=0) if cycle == 3 else _qft_noswap_gates(n)
+    coin = {label: Gate("UNITARY", (n,), matrix=np.frombuffer(m, dtype=complex).reshape(2, 2))
+            for label, m in coins}
+    kicks = [Gate("PHASE", (k,), (-2 * PI * 2 ** (n - 1 - k) / cycle,)) for k in range(n)]
+    kicks += [Gate("CP", (n, k), (angle,)) for k in (*range(1, n), 0)
+              if (angle := 4 * PI * 2 ** (n - 1 - k) / cycle) != 2 * PI]
+    return block, Gate("BARRIER", tuple(range(n + 1))), coin, kicks, _inverse_block(block)
+
+
+def _walk_circuit(cycle: int, n: int, schedule: CoinSchedule, steps: int) -> Circuit:
     """Fourier block, per-step coin and phase kicks on n position qubits for
-    the N = cycle walk, inverse block.  CP(2pi) is the identity and is left
-    out (k = 0 on a power-of-two cycle)."""
+    the N = cycle walk, inverse block."""
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
-    coin_q = n
+    coins = tuple([(k, coin_operator(p).tobytes()) for k, p in sorted(schedule.coins.items())])
+    fourier, barrier, coin, kicks, inverse = _walk_gates(cycle, n, coins)
     circuit = Circuit(n + 1, name=f"walk{cycle}cycle-t{steps}", measured=tuple(range(n)))
-    all_qubits = tuple(range(n + 1))
     circuit.extend(fourier)
-    circuit.add("BARRIER", *all_qubits)
-    kicks = [Gate("PHASE", (k,), (-2 * PI * 2 ** (n - 1 - k) / cycle,)) for k in range(n)]
-    kicks += [Gate("CP", (coin_q, k), (angle,)) for k in (*range(1, n), 0)
-              if (angle := 4 * PI * 2 ** (n - 1 - k) / cycle) != 2 * PI]
-    coins = {label: Gate("UNITARY", (coin_q,), matrix=coin_operator(schedule.coins[label]))
-             for label in set(schedule.pattern)}
+    circuit.append(barrier)
     for step in range(steps):
-        circuit.append(coins[schedule.label_at(step)])
+        circuit.append(coin[schedule.label_at(step)])
         circuit.extend(kicks)
-    circuit.add("BARRIER", *all_qubits)
-    circuit.extend(_inverse_block(fourier))
+    circuit.append(barrier)
+    circuit.extend(inverse)
     return circuit
 
 
@@ -145,7 +150,7 @@ def build_walk_circuit_even(
     n = n_position_qubits
     if not 2 <= n <= 3:
         raise ValueError(f"even-cycle builder supports 2 or 3 position qubits, got {n}")
-    return _walk_circuit(1 << n, n, _qft_noswap_gates(n), schedule, steps)
+    return _walk_circuit(1 << n, n, schedule, steps)
 
 
 def build_walk_circuit_4cycle(schedule: CoinSchedule, steps: int) -> Circuit:
@@ -155,4 +160,4 @@ def build_walk_circuit_4cycle(schedule: CoinSchedule, steps: int) -> Circuit:
 
 def build_walk_circuit_3cycle(schedule: CoinSchedule, steps: int) -> Circuit:
     """3-qubit walk circuit for the padded 3-cycle (coin on qubit 2)."""
-    return _walk_circuit(3, 2, _fourier3_gates(hi=1, lo=0), schedule, steps)
+    return _walk_circuit(3, 2, schedule, steps)

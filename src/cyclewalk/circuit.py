@@ -92,16 +92,18 @@ def apply_matrix(rows: np.ndarray, m: np.ndarray, qubits, width: int) -> np.ndar
     ``rows`` has 2**width entries along axis 0 (a statevector, a unitary's
     columns or a density matrix), or it is a w-qubit density matrix given
     with width 2w: read as a vector over a doubled register, row qubit q as
-    qubit q + w, on which ``m`` acts as a superoperator.  The result has the
-    shape of ``rows``.  ``qubits[0]`` is the most significant qubit of
-    ``m``'s index.  This is the one gate-application kernel: ``np.dot`` on
-    the rows permuted target bits first (the trailing axis never moves)
-    reproduces ``np.tensordot`` bit for bit, which batched ``matmul`` does not.
+    qubit q + w, on which ``m`` acts as a superoperator.  A stack of n
+    matrices makes ``rows`` a stack of n arrays (any number for n = 1).  The
+    result has the shape of ``rows``.  ``qubits[0]`` is the most significant
+    qubit of ``m``'s index.  This is the one gate-application kernel:
+    ``matmul`` on the rows permuted target bits first (the trailing axis
+    never moves) reproduces ``np.tensordot`` bit for bit, per array.
     """
     gather, scatter = _row_orders(tuple(qubits), width)
+    stack = rows.reshape(len(rows) if m.ndim == 3 else 1, 1 << width, -1)
     # unnamed, the gathered copy is freed before the scatter, which reuses its pages
-    out = np.dot(m, rows.reshape(1 << width, -1).take(gather, axis=0).reshape(len(m), -1))
-    return out.reshape(1 << width, -1).take(scatter, axis=0).reshape(rows.shape)
+    out = m @ stack.take(gather, axis=1).reshape(len(stack), m.shape[-1], -1)
+    return out.reshape(stack.shape).take(scatter, axis=1).reshape(rows.shape)
 
 
 @functools.lru_cache(maxsize=256)
@@ -137,7 +139,7 @@ class Trail:
         n = 0
         # a run that raised part way left fewer arrays than steps
         for old, new in zip(self.steps[: len(self.arrays) - 1], steps):
-            if old != new:
+            if old is not new and old != new:
                 break
             n += 1
         self.steps = steps

@@ -35,8 +35,9 @@ from .simulate import (
     readout_distribution,
     run_exact,
     run_noisy,
+    state_to_density,
 )
-from .transpile import OptLevel, ScheduledCircuit, insert_dd, schedule, transpile
+from .transpile import OptLevel, insert_dd, schedule, transpile
 from .walk import CoinParams, CoinSchedule, parrondo_schedule, step_operator
 
 __all__ = [
@@ -324,19 +325,6 @@ def _derived_seed(master: int, step: int) -> int:
     return (master * 1_000_003 + step) % (2**63)
 
 
-def _noisy_distribution(cfg: ExperimentConfig, circuit: Circuit, cache: BundleCache):
-    nm = cfg.noise
-    native = transpile(circuit, cfg.opt_level, cache)
-    sc: ScheduledCircuit = schedule(native, nm, cache)
-    if cfg.dd == "xy4":
-        sc = insert_dd(sc, nm)
-    dim = 1 << circuit.width
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    rho = run_noisy(sc, rho0, nm, cache)
-    return readout_distribution(rho, circuit.measured, nm)
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     """Run the configured walk for t = 1 .. t_max and write the bundle.
 
@@ -344,7 +332,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     probability at the starting position vs step), fidelity.csv /
     fidelity.svg (Hellinger fidelity of sampled and noisy against exact),
     and a manifest sufficient to regenerate everything.  The circuits are
-    built first, and one BundleCache carries the work they share.
+    built first, then (with noise) transpiled, scheduled and decoupled, and
+    one BundleCache carries the work they share.
     """
     overlay = _read_overlay(cfg.overlay) if cfg.overlay else None
     out = _output_dir(cfg.out_dir, "out")
@@ -354,6 +343,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     fid_cols: dict[str, list[float]] = {}
     circuits = [build_walk_circuit(cfg.cycle, sched, t) for t in steps]
     cache = BundleCache(cfg.noise, circuits[0].width, circuits)
+    if cfg.noise is not None:
+        nm = cfg.noise
+        scheduled = [schedule(transpile(c, cfg.opt_level, cache), nm, cache) for c in circuits]
+        dd = [insert_dd(sc, nm) for sc in scheduled] if cfg.dd == "xy4" else scheduled
+        cache.scheduled, rho0 = tuple(dd), state_to_density(_ground_state(cache.width))
     for t, circuit in zip(steps, circuits):
         state = run_exact(circuit, _ground_state(circuit.width), cache)
         exact = measure_positions(state, circuit.measured)
@@ -365,7 +359,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
             prob_cols.setdefault("sampled", []).append(sampled.outcomes.get(0, 0) / cfg.shots)
             fid_cols.setdefault("sampled", []).append(hellinger_fidelity(sampled, exact))
         if cfg.noise is not None:
-            noisy = _noisy_distribution(cfg, circuit, cache)
+            rho = run_noisy(cache.scheduled[t - 1], rho0, cfg.noise, cache)
+            noisy = readout_distribution(rho, circuit.measured, cfg.noise)
             prob_cols.setdefault("noisy", []).append(noisy.outcomes.get(0, 0.0))
             fid_cols.setdefault("noisy", []).append(hellinger_fidelity(noisy, exact))
 

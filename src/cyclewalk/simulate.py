@@ -8,11 +8,11 @@ into one event, the product U = g_n ... g_1 then D_p, 1 - p = (1 - p1)**n.
 This is exact: depolarizing channels commute with unitaries on their qubits
 and compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event
 is one local superoperator, its channel's sum_k K_k (x) conj(K_k) times
-U (x) conj(U) (one broadcast for a call's one-qubit runs): 4x4 on one
-qubit, 16x16 on two.  It acts on rho read as a vector over a doubled
-register of 2w qubits, where row qubit q is qubit q + w and column qubit q
-is qubit q, through the one gate kernel ``circuit.apply_matrix``.  No
-full-width operator is built.
+U (x) conj(U): 4x4 on one qubit, 16x16 on two.  It acts on rho read as a
+vector over a doubled register of 2w qubits, where row qubit q is qubit
+q + w and column qubit q is qubit q, through the one gate kernel
+``circuit.apply_matrix``, which takes a stack of rho: circuits of one
+skeleton and schedule (a bundle's t at L3) share events and run as one.
 """
 
 from __future__ import annotations
@@ -67,27 +67,26 @@ class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
     the bundle's ``circuits``, all resynthesized in the first L3 ``transpile``
-    (its "resynthesis" plan: their source unitaries and native gates); the
-    channels' local superoperators; trails (``circuit.Trail``) of the
-    source unitary, the statevector and rho, which resume after the prefix
-    circuit t shares with t - 1 (rho keeps none for a circuit
-    ``resynthesized`` whole at L3, whose events share no prefix with another
-    t's); ``products``, the 2x2 products of the last transpile check's
-    one-qubit runs, keyed by the run's gates, which ``run_noisy`` folds
-    wherever its own ``wire_runs`` grouping finds the same run; and one plan
-    per stage, reused while a circuit's skeleton (gate kinds and qubits)
-    repeats, as at L3: the schedule, the check's run plan and, with the same
-    start times and idle windows, the noisy events.
+    (its "resynthesis" plan) and their ``scheduled`` circuits, each group
+    of which ``run_noisy`` runs as one stack (the "noisy" plan: each row's
+    final rho); the channels' local superoperators; trails (``circuit.Trail``)
+    of the source unitary, the statevector and rho (for a stack of one),
+    which resume after the prefix circuit t shares with t - 1; ``products``,
+    the 2x2 products of the transpile checks' one-qubit runs, keyed by the
+    run's gates, which ``run_noisy`` folds wherever its own ``wire_runs``
+    grouping finds the same run; and one plan per stage, reused while a
+    circuit's skeleton (gate kinds and qubits) repeats, as at L3: the
+    schedule and the check's run plan.
     """
 
     def __init__(self, nm: NoiseModel | None, width: int, circuits: Sequence[Circuit] = ()) -> None:
         self.nm = nm
         self.width = width
         self.circuits = tuple(circuits)
+        self.scheduled: tuple[ScheduledCircuit, ...] = ()
         self.source = Trail()
         self.state = Trail()
         self.noisy = Trail()
-        self.resynthesized = False
         self.channels: dict[tuple, np.ndarray | None] = {}
         self.products: dict[tuple[Gate, ...], np.ndarray] = {}
         self.plans: dict[str, tuple] = {}
@@ -185,7 +184,7 @@ def _apply_kraus(rho: np.ndarray, op: np.ndarray, qubits: tuple[int, ...]) -> np
     """sum_k K_k rho K_k^dagger for an event on ``qubits``, given as its local
     superoperator ``op`` = sum_k K_k (x) conj(K_k): rho read as a vector over
     2w qubits, row qubit q as qubit q + w and column qubit q as qubit q."""
-    width = rho.shape[0].bit_length() - 1
+    width = rho.shape[-1].bit_length() - 1
     doubled = tuple([q + width for q in qubits]) + tuple(qubits)
     return _apply_matrix_rows(rho, op, doubled, 2 * width)
 
@@ -198,23 +197,23 @@ def _liouville(u: np.ndarray) -> np.ndarray:
 
 
 def _channel(key: tuple, nm: NoiseModel) -> np.ndarray | None:
-    """The local superoperator of an event's channel, or None for the
-    identity channel (a single operator from either constructor).  Keys
-    carry their kind: a 10-gate run must not find the channel of an idle
-    window of length 10.0, and 10 == 10.0."""
+    """The local superoperator of an event's channel as a stack of one, or
+    None for the identity channel (a single operator from either
+    constructor).  Keys carry their kind: a 10-gate run must not find the
+    channel of an idle window of length 10.0, and 10 == 10.0."""
     kind, qubits, size = key
     if kind == "idle":
         kraus = thermal_relaxation_kraus(nm.t1, nm.t2, size)
     else:
         p = nm.p2 if len(qubits) == 2 else 1.0 - (1.0 - nm.p1) ** size
         kraus = depolarizing_kraus(p, len(qubits))
-    return None if len(kraus) == 1 else sum(_liouville(np.array(kraus)))
+    return None if len(kraus) == 1 else sum(_liouville(np.array(kraus)))[None]
 
 
-def _check_density(rho: np.ndarray, where: str) -> None:
-    trace = sum(rho.diagonal().real.tolist())  # a third of np.trace's time here
-    if not abs(trace - 1.0) <= 1e-9:
-        raise ArithmeticError(f"density trace drifted to {trace} {where}")
+def _check_density(rho: np.ndarray, names: Sequence[str]) -> None:
+    for i, diagonal in enumerate(rho.diagonal(0, 1, 2).real.tolist()):  # half np.trace's time
+        if not abs((trace := sum(diagonal)) - 1.0) <= 1e-9:
+            raise ArithmeticError(f"density trace drifted to {trace} running {names[i]}")
 
 
 def _noisy_events(sc: ScheduledCircuit, nm: NoiseModel) -> Iterator[tuple[tuple, tuple[int, ...]]]:
@@ -247,6 +246,19 @@ def _noisy_events(sc: ScheduledCircuit, nm: NoiseModel) -> Iterator[tuple[tuple,
             yield ("idle", qubits, t1 - t0), ()
 
 
+def _groups(scheduled: Sequence[ScheduledCircuit]) -> dict[int, tuple[list, int]]:
+    """By id, each circuit's group (a run with one schedule and skeleton) and row."""
+    out, group = {}, []
+    for sc in scheduled:
+        last = group[-1] if group else sc
+        if (last is sc or (last.start_times, last.durations) != (sc.start_times, sc.durations)
+                or _skeleton(last.circuit.gates) != _skeleton(sc.circuit.gates)):
+            group = []
+        out[id(sc)] = group, len(group)
+        group.append(sc)
+    return out
+
+
 def run_noisy(
     circuit: Circuit | ScheduledCircuit,
     initial: np.ndarray,
@@ -258,59 +270,69 @@ def run_noisy(
 
     Accepts a plain circuit (scheduled greedily here) or a ScheduledCircuit
     whose start times (e.g. with DD pulses inserted) are trusted as given.
-    A bundle ``cache`` must be bound to ``nm`` and the circuit's width.
+    A bundle ``cache`` must be bound to ``nm`` and the circuit's width.  The
+    first call for a group of its ``scheduled`` runs the group as one stack.
     """
     sc = circuit if isinstance(circuit, ScheduledCircuit) else schedule(circuit, nm, cache)
-    gates, width = sc.circuit.gates, sc.circuit.width
+    width = sc.circuit.width
     if width > MAX_DENSITY_WIDTH:
         raise ValueError(f"density simulation capped at width {MAX_DENSITY_WIDTH}")
     dim = 1 << width
     if initial.shape != (dim, dim):
         raise ValueError(f"initial density has shape {initial.shape}, need {(dim, dim)}")
-    validate_density(initial)
     if cache is None:
-        cache, trail = BundleCache(nm, width), None
+        cache = BundleCache(nm, width)
     elif (cache.nm, cache.width) != (nm, width):
         raise ValueError(f"bundle cache is bound to width {cache.width} and {cache.nm}, "
                          f"not width {width} and {nm}")
-    else:
-        trail = None if cache.resynthesized else cache.noisy
+    groups = cache.plan("groups", cache.scheduled, lambda: _groups(cache.scheduled))
+    group, row = groups.get(id(sc), ([sc], 0))  # the scheduled circuits are alive: ids unique
+    rho0 = initial.astype(complex)
+    return cache.plan("noisy", (group, rho0.tobytes()),
+                      lambda: _run_stack(group, rho0, nm, cache))[row].copy()
 
-    channels = cache.channels
-    plan = cache.plan("events", (_skeleton(gates), sc.start_times, sc.durations),
-                      lambda: list(_noisy_events(sc, nm)))
-    events = [(key, tuple([gates[i] for i in run])) for key, run in plan]
-    rho = initial.astype(complex)
-    done = 0
+
+def _run_stack(group: list, rho0: np.ndarray, nm: NoiseModel, cache: BundleCache) -> np.ndarray:
+    """The final rho of each circuit of ``group`` from ``rho0``, in one pass."""
+    validate_density(rho0)
+    sc, n = group[0], len(group)
+    plan = list(_noisy_events(sc, nm))
+    rows = [[tuple([gates[i] for i in run]) for _, run in plan] for gates in
+            [s.circuit.gates for s in group]]
+    events = list(zip([key for key, _ in plan], zip(*rows)))  # key, each row's gates
+    rho, trail = np.array([rho0] * n), cache.noisy if n == 1 else None
     if trail is not None:
         done = trail.resume(rho, events)
-        rho = trail.arrays[-1]
-    events = events[done:]
-    # u (x) conj(u) of each one-qubit run to apply (u = g_n ... g_1, the check's if it
-    # left one) in one broadcast; two-qubit folds are kept per channel and gate
-    runs = [cache.products[run] if run in cache.products else
+        rho, events = trail.arrays[-1], events[done:]
+    # u (x) conj(u) of each one-qubit run to apply (u = g_n ... g_1, the check's if it left
+    # one) in one broadcast; two-qubit folds are kept per channel and gate, one if all agree
+    runs = [u if (u := cache.products.get(run)) is not None else
             functools.reduce(lambda u, g: gate_matrix(g) @ u, run[1:], gate_matrix(run[0]))
-            for key, run in events if run and len(key[1]) == 1]
-    singles = iter(_liouville(np.reshape(runs, (-1, 2, 2))))
+            for key, event in events if event[0] and len(key[1]) == 1 for run in event]
+    singles = iter(_liouville(np.reshape(runs, (-1, 2, 2))).reshape(-1, n, 4, 4))
+    channels, names = cache.channels, [s.circuit.name for s in group]
     pairs: dict[tuple[tuple, Gate], np.ndarray] = {}
-    for key, run in events:
+    for key, event in events:
         if key not in channels:
             channels[key] = _channel(key, nm)
         op = channels[key]
-        if run and len(key[1]) == 1:
+        if event[0] and len(key[1]) == 1:
             sup = next(singles)
             op = sup if op is None else op @ sup
-        elif run:
-            if (key, run[0]) not in pairs:
-                sup = _liouville(gate_matrix(run[0])[None])[0]
-                pairs[key, run[0]] = sup if op is None else op @ sup
-            op = pairs[key, run[0]]
+        elif event[0]:
+            gates = next(zip(*event))  # each row's gate
+            gates = gates[:1] if gates.count(gates[0]) == n else gates
+            for g in gates:
+                if (key, g) not in pairs:
+                    sup = _liouville(gate_matrix(g)[None])
+                    pairs[key, g] = sup if op is None else op @ sup
+            op = np.concatenate([pairs[key, g] for g in gates])
         if op is not None:
             rho = _apply_kraus(rho, op, key[1])
-        _check_density(rho, "during noisy run")
+        _check_density(rho, names)
         if trail is not None:
             trail.arrays.append(rho)
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
 
 def readout_distribution(

@@ -209,14 +209,12 @@ def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarra
     """The circuit's dense unitary, applied one check step of the plan at a
     time, the runs as their 2x2 products u from ``_run_products``: each
     two-qubit gate g as g (u_hi (x) u_lo), all formed in one stacked pass.
-    With a bundle ``cache`` the products replace ``cache.products`` for
+    With a bundle ``cache`` the products join ``cache.products`` for
     ``run_noisy`` to fold, and the plan is kept while the skeleton repeats."""
     gates, width = circuit.gates, circuit.width
-    if cache is None:
-        plan, products = _RunPlan(gates), {}
-    else:
-        plan = cache.plan("runs", _skeleton(gates), lambda: _RunPlan(gates))
-        products = cache.products = {}
+    plan = _RunPlan(gates) if cache is None else cache.plan("runs", _skeleton(gates),
+                                                            lambda: _RunPlan(gates))
+    products = {} if cache is None else cache.products
     ops = _run_products(gates, plan)
     products.update(zip([tuple([gates[i] for i in p]) for p in plan.runs], ops))
     padded = np.concatenate([ops, CONSTANT_MATRICES["ID"][None]])  # index -1: no run leads in
@@ -252,16 +250,14 @@ def transpile(
 ) -> Circuit:
     """Rewrite a circuit over the native gate set at the given level (L3 above
     width 3 runs L1, and the result's name ends in ``-native1``).  With a
-    bundle ``cache``, the source lowering resumes its trail, the check leaves
-    its one-qubit run products there, and the cache notes an L3 resynthesis;
-    at L3 the first call for one of its ``circuits`` lowers and resynthesizes
-    them all in one stacked pass, and each call takes its own row's gates.
+    bundle ``cache``, the source lowering resumes its trail and the check
+    adds its one-qubit run products there; at L3 the first call for one of
+    its ``circuits`` lowers and resynthesizes them all in one stacked pass,
+    and each call takes its own row's gates.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
         level = OptLevel.L1
-    if cache is not None:
-        cache.resynthesized = level == OptLevel.L3
     # the source unitary, lowered once: the L3 input and the check's reference
     if level == OptLevel.L3:
         bundle = cache.circuits if cache is not None and circuit in cache.circuits else (circuit,)

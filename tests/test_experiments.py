@@ -29,12 +29,12 @@ from cyclewalk.cli import main
 from cyclewalk.experiments import (
     SUPPORTED_CYCLES,
     _derived_seed,
-    _noisy_distribution,
     build_walk_circuit,
 )
 from cyclewalk.metrics import hellinger_fidelity
 from cyclewalk.simulate import (
     BundleCache,
+    _noisy_events,
     measure_positions,
     readout_distribution,
     run_exact,
@@ -618,10 +618,15 @@ class TestBundleCache:
         cfg = replace(cfg, t_max=4, out_dir=str(tmp_path))
         bundle, caches = self._kraus_per_t(monkeypatch, lambda: run_experiment(cfg))
 
+        import cyclewalk.experiments as experiments
+
         def fresh_per_t():
+            rho0 = np.outer(ground_state(3), ground_state(3))
             for t in range(1, 5):
-                circuit = build_walk_circuit(3, cfg.schedule(), t)
-                _noisy_distribution(cfg, circuit, BundleCache(cfg.noise, 3))
+                cache = BundleCache(cfg.noise, 3)
+                native = transpile(build_walk_circuit(3, cfg.schedule(), t), cfg.opt_level, cache)
+                sc = insert_dd(schedule(native, cfg.noise, cache), cfg.noise)
+                experiments.run_noisy(sc, rho0, cfg.noise, cache)
 
         fresh, _ = self._kraus_per_t(monkeypatch, fresh_per_t)
         assert len(bundle) == len(fresh) == 4 and bundle[0] == fresh[0]
@@ -629,12 +634,32 @@ class TestBundleCache:
         assert len(caches[-1].noisy.arrays) > 1
 
     def test_l3_records_no_rho_trail(self, tmp_path, monkeypatch):
-        # an L3 circuit is resynthesized whole, so no t could resume rho
+        # an L3 bundle's t share one event plan and run as one stack: the
+        # first call applies each planned event once to all three rows, the
+        # others apply none, and rho keeps no trail, since no t resumes another
         cfg = config_from_text((ROOT / "demos/configs/parrondo_4cycle.cfg").read_text())
         cfg = replace(cfg, t_max=3, out_dir=str(tmp_path))
         per_t, caches = self._kraus_per_t(monkeypatch, lambda: run_experiment(cfg))
-        assert len(per_t) == 3 and min(per_t) > 0
-        assert all(cache.resynthesized and cache.noisy.arrays == [] for cache in caches)
+        cache = caches[0]
+        assert all(c is cache for c in caches)
+        assert per_t == [len(list(_noisy_events(cache.scheduled[0], cfg.noise))), 0, 0]
+        assert len(cache.plans["noisy"][1]) == 3
+        assert cache.noisy.arrays == []
+
+    def test_l3_dd_bundle_runs_as_one_stack(self, tmp_path, monkeypatch):
+        # XY4 at L3 fills the same idle windows at every t, so the decoupled
+        # circuits keep one skeleton and schedule and form one stack: each
+        # column equals one-shot per-t runs
+        cfg = config_from_text((ROOT / "demos/configs/parrondo_4cycle.cfg").read_text())
+        cfg = replace(cfg, dd="xy4", t_max=6, out_dir=str(tmp_path))
+        paths = {}
+        per_t, caches = self._kraus_per_t(monkeypatch, lambda: paths.update(run_experiment(cfg)))
+        cache = caches[0]
+        assert per_t[1:] == [0] * 5 and len(cache.plans["noisy"][1]) == 6
+        assert sum(g.kind == "X" for g in cache.scheduled[0].circuit.gates) > sum(
+            g.kind == "X" for g in transpile(cache.circuits[0], cfg.opt_level).gates)
+        for t, row in enumerate(bundle_rows(paths), 1):
+            assert row == fresh_row(cfg, t), f"t = {t}"
 
     def test_cache_is_bound_to_its_noise_model_and_width(self):
         circuit = build_walk_circuit(4, parrondo_schedule("AABB", default_coins(4), 1), 1)

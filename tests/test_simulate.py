@@ -511,7 +511,15 @@ class TestValidateDensity:
 
     def test_density_check_rejects_nan(self):
         with pytest.raises(ArithmeticError, match="trace"):
-            _check_density(np.full((2, 2), math.nan, dtype=complex), "in test")
+            _check_density(np.full((1, 2, 2), math.nan, dtype=complex), ["c"])
+
+    def test_density_check_names_the_first_drifting_row(self):
+        # one check covers a stack of t, so it names the circuit of the row
+        stack = np.array([np.eye(2) / 2, np.eye(2), np.full((2, 2), math.nan)], dtype=complex)
+        names = ["walk4cycle-t4-native3", "walk4cycle-t5-native3", "walk4cycle-t6-native3"]
+        _check_density(stack[:1], names)
+        with pytest.raises(ArithmeticError, match="drifted to 2.0 .* walk4cycle-t5-native3$"):
+            _check_density(stack, names)
 
     def test_run_noisy_validates_input(self):
         c = Circuit(1)
@@ -736,27 +744,29 @@ def _with_angles(circuit, angles):
 def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
     # two more circuits with the skeleton of ``circuit`` and new RZ angles,
     # then one with a gate added: every stage keeps its plan for the first
-    # three and rebuilds it for the last, and every result equals a fresh call
+    # three and rebuilds it for the last, and every result equals a fresh call.
+    # The checks' run products accumulate over the family, each as fresh
     n_rz = sum(g.kind == "RZ" for g in circuit.gates)
     angles = st.lists(st.floats(-math.pi, math.pi), min_size=n_rz, max_size=n_rz)
     family = [circuit] + [_with_angles(circuit, iter(data.draw(angles))) for _ in range(2)]
     family.append(_with_angles(circuit, iter(data.draw(angles))).add("SX", 0))
     rho0 = random_density(circuit.width, np.random.default_rng(data.draw(st.integers(0, 99))))
     cache = BundleCache(nm, circuit.width)
-    plans = []
+    plans, fresh_products = [], {}
     for c in family:
         sc, fresh_sc = schedule(c, nm, cache), schedule(c, nm)
         assert (sc.start_times, sc.durations, sc.idle_windows) == (
             fresh_sc.start_times, fresh_sc.durations, fresh_sc.idle_windows)
         fresh_cache = BundleCache(nm, c.width)
         assert np.array_equal(_lower_runs(c, cache), _lower_runs(c, fresh_cache))
-        assert cache.products.keys() == fresh_cache.products.keys()
-        assert all(np.array_equal(u, fresh_cache.products[k]) for k, u in cache.products.items())
+        fresh_products.update(fresh_cache.products)
+        assert cache.products.keys() == fresh_products.keys()
+        assert all(np.array_equal(u, fresh_products[k]) for k, u in cache.products.items())
         if dd:
             sc = insert_dd(sc, nm)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
         plans.append(dict(cache.plans))
-    for stage in ("schedule", "runs", "events"):
+    for stage in ("schedule", "runs"):
         assert plans[0][stage] is plans[1][stage] is plans[2][stage]
         assert plans[3][stage] is not plans[2][stage]
     # one skeleton under other durations: other start times and idle windows
@@ -765,6 +775,70 @@ def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
         sc, fresh_sc = schedule(circuit, other, cache), schedule(circuit, other)
         assert (sc.start_times, sc.idle_windows) == (fresh_sc.start_times, fresh_sc.idle_windows)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_circuits(), noise_models(), st.booleans(), st.integers(1, 6), st.integers(0, 99))
+@example(_run_into_dd_window(), NoiseModel(p1=0.0, p2=0.0), True, 4, 0)
+@example(_repeated_gates(), NoiseModel(p1=0.0, p2=0.0, t1=50.0, t2=30.0), False, 6, 1)
+@example(_run_beside_equal_idle(), _NOISE, True, 3, 2)
+def test_each_row_of_a_stack_equals_its_lone_run(circuit, nm, dd, n, seed):
+    # n circuits of one skeleton and schedule, with their own RZ angles, run as
+    # one stack of rho; every row equals a run of that circuit alone, bit for
+    # bit, including identity channels (p1 = p2 = 0) and XY4 pulses
+    rng = np.random.default_rng(seed)
+    rows = [circuit] + [_with_angles(circuit, iter(rng.uniform(-math.pi, math.pi, len(circuit))))
+                        for _ in range(n - 1)]
+    cache = BundleCache(nm, circuit.width)
+    scheduled = []
+    for c in rows:
+        _lower_runs(c, cache)  # the check leaves its run products, as in a bundle
+        sc = schedule(c, nm, cache)
+        scheduled.append(insert_dd(sc, nm) if dd else sc)
+    cache.scheduled = tuple(scheduled)
+    rho0 = random_density(circuit.width, rng)
+    for sc in scheduled:
+        assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
+    assert len(cache.plans["noisy"][1]) == n  # one stack of all rows
+    assert cache.noisy.arrays == [] or n == 1
+    rho1 = random_density(circuit.width, rng)  # another start runs the stack again
+    assert np.array_equal(run_noisy(sc, rho1, nm, cache), run_noisy(sc, rho1, nm))
+
+
+@pytest.mark.parametrize("angles", [(0.3, 0.3), (0.3, 0.3, 1.1), (1.1, 0.3)])
+def test_a_stack_folds_each_rows_own_two_qubit_gate(angles):
+    # rows whose two-qubit gates differ (CP angles) fold one superoperator per
+    # row; equal gates, as every ECR, share one fold
+    rows = [Circuit(2).add("SX", 0).add("CP", 0, 1, params=(a,)).add("RZ", 1, params=(a,))
+            .add("ECR", 1, 0) for a in angles]
+    cache = BundleCache(_NOISE, 2)
+    cache.scheduled = tuple([schedule(c, _NOISE, cache) for c in rows])
+    rho0 = random_density(2, np.random.default_rng(7))
+    for sc in cache.scheduled:
+        assert np.array_equal(run_noisy(sc, rho0, _NOISE, cache), run_noisy(sc, rho0, _NOISE))
+    assert len(cache.plans["noisy"][1]) == len(angles)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_stacked_kernel_gives_the_bits_of_np_dot_per_row(width):
+    # the premise of the stacked rho: matmul on a stack of rows, with a matrix
+    # per row or one broadcast to all, gives per row the bits of np.dot on that
+    # row alone (the one-row kernel's BLAS call), for the superoperators of
+    # one and two qubits on the doubled register
+    rng = np.random.default_rng(300 + width)
+    dim = 1 << width
+    targets = [(q,) for q in range(2 * width)] + [(q + width, q) for q in range(width)]
+    targets += [(a + width, b + width, a, b) for a in range(width) for b in range(width) if a != b]
+    for n in (1, 2, 25):
+        rho = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+        for qubits in targets:
+            k = 1 << len(qubits)
+            ms = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
+            per_row = apply_matrix(rho, ms, qubits, 2 * width)
+            broadcast = apply_matrix(rho, ms[:1], qubits, 2 * width)
+            for i in range(n):
+                assert np.array_equal(per_row[i], transpose_reference(rho[i], ms[i], qubits, 2 * width))
+                assert np.array_equal(broadcast[i], transpose_reference(rho[i], ms[0], qubits, 2 * width))
 
 
 def test_events_plan_follows_the_durations():
