@@ -370,13 +370,12 @@ def schedule(
 # ---------------------------------------------------------------------------
 # dynamical decoupling
 
-def _y_pulse(qubit: int) -> list[Gate]:
-    # Y realized natively as RZ(-pi/2) X RZ(pi/2), up to global phase
-    return [
-        Gate("RZ", (qubit,), (math.pi / 2,)),
-        Gate("X", (qubit,)),
-        Gate("RZ", (qubit,), (-math.pi / 2,)),
-    ]
+@functools.lru_cache(maxsize=64)
+def _y_pulse(qubit: int) -> tuple[Gate, ...]:
+    # Y realized natively as RZ(-pi/2) X RZ(pi/2), up to global phase; one
+    # set of pulse gates per wire, shared by every window and circuit
+    return (Gate("RZ", (qubit,), (math.pi / 2,)), Gate("X", (qubit,)),
+            Gate("RZ", (qubit,), (-math.pi / 2,)))
 
 
 def insert_dd(sc: ScheduledCircuit, nm: NoiseModel) -> ScheduledCircuit:
@@ -403,7 +402,7 @@ def insert_dd(sc: ScheduledCircuit, nm: NoiseModel) -> ScheduledCircuit:
         gap = (length - 4.0 * d) / 4.0
         cursor = t0
         for pulse_index in range(4):
-            pulses = _y_pulse(qubit) if pulse_index % 2 == 0 else [Gate("X", (qubit,))]
+            pulses = _y_pulse(qubit) if pulse_index % 2 == 0 else _y_pulse(qubit)[1:2]
             for g in pulses:
                 entries.append((cursor, seq, g, gate_duration(g, nm)))
                 seq += 1
