@@ -198,17 +198,14 @@ def wire_runs(
 
 
 class RunPlan:
-    """The ``wire_runs`` groups of items, each with its index among the runs
-    of joining items (None for any other item); those runs and the positions
-    in them; and, for ``products``, the run positions longest run first, row
-    k of each at step k (a shorter run repeats its last, never multiplied)."""
+    """Runs of item positions, the positions in them and, for ``products``,
+    the run positions longest run first, row k of each at step k (a shorter
+    run repeats its last, never multiplied).  A plan ``of_items`` also keeps
+    their ``wire_runs`` groups as ``items``."""
 
-    def __init__(self, qubits: Sequence[tuple[int, ...]], joins: Sequence[bool]) -> None:
-        items = list(wire_runs(qubits, joins))
-        self.runs = [p for p in items if joins[p[0]]]
+    def __init__(self, runs: Sequence[tuple[int, ...]]) -> None:
+        self.runs = list(runs)
         self.joined = [i for p in self.runs for i in p]
-        index = {p: j for j, p in enumerate(self.runs)}
-        self.items = [(p, index.get(p)) for p in items]
         order = sorted(range(len(self.runs)), key=lambda j: -len(self.runs[j]))
         longest = len(self.runs[order[0]]) if order else 1
         padded = [p + p[-1:] * (longest - len(p)) for p in (self.runs[j] for j in order)]
@@ -216,6 +213,17 @@ class RunPlan:
         lengths = np.array([len(self.runs[j]) for j in order])
         self.active = [int(np.count_nonzero(lengths > k)) for k in range(1, longest)]
         self.back = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
+
+    @staticmethod
+    def of_items(qubits: Sequence[tuple[int, ...]], joins: Sequence[bool]) -> "RunPlan":
+        """The plan of the runs of joining items, whose ``items`` are the
+        ``wire_runs`` groups, each with its index among the runs (None for
+        any other item)."""
+        items = list(wire_runs(qubits, joins))
+        plan = RunPlan([p for p in items if joins[p[0]]])
+        index = {p: j for j, p in enumerate(plan.runs)}
+        plan.items = [(p, index.get(p)) for p in items]
+        return plan
 
     def products(self, mats: np.ndarray) -> np.ndarray:
         """Each run's u = m_n ... m_1 (``mats``: a 2x2 matrix, or a stack of n,

@@ -25,6 +25,7 @@ _NORM_TOL = 1e-6
 
 
 def _as_probabilities(dist: Distribution | dict) -> dict[int, float]:
+    """The outcome probabilities; they must sum to 1 and none may be below 0."""
     if isinstance(dist, Distribution):
         probs = dist.probabilities()
     else:
@@ -32,6 +33,8 @@ def _as_probabilities(dist: Distribution | dict) -> dict[int, float]:
     total = sum(probs.values())
     if not (abs(total - 1.0) <= _NORM_TOL):
         raise ValueError(f"distribution is not normalized (sums to {total})")
+    if any(p < 0.0 for p in probs.values()):
+        raise ValueError(f"distribution has a negative probability: {probs}")
     return probs
 
 
@@ -40,10 +43,7 @@ def hellinger_distance(p: Distribution | dict, q: Distribution | dict) -> float:
     pp = _as_probabilities(p)
     qq = _as_probabilities(q)
     keys = set(pp) | set(qq)
-    acc = sum(
-        (math.sqrt(max(pp.get(k, 0.0), 0.0)) - math.sqrt(max(qq.get(k, 0.0), 0.0))) ** 2
-        for k in keys
-    )
+    acc = sum((math.sqrt(pp.get(k, 0.0)) - math.sqrt(qq.get(k, 0.0))) ** 2 for k in keys)
     return min(1.0, math.sqrt(acc / 2.0))
 
 
@@ -57,6 +57,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) * trace norm of rho - sigma."""
     if rho.shape != sigma.shape:
         raise ValueError(f"density dimensions differ: {rho.shape} vs {sigma.shape}")
+    if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
+        raise ValueError("density matrices must be finite")
     diff = rho - sigma
     eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return float(0.5 * np.sum(np.abs(eigenvalues)))

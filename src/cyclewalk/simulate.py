@@ -4,7 +4,8 @@ density-matrix simulation up to width ``MAX_DENSITY_WIDTH`` = 4 (the
 relaxation over every scheduled idle window.
 
 ``run_noisy`` merges each per-wire run of n one-qubit gates (``wire_runs``)
-into one event, the product U = g_n ... g_1 then D_p, 1 - p = (1 - p1)**n.
+into one event, the product U = g_n ... g_1 then D_p, 1 - p = (1 - p1)**n;
+the products of all rows' runs come from one ``transpile.run_products`` call.
 This is exact: depolarizing channels commute with unitaries on their qubits
 and compose by multiplying their 1 - p (Nielsen & Chuang 8.3.4).  Each event
 is one local superoperator, its channel's sum_k K_k (x) conj(K_k) times
@@ -17,17 +18,16 @@ skeleton and schedule (a bundle's t at L3) share events and run as one.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Trail, _check_measured, apply_circuit, wire_runs
+from .circuit import Circuit, RunPlan, Trail, _check_measured, apply_circuit, wire_runs
 from .circuit import apply_matrix as _apply_matrix_rows
 from .gates import Gate, gate_matrix
 from .noise import NoiseModel, depolarizing_kraus, thermal_relaxation_kraus
-from .transpile import ScheduledCircuit, _skeleton, schedule
+from .transpile import ScheduledCircuit, _skeleton, run_products, schedule
 
 __all__ = [
     "BundleCache",
@@ -71,12 +71,9 @@ class BundleCache:
     of which ``run_noisy`` runs as one stack (the "noisy" plan: each row's
     final rho); the channels' local superoperators; trails (``circuit.Trail``)
     of the source unitary, the statevector and rho (for a stack of one),
-    which resume after the prefix circuit t shares with t - 1; ``products``,
-    the 2x2 products of the transpile checks' one-qubit runs, keyed by the
-    run's gates, which ``run_noisy`` folds wherever its own ``wire_runs``
-    grouping finds the same run; and one plan per stage, reused while a
-    circuit's skeleton (gate kinds and qubits) repeats, as at L3: the
-    schedule and the check's run plan.
+    which resume after the prefix circuit t shares with t - 1; and one plan
+    per stage, reused while a circuit's skeleton (gate kinds and qubits)
+    repeats, as at L3: the schedule and the check's run plan.
     """
 
     def __init__(self, nm: NoiseModel | None, width: int, circuits: Sequence[Circuit] = ()) -> None:
@@ -88,7 +85,6 @@ class BundleCache:
         self.state = Trail()
         self.noisy = Trail()
         self.channels: dict[tuple, np.ndarray | None] = {}
-        self.products: dict[tuple[Gate, ...], np.ndarray] = {}
         self.plans: dict[str, tuple] = {}
 
     def plan(self, stage: str, key: tuple, build: Callable):
@@ -296,31 +292,26 @@ def _run_stack(group: list, rho0: np.ndarray, nm: NoiseModel, cache: BundleCache
     """The final rho of each circuit of ``group`` from ``rho0``, in one pass."""
     validate_density(rho0)
     sc, n = group[0], len(group)
-    plan = list(_noisy_events(sc, nm))
-    rows = [[tuple([gates[i] for i in run]) for _, run in plan] for gates in
-            [s.circuit.gates for s in group]]
-    events = list(zip([key for key, _ in plan], zip(*rows)))  # key, each row's gates
+    events, rows = list(_noisy_events(sc, nm)), [s.circuit.gates for s in group]
     rho, trail = np.array([rho0] * n), cache.noisy if n == 1 else None
-    if trail is not None:
-        done = trail.resume(rho, events)
+    if trail is not None:  # a stack of one: its steps are the events with their gates
+        done = trail.resume(rho, [(key, tuple([rows[0][i] for i in run])) for key, run in events])
         rho, events = trail.arrays[-1], events[done:]
-    # u (x) conj(u) of each one-qubit run to apply (u = g_n ... g_1, the check's if it left
-    # one) in one broadcast; two-qubit folds are kept per channel and gate, one if all agree
-    runs = [u if (u := cache.products.get(run)) is not None else
-            functools.reduce(lambda u, g: gate_matrix(g) @ u, run[1:], gate_matrix(run[0]))
-            for key, event in events if event[0] and len(key[1]) == 1 for run in event]
-    singles = iter(_liouville(np.reshape(runs, (-1, 2, 2))).reshape(-1, n, 4, 4))
+    # u (x) conj(u) of each one-qubit run to apply, u = g_n ... g_1, for all rows in one
+    # call; two-qubit folds are kept per channel and gate, one if all agree
+    runs = RunPlan([run for key, run in events if run and len(key[1]) == 1])
+    singles = iter(_liouville(run_products(rows, runs).reshape(-1, 2, 2)).reshape(-1, n, 4, 4))
     channels, names = cache.channels, [s.circuit.name for s in group]
     pairs: dict[tuple[tuple, Gate], np.ndarray] = {}
-    for key, event in events:
+    for key, run in events:
         if key not in channels:
             channels[key] = _channel(key, nm)
         op = channels[key]
-        if event[0] and len(key[1]) == 1:
+        if run and len(key[1]) == 1:
             sup = next(singles)
             op = sup if op is None else op @ sup
-        elif event[0]:
-            gates = next(zip(*event))  # each row's gate
+        elif run:
+            gates = [row[run[0]] for row in rows]  # each row's gate
             gates = gates[:1] if gates.count(gates[0]) == n else gates
             for g in gates:
                 if (key, g) not in pairs:

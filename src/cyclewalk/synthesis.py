@@ -626,7 +626,7 @@ def _emit_matrix(wire: int, matrix: np.ndarray) -> list[Gate]:
     return [g for g in gates if g.kind == "SX" or abs(g.params[0]) >= ZERO_ANGLE]
 
 
-_stream_plan = functools.lru_cache(maxsize=64)(RunPlan)  # per stream skeleton
+_stream_plan = functools.lru_cache(maxsize=64)(RunPlan.of_items)  # per stream skeleton
 
 
 def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[list[Gate]]:

@@ -9,12 +9,12 @@ depth depend only on the width; wider circuits run L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
-gate by gate (once: it is also L3's input), the output run by run.  L1
-fusion and the check share one run kernel: ``circuit.RunPlan`` multiplies
-the per-wire one-qubit runs in one stacked pass.  The check forms each
-two-qubit gate with the runs leading into it, g (u_hi (x) u_lo), in one
-more, applies them with ``circuit.apply_matrix`` and leaves the 2x2 run
-products in a bundle cache, where ``run_noisy`` folds them.  Both lowerings
+gate by gate (once: it is also L3's input), the output run by run.  One
+kernel, ``run_products``, forms every one-qubit run product, for L1 fusion,
+the check and ``run_noisy``: the runs of one or more gate lists of one
+skeleton, multiplied by ``circuit.RunPlan`` in one stacked pass.  The check
+forms each two-qubit gate with the runs leading into it, g (u_hi (x) u_lo),
+in one more and applies them with ``circuit.apply_matrix``.  Both lowerings
 are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a bundle,
 the check's run plan and the schedule, its times checked once, come from
 the cache while the skeleton repeats.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING
@@ -35,8 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuit import Circuit, RunPlan, Trail, _asap_starts, apply_matrix, lower_to_unitary
-from .gates import (CONSTANT_MATRICES, NATIVE_KINDS, ONE_QUBIT_KINDS, Gate, canonical_angle,
-                    gate_matrix)
+from .gates import CONSTANT_MATRICES, NATIVE_KINDS, Gate, canonical_angle, gate_matrix
 from .noise import NoiseModel, gate_duration
 from .synthesis import (
     ZERO_ANGLE,
@@ -59,6 +59,7 @@ __all__ = [
     "decompose_1q",
     "decompose_cp",
     "transpile",
+    "run_products",
     "ScheduledCircuit",
     "schedule",
     "insert_dd",
@@ -135,65 +136,62 @@ def _skeleton(gates: list[Gate]) -> tuple:
     return tuple([(g.kind, g.qubits) for g in gates])
 
 
-# one-qubit kinds whose matrix is fixed by the kind alone
-_CONSTANT_KINDS = tuple([k for k in CONSTANT_MATRICES if k in ONE_QUBIT_KINDS])
+def _one_qubit_runs(gates: Sequence[Gate]) -> RunPlan:
+    """``RunPlan.of_items`` over the gates' one-qubit runs; barriers split runs."""
+    return RunPlan.of_items([g.qubits for g in gates],
+                            [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates])
 
 
-class _RunPlan(RunPlan):
-    """What ``_fuse_runs`` and ``_lower_runs`` read of a skeleton: the
-    ``RunPlan`` of its one-qubit runs (a barrier separates runs), where
-    their RZ and constant-kind gates (a native circuit's one-qubit kinds) are,
-    and the check's steps: a two-qubit gate with its leading runs, or a run
-    closed by a barrier or the end."""
-
-    def __init__(self, gates: list[Gate]) -> None:
-        super().__init__([g.qubits for g in gates],
-                         [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates])
-        by_kind: dict[str, list[int]] = {}
-        for i in self.joined:
-            by_kind.setdefault(gates[i].kind, []).append(i)
-        self.rz = by_kind.pop("RZ", [])
-        self.constant = [by_kind.pop(kind) for kind in _CONSTANT_KINDS if kind in by_kind]
-        # wire_runs emits a run just before its wire's next other item
-        lead: dict[int, int] = {}  # the runs that no gate or barrier took yet
-        fused, self.check = [], []  # (position, hi run, lo run); (fused?, index, qubits)
-        for positions, j in self.items:
-            gate = gates[positions[0]]
-            if j is not None:
-                lead[gate.qubits[0]] = j
-            elif gate.kind == "BARRIER":
-                self.check += [(False, lead.pop(q), (q,)) for q in gate.qubits if q in lead]
-            else:
-                self.check.append((True, len(fused), gate.qubits))
-                fused.append((positions[0], *[lead.pop(q, -1) for q in gate.qubits]))
-        self.check += [(False, j, (q,)) for q, j in lead.items()]
-        self.fused = np.array(fused, dtype=np.intp).reshape(-1, 3).T
+def _check_plan(gates: list[Gate]) -> tuple[RunPlan, list, np.ndarray]:
+    """What ``_lower_runs`` reads of a skeleton: its one-qubit runs; the check's
+    steps (fused?, index, qubits), a two-qubit gate with its leading runs or a
+    run closed by a barrier or the end; the fused (position, hi run, lo run)."""
+    plan = _one_qubit_runs(gates)
+    # wire_runs emits a run just before its wire's next other item
+    lead: dict[int, int] = {}  # the runs that no gate or barrier took yet
+    fused, check = [], []
+    for positions, j in plan.items:
+        gate = gates[positions[0]]
+        if j is not None:
+            lead[gate.qubits[0]] = j
+        elif gate.kind == "BARRIER":
+            check += [(False, lead.pop(q), (q,)) for q in gate.qubits if q in lead]
+        else:
+            check.append((True, len(fused), gate.qubits))
+            fused.append((positions[0], *[lead.pop(q, -1) for q in gate.qubits]))
+    check += [(False, j, (q,)) for q, j in lead.items()]
+    return plan, check, np.array(fused, dtype=np.intp).reshape(-1, 3).T
 
 
-def _run_products(gates: list[Gate], plan: _RunPlan) -> np.ndarray:
-    """The products u = g_n ... g_1 of the plan's one-qubit runs, in
-    ``run_noisy``'s order, as one stack: the RZ matrices built from the
-    gates' angles in one call, one ``gate_matrix`` call per constant kind,
-    then ``RunPlan.products``.  Bit for bit the per-gate products."""
-    mats = np.zeros((len(gates), 2, 2), dtype=complex)
-    if plan.rz:
-        theta = np.array([gates[i].params[0] for i in plan.rz])
-        mats[plan.rz, 0, 0] = np.exp(-0.5j * theta)
-        mats[plan.rz, 1, 1] = np.exp(0.5j * theta)
-    for positions in plan.constant:
-        mats[positions] = gate_matrix(gates[positions[0]])
+def run_products(rows: Sequence[Sequence[Gate]], plan: RunPlan) -> np.ndarray:
+    """The products u = g_n ... g_1 of the plan's one-qubit runs in each of
+    ``rows``, gate lists of one skeleton, as a (runs, rows, 2, 2) stack: the
+    RZ matrices from all rows' angles in one ``np.exp``, one shared matrix
+    per constant kind, ``gate_matrix`` for any other kind, then
+    ``RunPlan.products``.  Bit for bit the per-gate products."""
+    first, n = rows[0], len(rows)
+    by_kind: dict[str, list[int]] = {}
+    for i in plan.joined:
+        by_kind.setdefault(first[i].kind, []).append(i)
+    mats = np.zeros((len(first), n, 2, 2), dtype=complex)
+    rz = by_kind.pop("RZ", [])
+    theta = np.array([row[i].params[0] for i in rz for row in rows]).reshape(-1, n, 1)
+    mats.reshape(-1, n, 4)[rz, :, ::3] = np.exp(theta * [-0.5j, 0.5j])  # the diagonals
+    for kind, positions in by_kind.items():
+        mats[positions] = (CONSTANT_MATRICES[kind] if kind in CONSTANT_MATRICES else np.reshape(
+            [gate_matrix(row[i]) for i in positions for row in rows], (-1, n, 2, 2)))
     return plan.products(mats)
 
 
 def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     """Fuse per-wire runs of adjacent one-qubit gates, each run's product
-    taken from the check's stacked ``_run_products``.
+    taken from one stacked ``run_products`` call.
 
     A fused run is resynthesized only when the result is strictly shorter,
     so the pass never lengthens the circuit.
     """
-    plan = _RunPlan(gates)
-    products = _run_products(gates, plan)
+    plan = _one_qubit_runs(gates)
+    products = run_products([gates], plan)[:, 0]
     out: list[Gate] = []
     for positions, j in plan.items:
         run = [gates[i] for i in positions]
@@ -207,22 +205,20 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
 
 def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarray:
     """The circuit's dense unitary, applied one check step of the plan at a
-    time, the runs as their 2x2 products u from ``_run_products``: each
+    time, the runs as their 2x2 products u from ``run_products``: each
     two-qubit gate g as g (u_hi (x) u_lo), all formed in one stacked pass.
-    With a bundle ``cache`` the products join ``cache.products`` for
-    ``run_noisy`` to fold, and the plan is kept while the skeleton repeats."""
+    A pure check: with a bundle ``cache`` only its plan is kept, while the
+    skeleton repeats."""
     gates, width = circuit.gates, circuit.width
-    plan = _RunPlan(gates) if cache is None else cache.plan("runs", _skeleton(gates),
-                                                            lambda: _RunPlan(gates))
-    products = {} if cache is None else cache.products
-    ops = _run_products(gates, plan)
-    products.update(zip([tuple([gates[i] for i in p]) for p in plan.runs], ops))
+    plan, check, fused = (_check_plan(gates) if cache is None else
+                          cache.plan("runs", _skeleton(gates), lambda: _check_plan(gates)))
+    ops = run_products([gates], plan)[:, 0]
     padded = np.concatenate([ops, CONSTANT_MATRICES["ID"][None]])  # index -1: no run leads in
-    entanglers = np.reshape([gate_matrix(gates[i]) for i in plan.fused[0].tolist()], (-1, 4, 4))
-    stacks = (ops, entanglers @ _kron2(*padded[plan.fused[1:]]))  # g (u_hi (x) u_lo)
+    entanglers = np.reshape([gate_matrix(gates[i]) for i in fused[0].tolist()], (-1, 4, 4))
+    stacks = (ops, entanglers @ _kron2(*padded[fused[1:]]))  # g (u_hi (x) u_lo)
     rows = np.eye(1 << width, dtype=complex)
-    for fused, k, qubits in plan.check:
-        rows = apply_matrix(rows, stacks[fused][k], qubits, width)
+    for is_fused, k, qubits in check:
+        rows = apply_matrix(rows, stacks[is_fused][k], qubits, width)
     return rows
 
 
@@ -251,8 +247,8 @@ def transpile(
     """Rewrite a circuit over the native gate set at the given level (L3 above
     width 3 runs L1, and the result's name ends in ``-native1``).  With a
     bundle ``cache``, the source lowering resumes its trail and the check
-    adds its one-qubit run products there; at L3 the first call for one of
-    its ``circuits`` lowers and resynthesizes them all in one stacked pass,
+    keeps its run plan there; at L3 the first call for one of its
+    ``circuits`` lowers and resynthesizes them all in one stacked pass,
     and each call takes its own row's gates.
     """
     level = OptLevel(level)

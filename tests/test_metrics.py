@@ -52,6 +52,14 @@ class TestHellinger:
         with pytest.raises(ValueError, match="not normalized"):
             hellinger_fidelity({0: math.nan, 1: 0.5}, {0: 0.5, 1: 0.5})
 
+    def test_negative_entries_rejected(self):
+        # normalized, but not a distribution: no silent fidelity of 0.9976
+        with pytest.raises(ValueError, match="negative"):
+            hellinger_fidelity({0: 1.1, 1: -0.1}, {0: 1.0})
+        with pytest.raises(ValueError, match="negative"):
+            hellinger_distance({0: 1.0}, {0: 1.25, 3: -0.25})
+        assert hellinger_distance({0: 1.0, 1: -0.0}, {0: 1.0}) == 0.0
+
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(51)
         for _ in range(1000):
@@ -81,6 +89,16 @@ class TestTraceDistance:
     def test_equal_states(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN in sigma read as distance 0.0
+        s = np.eye(2, dtype=complex) / 2
+        s[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            trace_distance(np.eye(2) / 2, s)
+        with pytest.raises(ValueError, match="finite"):
+            trace_distance(s, np.eye(2) / 2)
 
     def test_orthogonal_pure_states(self):
         a = np.diag([1.0, 0.0]).astype(complex)

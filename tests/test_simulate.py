@@ -33,11 +33,12 @@ from cyclewalk.circuit import Trail, _row_orders, apply_matrix, wire_runs
 from cyclewalk.experiments import build_walk_circuit
 from cyclewalk.gates import gate_matrix
 from cyclewalk.noise import depolarizing_kraus, thermal_relaxation_kraus
+from cyclewalk import simulate
 from cyclewalk.simulate import (BundleCache, _apply_kraus, _check_density, _liouville,
                                 _noisy_events)
 from cyclewalk.synthesis import _emit_matrix
-from cyclewalk.transpile import (ScheduledCircuit, _fuse_runs, _lower_runs, _run_products,
-                                 _RunPlan)
+from cyclewalk.transpile import (ScheduledCircuit, _check_plan, _fuse_runs, _lower_runs,
+                                 run_products)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -573,20 +574,28 @@ def with_barriers(circuit, barriers):
     return c
 
 
+def left_fold(run):
+    """u = g_n ... g_1 of a run of gates, multiplied gate by gate."""
+    u = gate_matrix(run[0])
+    for g in run[1:]:
+        u = gate_matrix(g) @ u
+    return u
+
+
 def per_item_check(circuit):
     """The check as it applied one ``wire_runs`` item at a time, each run as
-    its own 2x2 product and each two-qubit gate alone: the oracle for the
-    fused steps.  Returns the unitary and the run products."""
+    its own gate-by-gate 2x2 product and each two-qubit gate alone: the
+    oracle for the fused steps.  Returns the unitary and the run products
+    in ``wire_runs`` order."""
     gates, width = circuit.gates, circuit.width
-    plan = _RunPlan(gates)
-    ops = _run_products(gates, plan)
-    products = {}
+    joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in gates]
+    products = []
     rows = np.eye(1 << width, dtype=complex)
-    for positions, j in plan.items:
+    for positions in wire_runs([g.qubits for g in gates], joins):
         gate = gates[positions[0]]
-        if j is not None:
-            products[tuple([gates[i] for i in positions])] = ops[j]
-            rows = apply_matrix(rows, ops[j], gate.qubits, width)
+        if joins[positions[0]]:
+            products.append(left_fold([gates[i] for i in positions]))
+            rows = apply_matrix(rows, products[-1], gate.qubits, width)
         elif gate.kind != "BARRIER":
             rows = apply_matrix(rows, gate_matrix(gate), gate.qubits, width)
     return rows, products
@@ -622,29 +631,29 @@ def with_barrier_sets(circuit, barriers):
 @example(_barrier_between_run_and_entangler(), [])
 @example(_barrier_between_run_and_entangler(), [(1, 3), (6, 2)])
 def test_run_products_are_the_per_gate_products(circuit, barriers):
-    # the check leaves one entry per one-qubit run in cache.products: the
-    # per-gate 2x2 product u = g_n ... g_1; barriers split runs and have none.
-    # Its steps (a two-qubit gate with its leading runs, or a run that a
-    # barrier or the end closes) give what the per-item check gives
+    # run_products gives each one-qubit run's per-gate 2x2 product u = g_n ...
+    # g_1 bit for bit, in wire_runs order; barriers split runs and have none.
+    # Stacked rows of one skeleton each get their own.  The check's steps (a
+    # two-qubit gate with its leading runs, or a run that a barrier or the end
+    # closes) give what the per-item check gives, and it keeps only its plan
     c = with_barrier_sets(circuit, barriers)
     cache = BundleCache(None, c.width)
     rows = _lower_runs(c, cache)
     want, products = per_item_check(c)
     assert np.abs(rows - lower_to_unitary(c)).max() <= 1e-12
     assert np.abs(want - lower_to_unitary(c)).max() <= 1e-12
-    assert cache.products.keys() == products.keys()
-    assert all(np.array_equal(u, products[k]) for k, u in cache.products.items())
-    plan = _RunPlan(c.gates)
-    assert sum(fused for fused, _, _ in plan.check) == sum(g.kind == "ECR" for g in c.gates)
-    joins = [g.n_qubits == 1 and g.kind != "BARRIER" for g in c.gates]
-    runs = {tuple([c.gates[i] for i in p]) for p in wire_runs([g.qubits for g in c.gates], joins)
-            if joins[p[0]]}
-    assert cache.products.keys() == runs
-    for run, product in cache.products.items():
-        u = gate_matrix(run[0])
-        for g in run[1:]:
-            u = gate_matrix(g) @ u
-        assert np.array_equal(product, u)
+    assert list(cache.plans) == ["runs"]
+    plan, check, _ = _check_plan(c.gates)
+    assert sum(fused for fused, _, _ in check) == sum(g.kind == "ECR" for g in c.gates)
+    ops = run_products([c.gates], plan)
+    assert ops.shape == (len(products), 1, 2, 2)
+    assert all(np.array_equal(u, v) for u, v in zip(ops[:, 0], products))
+    rng = np.random.default_rng(len(c.gates))
+    others = [_with_angles(c, iter(rng.uniform(-math.pi, math.pi, len(c.gates)))) for _ in range(2)]
+    stacked = run_products([c.gates] + [o.gates for o in others], plan)
+    for i, row in enumerate([c] + others):
+        assert all(np.array_equal(stacked[j, i], left_fold([row.gates[k] for k in p]))
+                   for j, p in enumerate(plan.runs))
 
 
 @settings(max_examples=80, deadline=None)
@@ -744,24 +753,19 @@ def _with_angles(circuit, angles):
 def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
     # two more circuits with the skeleton of ``circuit`` and new RZ angles,
     # then one with a gate added: every stage keeps its plan for the first
-    # three and rebuilds it for the last, and every result equals a fresh call.
-    # The checks' run products accumulate over the family, each as fresh
+    # three and rebuilds it for the last, and every result equals a fresh call
     n_rz = sum(g.kind == "RZ" for g in circuit.gates)
     angles = st.lists(st.floats(-math.pi, math.pi), min_size=n_rz, max_size=n_rz)
     family = [circuit] + [_with_angles(circuit, iter(data.draw(angles))) for _ in range(2)]
     family.append(_with_angles(circuit, iter(data.draw(angles))).add("SX", 0))
     rho0 = random_density(circuit.width, np.random.default_rng(data.draw(st.integers(0, 99))))
     cache = BundleCache(nm, circuit.width)
-    plans, fresh_products = [], {}
+    plans = []
     for c in family:
         sc, fresh_sc = schedule(c, nm, cache), schedule(c, nm)
         assert (sc.start_times, sc.durations, sc.idle_windows) == (
             fresh_sc.start_times, fresh_sc.durations, fresh_sc.idle_windows)
-        fresh_cache = BundleCache(nm, c.width)
-        assert np.array_equal(_lower_runs(c, cache), _lower_runs(c, fresh_cache))
-        fresh_products.update(fresh_cache.products)
-        assert cache.products.keys() == fresh_products.keys()
-        assert all(np.array_equal(u, fresh_products[k]) for k, u in cache.products.items())
+        assert np.array_equal(_lower_runs(c, cache), _lower_runs(c))
         if dd:
             sc = insert_dd(sc, nm)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
@@ -792,7 +796,7 @@ def test_each_row_of_a_stack_equals_its_lone_run(circuit, nm, dd, n, seed):
     cache = BundleCache(nm, circuit.width)
     scheduled = []
     for c in rows:
-        _lower_runs(c, cache)  # the check leaves its run products, as in a bundle
+        _lower_runs(c, cache)  # the check keeps its plan, as in a bundle
         sc = schedule(c, nm, cache)
         scheduled.append(insert_dd(sc, nm) if dd else sc)
     cache.scheduled = tuple(scheduled)
@@ -817,6 +821,43 @@ def test_a_stack_folds_each_rows_own_two_qubit_gate(angles):
     for sc in cache.scheduled:
         assert np.array_equal(run_noisy(sc, rho0, _NOISE, cache), run_noisy(sc, rho0, _NOISE))
     assert len(cache.plans["noisy"][1]) == len(angles)
+
+
+def _l3_bundle(n):
+    """The first n circuits of the shipped 4-cycle bundle, transpiled at L3
+    in one stacked pass: one skeleton, with each t's own angles."""
+    cfg = config_from_text((ROOT / "demos" / "configs" / "parrondo_4cycle.cfg").read_text())
+    circuits = [build_walk_circuit(cfg.cycle, cfg.schedule(), t) for t in range(1, n + 1)]
+    cache = BundleCache(_NOISE, circuits[0].width, circuits)
+    return [transpile(c, OptLevel.L3, cache) for c in circuits]
+
+
+@pytest.mark.parametrize("bundle", ["angles", "L3"])
+def test_an_xy4_stack_whose_pulses_split_the_check_runs(bundle):
+    # XY4 pulses join and split the one-qubit runs that the transpile check
+    # multiplied; each row of the decoupled stack forms its own run products
+    # and equals the per-event folds bit for bit
+    rng = np.random.default_rng(11)
+    if bundle == "L3":
+        rows = _l3_bundle(3)
+    else:
+        c = _run_into_dd_window()
+        rows = [c] + [_with_angles(c, iter(rng.uniform(-math.pi, math.pi, len(c))))
+                      for _ in range(2)]
+    cache = BundleCache(_NOISE, rows[0].width)
+    for c in rows:
+        _lower_runs(c, cache)
+    cache.scheduled = tuple([insert_dd(schedule(c, _NOISE, cache), _NOISE) for c in rows])
+    plan, _, _ = _check_plan(rows[0].gates)
+    checked = {tuple([rows[0].gates[i] for i in p]) for p in plan.runs}
+    sc = cache.scheduled[0]
+    noisy = {tuple([sc.circuit.gates[i] for i in run])
+             for key, run in _noisy_events(sc, _NOISE) if run and len(key[1]) == 1}
+    assert noisy - checked  # runs that no check formed
+    rho0 = random_density(rows[0].width, rng)
+    for sc in cache.scheduled:
+        assert np.array_equal(run_noisy(sc, rho0, _NOISE, cache), per_event_noisy(sc, rho0, _NOISE))
+    assert len(cache.plans["noisy"][1]) == len(rows)  # one stack of all rows
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
@@ -871,10 +912,10 @@ def per_event_channel(key, nm):
     return None if len(kraus) == 1 else sum(_liouville_2d(k) for k in kraus)
 
 
-def per_event_noisy(sc, rho, nm, products):
-    """``run_noisy`` as it folded one event at a time: the run's product from
-    ``products`` or gate by gate, its own u (x) conj(u), then its channel,
-    each fold kept per run for the call.  The oracle for the stacked folds."""
+def per_event_noisy(sc, rho, nm):
+    """``run_noisy`` as it folded one event at a time: the run's product
+    gate by gate, its own u (x) conj(u), then its channel, each fold kept
+    per run for the call.  The oracle for the stacked folds."""
     gates = sc.circuit.gates
     channels, folded = {}, {}
     for key, positions in _noisy_events(sc, nm):
@@ -885,11 +926,7 @@ def per_event_noisy(sc, rho, nm, products):
         if run:
             fold = folded.get(run)
             if fold is None:
-                u = products.get(run)
-                if u is None:
-                    u = gate_matrix(run[0])
-                    for gate in run[1:]:
-                        u = gate_matrix(gate) @ u
+                u = left_fold(run)
                 fold = _liouville_2d(u) if op is None else op @ _liouville_2d(u)
                 folded[run] = fold
             op = fold
@@ -904,8 +941,8 @@ def per_event_noisy(sc, rho, nm, products):
 @example(_repeated_gates(), NoiseModel(p1=0.0, p2=0.0), True, 1)
 @example(_run_into_dd_window(), _NOISE, True, 2)
 def test_stacked_folds_equal_the_per_event_folds(circuit, nm, dd, seed):
-    # bit for bit, without a cache, and in a bundle where the check leaves
-    # its products and the second, longer circuit resumes the trail
+    # bit for bit, without a cache, and in a bundle where the check runs
+    # first and the second, longer circuit resumes the trail
     rho0 = random_density(circuit.width, np.random.default_rng(seed))
     longer = Circuit(circuit.width).extend(circuit.gates).add("SX", 0).add("X", circuit.width - 1)
     cache = BundleCache(nm, circuit.width)
@@ -914,17 +951,20 @@ def test_stacked_folds_equal_the_per_event_folds(circuit, nm, dd, seed):
         sc = schedule(c, nm, cache)
         if dd:
             sc = insert_dd(sc, nm)
-        assert np.array_equal(run_noisy(sc, rho0, nm, cache),
-                              per_event_noisy(sc, rho0, nm, dict(cache.products)))
-        assert np.array_equal(run_noisy(sc, rho0, nm), per_event_noisy(sc, rho0, nm, {}))
+        assert np.array_equal(run_noisy(sc, rho0, nm, cache), per_event_noisy(sc, rho0, nm))
+        assert np.array_equal(run_noisy(sc, rho0, nm), per_event_noisy(sc, rho0, nm))
 
 
 @pytest.mark.parametrize("dd", [False, True])
 def test_stacked_folds_after_a_resumed_trail(monkeypatch, dd):
-    resumed = []
-    resume = Trail.resume
+    # the second circuit resumes the rho trail after its shared prefix: its
+    # call of run_products forms the one-qubit runs after that point alone
+    resumed, plans = [], []
+    resume, products = Trail.resume, simulate.run_products
     monkeypatch.setattr(Trail, "resume",
                         lambda self, *a: resumed.append(resume(self, *a)) or resumed[-1])
+    monkeypatch.setattr(simulate, "run_products",
+                        lambda rows, plan: plans.append(plan) or products(rows, plan))
     rho0 = random_density(3, np.random.default_rng(3))
     cache = BundleCache(_NOISE, 3)
     first = _repeated_gates()
@@ -936,8 +976,12 @@ def test_stacked_folds_after_a_resumed_trail(monkeypatch, dd):
         if dd:
             sc = insert_dd(sc, _NOISE)
         got = run_noisy(sc, rho0, _NOISE, cache)
-        assert np.array_equal(got, per_event_noisy(sc, rho0, _NOISE, dict(cache.products)))
+        assert np.array_equal(got, per_event_noisy(sc, rho0, _NOISE))
+        runs = [(i, run) for i, (key, run) in enumerate(_noisy_events(sc, _NOISE))
+                if run and len(key[1]) == 1]
+        assert plans[-1].runs == [run for i, run in runs if i >= resumed[-1]]
     assert resumed[0] == 0 and resumed[1] > 0
+    assert 0 < len(plans[-1].runs) < len(runs)
 
 
 def test_a_planned_schedule_takes_the_new_circuit_without_a_second_check(monkeypatch):
