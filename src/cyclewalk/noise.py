@@ -93,6 +93,8 @@ def depolarizing_kraus(p: float, n_qubits: int) -> list[np.ndarray]:
     rho -> (1 - p) rho + p * I / 2**n (x) tr_sub(rho), via the uniform Pauli
     twirl; p = 1 fully mixes the acted-on qubits.
     """
+    if not (0.0 <= p <= 1.0 and n_qubits >= 1):
+        raise ValueError(f"depolarizing p={p} must be in [0, 1] and n_qubits={n_qubits} >= 1")
     if p == 0.0:
         return [np.eye(2**n_qubits, dtype=complex)]
     dim4 = 4**n_qubits
@@ -106,9 +108,12 @@ def depolarizing_kraus(p: float, n_qubits: int) -> list[np.ndarray]:
 def thermal_relaxation_kraus(t1: float, t2: float, duration: float) -> list[np.ndarray]:
     """Kraus operators for idling: amplitude damping composed with dephasing.
 
-    Populations decay with t1; coherences decay with t2.  Requires
-    t2 <= 2*t1 so the residual pure-dephasing rate is non-negative.
+    Populations decay with t1; coherences decay with t2.  Needs duration in
+    [0, inf), t1 and t2 in (0, inf], and t2 <= 2*t1 (a dephasing rate >= 0).
     """
+    if not (0.0 <= duration < math.inf and 0.0 < t1 <= math.inf and 0.0 < t2 <= math.inf):
+        raise ValueError(f"relaxation needs a finite duration >= 0 and t1, t2 > 0 or inf, "
+                         f"got duration={duration}, t1={t1}, t2={t2}")
     if duration <= 0.0 or (math.isinf(t1) and math.isinf(t2)):
         return [np.eye(2, dtype=complex)]
     gamma = 1.0 - math.exp(-duration / t1) if not math.isinf(t1) else 0.0

@@ -66,13 +66,14 @@ class Distribution:
 class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
-    the bundle's ``circuits``, all resynthesized in the first L3 ``transpile``
-    (its "resynthesis" plan) and their ``scheduled`` circuits, each group
-    of which ``run_noisy`` runs as one stack (the "noisy" plan: each row's
-    final rho); the channels' local superoperators; trails (``circuit.Trail``)
-    of the source unitary, the statevector and rho (for a stack of one),
-    which resume after the prefix circuit t shares with t - 1; and one plan
-    per stage, reused while a circuit's skeleton (gate kinds and qubits)
+    the bundle's ``circuits``, resynthesized and checked as one stack in the
+    first L3 ``transpile`` (its "resynthesis" plan: each row's gates and
+    residual), and their ``scheduled`` circuits, each group of which
+    ``run_noisy`` runs as one stack (the "noisy" plan: each row's final rho);
+    the channels' local superoperators; trails (``circuit.Trail``) of the
+    source unitary, the statevector and rho (for a stack of one), which
+    resume after the prefix circuit t shares with t - 1; and one plan per
+    stage, reused while a circuit's skeleton (gate kinds and qubits)
     repeats, as at L3: the schedule and the check's run plan.
     """
 
@@ -244,12 +245,11 @@ def _noisy_events(sc: ScheduledCircuit, nm: NoiseModel) -> Iterator[tuple[tuple,
 
 def _groups(scheduled: Sequence[ScheduledCircuit]) -> dict[int, tuple[list, int]]:
     """By id, each circuit's group (a run with one schedule and skeleton) and row."""
-    out, group = {}, []
-    for sc in scheduled:
-        last = group[-1] if group else sc
-        if (last is sc or (last.start_times, last.durations) != (sc.start_times, sc.durations)
-                or _skeleton(last.circuit.gates) != _skeleton(sc.circuit.gates)):
-            group = []
+    out, group, last = {}, [], None
+    for sc in scheduled:  # each circuit's key, its skeleton built once
+        key = (sc.start_times, sc.durations, _skeleton(sc.circuit.gates))
+        if key != last:
+            group, last = [], key
         out[id(sc)] = group, len(group)
         group.append(sc)
     return out

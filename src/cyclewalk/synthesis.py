@@ -222,8 +222,8 @@ def _factor_kron(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kron2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """np.kron of each pair of an (n, 2, 2) stack, as an (n, 4, 4) stack."""
-    return (hi[:, :, None, :, None] * lo[:, None, :, None, :]).reshape(-1, 4, 4)
+    """np.kron of each pair of two stacks of 2x2 matrices, as a stack of 4x4."""
+    return (hi[..., :, None, :, None] * lo[..., None, :, None, :]).reshape(*hi.shape[:-2], 4, 4)
 
 
 def _rotated_split(p: np.ndarray) -> np.ndarray:

@@ -9,15 +9,15 @@ depth depend only on the width; wider circuits run L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
-gate by gate (once: it is also L3's input), the output run by run.  One
-kernel, ``run_products``, forms every one-qubit run product, for L1 fusion,
-the check and ``run_noisy``: the runs of one or more gate lists of one
-skeleton, multiplied by ``circuit.RunPlan`` in one stacked pass.  The check
-forms each two-qubit gate with the runs leading into it, g (u_hi (x) u_lo),
-in one more and applies them with ``circuit.apply_matrix``.  Both lowerings
-are dense, so a circuit wider than MAX_LOWER_WIDTH raises.  In a bundle,
-the check's run plan and the schedule, its times checked once, come from
-the cache while the skeleton repeats.
+gate by gate (once: it is also L3's input), the output run by run, all of
+an L3 bundle's t as one stack.  One kernel, ``run_products``, forms every
+one-qubit run product, for L1 fusion, the check and ``run_noisy``: the runs
+of gate lists of one skeleton, multiplied by ``circuit.RunPlan`` in one
+stacked pass.  The check forms each two-qubit gate with the runs leading
+into it, g (u_hi (x) u_lo), in one more, and applies each step to the stack
+in one ``circuit.apply_matrix`` call.  Both lowerings are dense, so a circuit
+wider than MAX_LOWER_WIDTH raises.  In a bundle, the check's run plan and
+the schedule (times checked once) are cached while the skeleton repeats.
 
 A schedule is its start times and durations; its idle windows, where XY4
 pulses go and relaxation acts, are found in the pass that checks them.  The
@@ -203,27 +203,36 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-def _lower_runs(circuit: Circuit, cache: BundleCache | None = None) -> np.ndarray:
-    """The circuit's dense unitary, applied one check step of the plan at a
-    time, the runs as their 2x2 products u from ``run_products``: each
-    two-qubit gate g as g (u_hi (x) u_lo), all formed in one stacked pass.
-    A pure check: with a bundle ``cache`` only its plan is kept, while the
-    skeleton repeats."""
-    gates, width = circuit.gates, circuit.width
-    plan, check, fused = (_check_plan(gates) if cache is None else
-                          cache.plan("runs", _skeleton(gates), lambda: _check_plan(gates)))
-    ops = run_products([gates], plan)[:, 0]
-    padded = np.concatenate([ops, CONSTANT_MATRICES["ID"][None]])  # index -1: no run leads in
-    entanglers = np.reshape([gate_matrix(gates[i]) for i in fused[0].tolist()], (-1, 4, 4))
+def _lower_runs(rows: Sequence[Sequence[Gate]], width: int,
+                cache: BundleCache | None = None) -> np.ndarray:
+    """The (n, 2**w, 2**w) stack of the dense unitaries of ``rows``, gate lists
+    of one skeleton on ``width`` qubits, applied one check step of the plan at
+    a time to all rows: the runs as their 2x2 products u from one
+    ``run_products`` call, each two-qubit gate g as g (u_hi (x) u_lo), formed
+    in one stacked pass.  A pure check: a bundle ``cache`` keeps its plan."""
+    first, n, skeleton = rows[0], len(rows), _skeleton(rows[0])
+    if any(_skeleton(row) != skeleton for row in rows[1:]):
+        raise TranspileError("the circuits checked in one stack differ in skeleton")
+    plan, check, fused = (_check_plan(first) if cache is None else
+                          cache.plan("runs", skeleton, lambda: _check_plan(first)))
+    ops = run_products(rows, plan)  # padded adds the identity as run -1: no run leads in
+    padded = np.concatenate([ops, np.broadcast_to(CONSTANT_MATRICES["ID"], (1, n, 2, 2))])
+    entanglers = np.reshape([gate_matrix(r[i]) for i in fused[0] for r in rows], (-1, n, 4, 4))
     stacks = (ops, entanglers @ _kron2(*padded[fused[1:]]))  # g (u_hi (x) u_lo)
-    rows = np.eye(1 << width, dtype=complex)
+    out = np.array([np.eye(1 << width, dtype=complex)] * n)
     for is_fused, k, qubits in check:
-        rows = apply_matrix(rows, stacks[is_fused][k], qubits, width)
-    return rows
+        out = apply_matrix(out, stacks[is_fused][k], qubits, width)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # whole-circuit resynthesis (L3)
+
+def _checked(sources, rows: list[list[Gate]], width: int, cache: BundleCache | None) -> tuple:
+    """``rows`` and the residual of each against its source, checked in one stack."""
+    lowered = _lower_runs(rows, width, cache)
+    return rows, [phase_aligned_distance(u, s) for u, s in zip(lowered, sources)]
+
 
 def _resynthesize(
     circuits: tuple[Circuit, ...], trail: Trail | None
@@ -248,21 +257,21 @@ def transpile(
     width 3 runs L1, and the result's name ends in ``-native1``).  With a
     bundle ``cache``, the source lowering resumes its trail and the check
     keeps its run plan there; at L3 the first call for one of its
-    ``circuits`` lowers and resynthesizes them all in one stacked pass,
-    and each call takes its own row's gates.
+    ``circuits`` lowers, resynthesizes and checks them all, each pass one
+    stack, and each call takes its own row's gates and residual.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
         level = OptLevel.L1
     # the source unitary, lowered once: the L3 input and the check's reference
+    trail = None if cache is None else cache.source
     if level == OptLevel.L3:
         bundle = cache.circuits if cache is not None and circuit in cache.circuits else (circuit,)
-        build = functools.partial(_resynthesize, bundle, None if cache is None else cache.source)
-        sources, rows = build() if cache is None else cache.plan("resynthesis", bundle, build)
-        i = bundle.index(circuit)
-        source, gates = sources[i], rows[i]
+        build = lambda: _checked(*_resynthesize(bundle, trail), circuit.width, cache)  # noqa: E731
+        rows, residuals = build() if cache is None else cache.plan("resynthesis", bundle, build)
+        gates, residual = rows[bundle.index(circuit)], residuals[bundle.index(circuit)]
     else:
-        source = lower_to_unitary(circuit, None if cache is None else cache.source)
+        source, residual = lower_to_unitary(circuit, trail), None
         gates = [g for src in circuit.gates for g in _decompose_gate(src)]
         if level == OptLevel.L1:
             gates = _fuse_runs(gates)
@@ -272,10 +281,11 @@ def transpile(
     bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS and g.kind != "BARRIER"]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
-    residual = phase_aligned_distance(_lower_runs(out, cache), source)
+    if residual is None:  # L0 and L1 check the emitted gates as a stack of one
+        residual = _checked([source], [out.gates], out.width, cache)[1][0]
     if not residual <= SEMANTIC_TOL:
         raise TranspileError(
-            f"transpiled circuit deviates from source (residual {residual:.2e})"
+            f"{out.name} deviates from its source {circuit.name} (residual {residual:.2e})"
         )
     return out
 

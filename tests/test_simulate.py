@@ -37,8 +37,8 @@ from cyclewalk import simulate
 from cyclewalk.simulate import (BundleCache, _apply_kraus, _check_density, _liouville,
                                 _noisy_events)
 from cyclewalk.synthesis import _emit_matrix
-from cyclewalk.transpile import (ScheduledCircuit, _check_plan, _fuse_runs, _lower_runs,
-                                 run_products)
+from cyclewalk.transpile import (ScheduledCircuit, TranspileError, _check_plan, _fuse_runs,
+                                 _lower_runs, run_products)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -288,6 +288,23 @@ class TestChannels:
         ks = thermal_relaxation_kraus(80.0, t2, tau)
         out = sum(k @ rho @ k.conj().T for k in ks)
         assert abs(out[0, 1]) == pytest.approx(0.5 * math.exp(-tau / t2), abs=1e-12)
+
+    @pytest.mark.parametrize("p, n_qubits, named", [
+        (math.nan, 1, "nan"), (1.5, 1, "1.5"), (-0.1, 2, "-0.1"), (0.1, 0, "n_qubits=0")])
+    def test_depolarizing_rejects_bad_inputs(self, p, n_qubits, named):
+        with pytest.raises(ValueError, match=f"depolarizing .*{named}"):
+            depolarizing_kraus(p, n_qubits)
+
+    @pytest.mark.parametrize("t1, t2, duration, named", [
+        (300.0, 200.0, math.nan, "duration=nan"), (300.0, 200.0, -1.0, "duration=-1.0"),
+        (300.0, 200.0, math.inf, "duration=inf"), (math.nan, 200.0, 1.0, "t1=nan"),
+        (300.0, math.nan, 1.0, "t2=nan"), (0.0, 200.0, 1.0, "t1=0.0"),
+        (math.inf, -5.0, 1.0, "t2=-5.0")])
+    def test_thermal_relaxation_rejects_bad_inputs(self, t1, t2, duration, named):
+        # a NaN must not give an empty Kraus list, which maps every rho to 0,
+        # nor a negative duration the identity
+        with pytest.raises(ValueError, match=f"relaxation .*{named}"):
+            thermal_relaxation_kraus(t1, t2, duration)
 
     def test_t2_bound_enforced(self):
         with pytest.raises(ValueError, match="t2"):
@@ -601,6 +618,11 @@ def per_item_check(circuit):
     return rows, products
 
 
+def check_alone(circuit, cache=None):
+    """The transpile check of one circuit, a stack of one."""
+    return _lower_runs([circuit.gates], circuit.width, cache)[0]
+
+
 def _barrier_between_run_and_entangler():
     # q0's run (SX, RZ) is closed by a barrier, not by the ECR after it; the
     # ECR takes q1's run alone, and a run on q1 is left open at the end
@@ -638,7 +660,7 @@ def test_run_products_are_the_per_gate_products(circuit, barriers):
     # closes) give what the per-item check gives, and it keeps only its plan
     c = with_barrier_sets(circuit, barriers)
     cache = BundleCache(None, c.width)
-    rows = _lower_runs(c, cache)
+    rows = check_alone(c, cache)
     want, products = per_item_check(c)
     assert np.abs(rows - lower_to_unitary(c)).max() <= 1e-12
     assert np.abs(want - lower_to_unitary(c)).max() <= 1e-12
@@ -654,6 +676,31 @@ def test_run_products_are_the_per_gate_products(circuit, barriers):
     for i, row in enumerate([c] + others):
         assert all(np.array_equal(stacked[j, i], left_fold([row.gates[k] for k in p]))
                    for j, p in enumerate(plan.runs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(native_circuits(), barrier_sets(), st.integers(1, 6), st.integers(0, 99))
+@example(_barrier_between_run_and_entangler(), [(1, 3)], 4, 0)
+@example(_barrier_between_run_and_entangler(), [], 6, 1)
+def test_each_row_of_a_check_stack_is_its_check_alone(circuit, barriers, n, seed):
+    # n rows of one native skeleton with their own RZ angles, checked as one
+    # stack: each row has the bits of its own stack of one and is within
+    # 1e-12 of the gate-by-gate lowering
+    c = with_barrier_sets(circuit, barriers)
+    rng = np.random.default_rng(seed)
+    rows = [c] + [_with_angles(c, iter(rng.uniform(-math.pi, math.pi, len(c))))
+                  for _ in range(n - 1)]
+    stack = _lower_runs([r.gates for r in rows], c.width, BundleCache(None, c.width))
+    assert stack.shape == (n, 1 << c.width, 1 << c.width)
+    for row, u in zip(rows, stack):
+        assert np.array_equal(u, check_alone(row))
+        assert np.abs(u - lower_to_unitary(row)).max() <= 1e-12
+
+
+def test_a_check_stack_needs_one_skeleton():
+    c = _repeated_gates()
+    with pytest.raises(TranspileError, match="differ in skeleton"):
+        _lower_runs([c.gates, c.gates[:-1]], c.width)
 
 
 @settings(max_examples=80, deadline=None)
@@ -765,7 +812,7 @@ def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
         sc, fresh_sc = schedule(c, nm, cache), schedule(c, nm)
         assert (sc.start_times, sc.durations, sc.idle_windows) == (
             fresh_sc.start_times, fresh_sc.durations, fresh_sc.idle_windows)
-        assert np.array_equal(_lower_runs(c, cache), _lower_runs(c))
+        assert np.array_equal(check_alone(c, cache), check_alone(c))
         if dd:
             sc = insert_dd(sc, nm)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
@@ -794,9 +841,9 @@ def test_each_row_of_a_stack_equals_its_lone_run(circuit, nm, dd, n, seed):
     rows = [circuit] + [_with_angles(circuit, iter(rng.uniform(-math.pi, math.pi, len(circuit))))
                         for _ in range(n - 1)]
     cache = BundleCache(nm, circuit.width)
+    _lower_runs([c.gates for c in rows], circuit.width, cache)  # one check stack, as in a bundle
     scheduled = []
     for c in rows:
-        _lower_runs(c, cache)  # the check keeps its plan, as in a bundle
         sc = schedule(c, nm, cache)
         scheduled.append(insert_dd(sc, nm) if dd else sc)
     cache.scheduled = tuple(scheduled)
@@ -845,8 +892,7 @@ def test_an_xy4_stack_whose_pulses_split_the_check_runs(bundle):
         rows = [c] + [_with_angles(c, iter(rng.uniform(-math.pi, math.pi, len(c))))
                       for _ in range(2)]
     cache = BundleCache(_NOISE, rows[0].width)
-    for c in rows:
-        _lower_runs(c, cache)
+    _lower_runs([c.gates for c in rows], rows[0].width, cache)  # one check stack, as in a bundle
     cache.scheduled = tuple([insert_dd(schedule(c, _NOISE, cache), _NOISE) for c in rows])
     plan, _, _ = _check_plan(rows[0].gates)
     checked = {tuple([rows[0].gates[i] for i in p]) for p in plan.runs}
@@ -947,7 +993,7 @@ def test_stacked_folds_equal_the_per_event_folds(circuit, nm, dd, seed):
     longer = Circuit(circuit.width).extend(circuit.gates).add("SX", 0).add("X", circuit.width - 1)
     cache = BundleCache(nm, circuit.width)
     for c in (circuit, longer):
-        _lower_runs(c, cache)
+        check_alone(c, cache)
         sc = schedule(c, nm, cache)
         if dd:
             sc = insert_dd(sc, nm)
@@ -971,7 +1017,7 @@ def test_stacked_folds_after_a_resumed_trail(monkeypatch, dd):
     second = Circuit(3).extend(first.gates).add("SX", 2).add("ECR", 2, 0)
     second.add("RZ", 0, params=(0.3,))
     for c in (first, second):
-        _lower_runs(c, cache)
+        check_alone(c, cache)
         sc = schedule(c, _NOISE, cache)
         if dd:
             sc = insert_dd(sc, _NOISE)

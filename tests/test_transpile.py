@@ -230,9 +230,10 @@ class TestTranspile:
 
     @pytest.mark.parametrize("level", [OptLevel.L1, OptLevel.L3])
     def test_source_lowered_once(self, monkeypatch, schedule_4cycle, level):
-        # one lowering of the source (L3 input and check reference), one
-        # run-wise lowering of the output; the package attribute ``transpile``
-        # is the function, so import the module by name
+        # one lowering of each source (L3 input and check reference) and one
+        # run-wise check, on the gates that transpile returns: per circuit
+        # alone or at L1, per bundle at L3.  The package attribute
+        # ``transpile`` is the function, so import the module by name
         transpile_module = importlib.import_module("cyclewalk.transpile")
         calls = {"lower_to_unitary": [], "_lower_runs": []}
         for name, record in calls.items():
@@ -242,10 +243,22 @@ class TestTranspile:
                 lambda c, *rest, record=record, original=original:
                     record.append(c) or original(c, *rest),
             )
+
+        def ids(rows):  # the objects themselves, not equal copies
+            return [[id(g) for g in gates] for gates in rows]
+
         source = build_walk_circuit_4cycle(schedule_4cycle, 3)
         native = transpile(source, level)
         assert [c is source for c in calls["lower_to_unitary"]] == [True]
-        assert [c is native for c in calls["_lower_runs"]] == [True]
+        assert [ids(rows) for rows in calls["_lower_runs"]] == [ids([native.gates])]
+        for record in calls.values():
+            record.clear()
+        sources = [build_walk_circuit_4cycle(schedule_4cycle, t) for t in (1, 2, 3)]
+        cache = BundleCache(None, 3, sources)
+        natives = [transpile(c, level, cache).gates for c in sources]
+        assert ids([calls["lower_to_unitary"]]) == ids([sources])
+        stacks = [natives] if level == OptLevel.L3 else [[gates] for gates in natives]
+        assert [ids(rows) for rows in calls["_lower_runs"]] == [ids(rows) for rows in stacks]
 
     def test_bundle_resynthesis_equals_each_circuit_alone(self, monkeypatch):
         # the 4-cycle bundle's 25 circuits take one stacked qsd_stream and one
@@ -316,6 +329,31 @@ class TestTranspile:
         with pytest.raises(TranspileError, match="deviates"):
             transpile(circuits[1], OptLevel.L3)
         assert passes == [tuple(circuits), (circuits[1],)]
+
+    def test_a_tampered_row_of_the_4cycle_bundle_raises_at_its_t_alone(self, monkeypatch):
+        # the 25 circuits of the shipped bundle are checked in one stack in
+        # the first call; a shifted RZ in row 13 raises in t = 13's call only,
+        # and the message names that circuit
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        resynthesize = transpile_module._resynthesize
+
+        def tampered(bundle, trail):
+            sources, rows = resynthesize(bundle, trail)
+            k = next(i for i, g in enumerate(rows[12]) if g.kind == "RZ")
+            rows[12][k] = Gate("RZ", rows[12][k].qubits, (rows[12][k].params[0] + 1e-6,))
+            return sources, rows
+
+        monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
+        sched = parrondo_schedule("AABB", default_coins(4), 25)
+        circuits = [build_walk_circuit(4, sched, t) for t in range(1, 26)]
+        cache = BundleCache(NoiseModel(), 3, circuits)
+        for t, c in enumerate(circuits, 1):
+            if t == 13:
+                with pytest.raises(TranspileError, match="walk4cycle-t13-native3 deviates "
+                                                         "from its source walk4cycle-t13 "):
+                    transpile(c, OptLevel.L3, cache)
+            else:
+                assert transpile(c, OptLevel.L3, cache).name == f"walk4cycle-t{t}-native3"
 
     def test_too_wide_to_verify_raises(self):
         with pytest.raises(ValueError, match="refusing to lower"):
