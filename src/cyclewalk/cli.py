@@ -94,7 +94,7 @@ def _emit(text: str, out_dir: str | None, filename: str, label: str) -> None:
     if not out_dir:
         print(text, end="")
         return
-    path = _write_text(_output_dir(out_dir, "out") / filename, text, "out")
+    path = _write_text(_output_dir(out_dir) / filename, text)
     print(f"{label}: {path}")
 
 

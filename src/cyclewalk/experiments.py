@@ -336,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     one BundleCache carries the work they share.
     """
     overlay = _read_overlay(cfg.overlay) if cfg.overlay else None
-    out = _output_dir(cfg.out_dir, "out")
+    out = _output_dir(cfg.out_dir)
     sched = cfg.schedule()
     steps = list(range(1, cfg.t_max + 1))
     prob_cols: dict[str, list[float]] = {"exact": []}
@@ -382,7 +382,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Path]:
     }
     # keyed probability_csv, ..., manifest
     return {
-        name.replace(".", "_"): _write_text(out / name, text, "out")
+        name.replace(".", "_"): _write_text(out / name, text)
         for name, text in texts.items()
     }
 
@@ -405,24 +405,24 @@ def _read_text(path_str: str, flag: str) -> str:
         raise ConfigError(f"{flag}: cannot read {path}: {exc}") from exc
 
 
-def _output_dir(path_str: str, flag: str) -> Path:
+def _output_dir(path_str: str) -> Path:
     """The user-named output directory, created if missing; a path that
-    cannot be a directory is a ConfigError that names ``flag``."""
+    cannot be a directory is a ConfigError that names ``out``."""
     out = Path(path_str)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{flag}: cannot create output directory {out}: {exc}") from exc
+        raise ConfigError(f"out: cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _write_text(path: Path, text: str, flag: str) -> Path:
+def _write_text(path: Path, text: str) -> Path:
     """Write a user-named output file; a path that cannot be written is a
-    ConfigError that names ``flag``."""
+    ConfigError that names ``out``."""
     try:
         path.write_text(text)
     except OSError as exc:
-        raise ConfigError(f"{flag}: cannot write {path}: {exc}") from exc
+        raise ConfigError(f"out: cannot write {path}: {exc}") from exc
     return path
 
 

@@ -67,14 +67,14 @@ class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
     the bundle's ``circuits``, resynthesized and checked as one stack in the
-    first L3 ``transpile`` (its "resynthesis" plan: each row's gates and
-    residual), and their ``scheduled`` circuits, each group of which
-    ``run_noisy`` runs as one stack (the "noisy" plan: each row's final rho);
-    the channels' local superoperators; trails (``circuit.Trail``) of the
-    source unitary, the statevector and rho (for a stack of one), which
-    resume after the prefix circuit t shares with t - 1; and one plan per
-    stage, reused while a circuit's skeleton (gate kinds and qubits)
-    repeats, as at L3: the schedule and the check's run plan.
+    first L3 ``transpile`` (its "native" plan: each row's gates and residual;
+    at L0 and L1 a bundle of one circuit), and their ``scheduled``
+    circuits, each group of which ``run_noisy`` runs as one stack (the
+    "noisy" plan: each row's final rho); the schedule, planned once per
+    skeleton (gate kinds and qubits); the channels' local superoperators;
+    and trails (``circuit.Trail``) of the source unitary, the statevector
+    and rho (for a stack of one), which resume after the prefix circuit t
+    shares with t - 1.
     """
 
     def __init__(self, nm: NoiseModel | None, width: int, circuits: Sequence[Circuit] = ()) -> None:
@@ -122,6 +122,8 @@ def _marginal_probabilities(probs: np.ndarray, measured_qubits: tuple[int, ...])
     sum_i 2**i * bit(measured_qubits[i])."""
     if probs.size < 1 or probs.size & (probs.size - 1):
         raise ValueError(f"{probs.size} basis probabilities: size is not a power of two")
+    if not abs(probs.sum() - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"basis probabilities sum to {probs.sum()}, not 1")
     width = probs.size.bit_length() - 1
     _check_measured(measured_qubits, width)
     probs = probs.reshape((2,) * width)

@@ -16,8 +16,9 @@ of gate lists of one skeleton, multiplied by ``circuit.RunPlan`` in one
 stacked pass.  The check forms each two-qubit gate with the runs leading
 into it, g (u_hi (x) u_lo), in one more, and applies each step to the stack
 in one ``circuit.apply_matrix`` call.  Both lowerings are dense, so a circuit
-wider than MAX_LOWER_WIDTH raises.  In a bundle, the check's run plan and
-the schedule (times checked once) are cached while the skeleton repeats.
+wider than MAX_LOWER_WIDTH raises.  A bundle cache plans the rows and
+residuals of every t of an L3 bundle at once, and the schedule (times
+checked once) once per skeleton.
 
 A schedule is its start times and durations; its idle windows, where XY4
 pulses go and relaxation acts, are found in the pass that checks them.  The
@@ -203,18 +204,16 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-def _lower_runs(rows: Sequence[Sequence[Gate]], width: int,
-                cache: BundleCache | None = None) -> np.ndarray:
+def _lower_runs(rows: Sequence[Sequence[Gate]], width: int) -> np.ndarray:
     """The (n, 2**w, 2**w) stack of the dense unitaries of ``rows``, gate lists
     of one skeleton on ``width`` qubits, applied one check step of the plan at
     a time to all rows: the runs as their 2x2 products u from one
     ``run_products`` call, each two-qubit gate g as g (u_hi (x) u_lo), formed
-    in one stacked pass.  A pure check: a bundle ``cache`` keeps its plan."""
+    in one stacked pass."""
     first, n, skeleton = rows[0], len(rows), _skeleton(rows[0])
     if any(_skeleton(row) != skeleton for row in rows[1:]):
         raise TranspileError("the circuits checked in one stack differ in skeleton")
-    plan, check, fused = (_check_plan(first) if cache is None else
-                          cache.plan("runs", skeleton, lambda: _check_plan(first)))
+    plan, check, fused = _check_plan(first)
     ops = run_products(rows, plan)  # padded adds the identity as run -1: no run leads in
     padded = np.concatenate([ops, np.broadcast_to(CONSTANT_MATRICES["ID"], (1, n, 2, 2))])
     entanglers = np.reshape([gate_matrix(r[i]) for i in fused[0] for r in rows], (-1, n, 4, 4))
@@ -226,28 +225,24 @@ def _lower_runs(rows: Sequence[Sequence[Gate]], width: int,
 
 
 # ---------------------------------------------------------------------------
-# whole-circuit resynthesis (L3)
+# the transpile pass: emit the native rows, check them in one stack
 
-def _checked(sources, rows: list[list[Gate]], width: int, cache: BundleCache | None) -> tuple:
-    """``rows`` and the residual of each against its source, checked in one stack."""
-    lowered = _lower_runs(rows, width, cache)
-    return rows, [phase_aligned_distance(u, s) for u, s in zip(lowered, sources)]
-
-
-def _resynthesize(
-    circuits: tuple[Circuit, ...], trail: Trail | None
-) -> tuple[np.ndarray, list[list[Gate]]]:
-    """The dense unitaries of circuits of one width <= 3, lowered through
-    ``trail``, and the fixed-shape native gates of each from one stacked
-    resynthesis."""
-    sources = np.array([lower_to_unitary(c, trail) for c in circuits])
-    if circuits[0].width == 1:
-        stream: Stream = [_u(0, sources)]
-    elif circuits[0].width == 2:
-        stream = kak_stream(sources, 1, 0)
+def _native(bundle: tuple[Circuit, ...], level: OptLevel, trail: Trail | None) -> tuple:
+    """The native gates of each of ``bundle``'s circuits, of one width, and the
+    residual of each against its source, lowered through ``trail``: at L3 from
+    one stacked fixed-shape resynthesis, else gate by gate (fused at L1); all
+    rows checked in one stack."""
+    sources = np.array([lower_to_unitary(c, trail) for c in bundle])
+    width = bundle[0].width
+    if level == OptLevel.L3:
+        stream: Stream = ([_u(0, sources)] if width == 1 else kak_stream(sources, 1, 0)
+                          if width == 2 else qsd_stream(sources, [2, 1, 0]))
+        rows = stream_to_gates(stream, fixed_shape=True)
     else:
-        stream = qsd_stream(sources, [2, 1, 0])
-    return sources, stream_to_gates(stream, fixed_shape=True)
+        rows = [[g for src in c.gates for g in _decompose_gate(src)] for c in bundle]
+        if level == OptLevel.L1:
+            rows = [_fuse_runs(gates) for gates in rows]
+    return rows, [phase_aligned_distance(u, s) for u, s in zip(_lower_runs(rows, width), sources)]
 
 
 def transpile(
@@ -255,34 +250,25 @@ def transpile(
 ) -> Circuit:
     """Rewrite a circuit over the native gate set at the given level (L3 above
     width 3 runs L1, and the result's name ends in ``-native1``).  With a
-    bundle ``cache``, the source lowering resumes its trail and the check
-    keeps its run plan there; at L3 the first call for one of its
-    ``circuits`` lowers, resynthesizes and checks them all, each pass one
-    stack, and each call takes its own row's gates and residual.
+    bundle ``cache``, the source lowering resumes its trail; at L3 the first
+    call for one of its ``circuits`` lowers, resynthesizes and checks them
+    all, each pass one stack, and each call takes its own row's gates and
+    residual from the cache's plan.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
         level = OptLevel.L1
-    # the source unitary, lowered once: the L3 input and the check's reference
-    trail = None if cache is None else cache.source
-    if level == OptLevel.L3:
-        bundle = cache.circuits if cache is not None and circuit in cache.circuits else (circuit,)
-        build = lambda: _checked(*_resynthesize(bundle, trail), circuit.width, cache)  # noqa: E731
-        rows, residuals = build() if cache is None else cache.plan("resynthesis", bundle, build)
-        gates, residual = rows[bundle.index(circuit)], residuals[bundle.index(circuit)]
-    else:
-        source, residual = lower_to_unitary(circuit, trail), None
-        gates = [g for src in circuit.gates for g in _decompose_gate(src)]
-        if level == OptLevel.L1:
-            gates = _fuse_runs(gates)
+    bundle = (cache.circuits if level == OptLevel.L3 and cache is not None
+              and circuit in cache.circuits else (circuit,))
+    build = lambda: _native(bundle, level, None if cache is None else cache.source)  # noqa: E731
+    rows, residuals = build() if cache is None else cache.plan("native", (level, bundle), build)
     out = Circuit(circuit.width, name=f"{circuit.name}-native{int(level)}",
                   measured=circuit.measured)
-    out.extend(gates)
+    out.extend(rows[bundle.index(circuit)])
     bad = [g.kind for g in out.gates if g.kind not in NATIVE_KINDS and g.kind != "BARRIER"]
     if bad:
         raise TranspileError(f"non-native kinds left after transpile: {sorted(set(bad))}")
-    if residual is None:  # L0 and L1 check the emitted gates as a stack of one
-        residual = _checked([source], [out.gates], out.width, cache)[1][0]
+    residual = residuals[bundle.index(circuit)]
     if not residual <= SEMANTIC_TOL:
         raise TranspileError(
             f"{out.name} deviates from its source {circuit.name} (residual {residual:.2e})"

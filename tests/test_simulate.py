@@ -26,6 +26,7 @@ from cyclewalk import (
     run_noisy,
     schedule,
     state_to_density,
+    to_text,
     transpile,
     validate_density,
 )
@@ -252,6 +253,16 @@ class TestMeasurePositions:
         with pytest.raises(ValueError, match="6 basis probabilities: size is not a power of two"):
             measure_positions(np.ones(6, dtype=complex) / math.sqrt(6), (0,))
 
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_unnormalized_state(self, shots):
+        # |1|^2 + |1j|^2 = 2: neither the exact marginal nor a sample of it
+        with pytest.raises(ValueError, match="basis probabilities sum to 2.0, not 1"):
+            measure_positions(np.array([1, 1j]), (0,), shots=shots, seed=0)
+
+    def test_nan_state(self):
+        with pytest.raises(ValueError, match="basis probabilities sum to nan, not 1"):
+            measure_positions(np.array([math.nan, 0j]), (0,))
+
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="measured qubit"):
             measure_positions(ground_state(2), (0, 2))
@@ -476,6 +487,10 @@ class TestReadout:
         with pytest.raises(ValueError, match="6 basis probabilities: size is not a power of two"):
             readout_distribution(np.eye(6, dtype=complex) / 6, (0,), NoiseModel())
 
+    def test_trace_not_one(self):
+        with pytest.raises(ValueError, match="basis probabilities sum to 2.0, not 1"):
+            readout_distribution(np.diag([2.0, 0.0]).astype(complex), (0,), NoiseModel())
+
     def test_repeated_qubit(self):
         with pytest.raises(ValueError, match="measured qubit 0 repeated"):
             readout_distribution(np.eye(4, dtype=complex) / 4, (0, 1, 0), NoiseModel())
@@ -618,9 +633,9 @@ def per_item_check(circuit):
     return rows, products
 
 
-def check_alone(circuit, cache=None):
+def check_alone(circuit):
     """The transpile check of one circuit, a stack of one."""
-    return _lower_runs([circuit.gates], circuit.width, cache)[0]
+    return _lower_runs([circuit.gates], circuit.width)[0]
 
 
 def _barrier_between_run_and_entangler():
@@ -657,14 +672,14 @@ def test_run_products_are_the_per_gate_products(circuit, barriers):
     # g_1 bit for bit, in wire_runs order; barriers split runs and have none.
     # Stacked rows of one skeleton each get their own.  The check's steps (a
     # two-qubit gate with its leading runs, or a run that a barrier or the end
-    # closes) give what the per-item check gives, and it keeps only its plan
+    # closes) give what the per-item check gives, and a second check (it keeps
+    # no state between calls) gives the same bits
     c = with_barrier_sets(circuit, barriers)
-    cache = BundleCache(None, c.width)
-    rows = check_alone(c, cache)
+    rows = check_alone(c)
     want, products = per_item_check(c)
     assert np.abs(rows - lower_to_unitary(c)).max() <= 1e-12
     assert np.abs(want - lower_to_unitary(c)).max() <= 1e-12
-    assert list(cache.plans) == ["runs"]
+    assert np.array_equal(check_alone(c), rows)
     plan, check, _ = _check_plan(c.gates)
     assert sum(fused for fused, _, _ in check) == sum(g.kind == "ECR" for g in c.gates)
     ops = run_products([c.gates], plan)
@@ -690,7 +705,7 @@ def test_each_row_of_a_check_stack_is_its_check_alone(circuit, barriers, n, seed
     rng = np.random.default_rng(seed)
     rows = [c] + [_with_angles(c, iter(rng.uniform(-math.pi, math.pi, len(c))))
                   for _ in range(n - 1)]
-    stack = _lower_runs([r.gates for r in rows], c.width, BundleCache(None, c.width))
+    stack = _lower_runs([r.gates for r in rows], c.width)
     assert stack.shape == (n, 1 << c.width, 1 << c.width)
     for row, u in zip(rows, stack):
         assert np.array_equal(u, check_alone(row))
@@ -799,8 +814,9 @@ def _with_angles(circuit, angles):
 @given(native_circuits(), noise_models(), st.booleans(), st.data())
 def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
     # two more circuits with the skeleton of ``circuit`` and new RZ angles,
-    # then one with a gate added: every stage keeps its plan for the first
-    # three and rebuilds it for the last, and every result equals a fresh call
+    # then one with a gate added: the schedule keeps its plan for the first
+    # three and rebuilds it for the last, transpile plans each circuit alone,
+    # and every result equals a fresh call
     n_rz = sum(g.kind == "RZ" for g in circuit.gates)
     angles = st.lists(st.floats(-math.pi, math.pi), min_size=n_rz, max_size=n_rz)
     family = [circuit] + [_with_angles(circuit, iter(data.draw(angles))) for _ in range(2)]
@@ -812,14 +828,15 @@ def test_planned_stages_equal_fresh_calls(circuit, nm, dd, data):
         sc, fresh_sc = schedule(c, nm, cache), schedule(c, nm)
         assert (sc.start_times, sc.durations, sc.idle_windows) == (
             fresh_sc.start_times, fresh_sc.durations, fresh_sc.idle_windows)
-        assert np.array_equal(check_alone(c, cache), check_alone(c))
+        native, fresh = transpile(c, OptLevel.L1, cache), transpile(c, OptLevel.L1)
+        assert native.gates == fresh.gates and to_text(native) == to_text(fresh)
         if dd:
             sc = insert_dd(sc, nm)
         assert np.array_equal(run_noisy(sc, rho0, nm, cache), run_noisy(sc, rho0, nm))
         plans.append(dict(cache.plans))
-    for stage in ("schedule", "runs"):
-        assert plans[0][stage] is plans[1][stage] is plans[2][stage]
-        assert plans[3][stage] is not plans[2][stage]
+    assert plans[0]["schedule"] is plans[1]["schedule"] is plans[2]["schedule"]
+    assert plans[3]["schedule"] is not plans[2]["schedule"]
+    assert [p["native"][0] for p in plans] == [(OptLevel.L1, (c,)) for c in family]
     # one skeleton under other durations: other start times and idle windows
     for durs in ({}, {"dur_1q": nm.dur_1q + 0.5, "dur_2q": nm.dur_2q + 3.0}):
         other = replace(nm, **durs)
@@ -841,7 +858,6 @@ def test_each_row_of_a_stack_equals_its_lone_run(circuit, nm, dd, n, seed):
     rows = [circuit] + [_with_angles(circuit, iter(rng.uniform(-math.pi, math.pi, len(circuit))))
                         for _ in range(n - 1)]
     cache = BundleCache(nm, circuit.width)
-    _lower_runs([c.gates for c in rows], circuit.width, cache)  # one check stack, as in a bundle
     scheduled = []
     for c in rows:
         sc = schedule(c, nm, cache)
@@ -892,7 +908,6 @@ def test_an_xy4_stack_whose_pulses_split_the_check_runs(bundle):
         rows = [c] + [_with_angles(c, iter(rng.uniform(-math.pi, math.pi, len(c))))
                       for _ in range(2)]
     cache = BundleCache(_NOISE, rows[0].width)
-    _lower_runs([c.gates for c in rows], rows[0].width, cache)  # one check stack, as in a bundle
     cache.scheduled = tuple([insert_dd(schedule(c, _NOISE, cache), _NOISE) for c in rows])
     plan, _, _ = _check_plan(rows[0].gates)
     checked = {tuple([rows[0].gates[i] for i in p]) for p in plan.runs}
@@ -987,13 +1002,13 @@ def per_event_noisy(sc, rho, nm):
 @example(_repeated_gates(), NoiseModel(p1=0.0, p2=0.0), True, 1)
 @example(_run_into_dd_window(), _NOISE, True, 2)
 def test_stacked_folds_equal_the_per_event_folds(circuit, nm, dd, seed):
-    # bit for bit, without a cache, and in a bundle where the check runs
-    # first and the second, longer circuit resumes the trail
+    # bit for bit, without a cache, and in a bundle where transpile and its
+    # check run first and the second, longer circuit resumes the trail
     rho0 = random_density(circuit.width, np.random.default_rng(seed))
     longer = Circuit(circuit.width).extend(circuit.gates).add("SX", 0).add("X", circuit.width - 1)
     cache = BundleCache(nm, circuit.width)
     for c in (circuit, longer):
-        check_alone(c, cache)
+        transpile(c, OptLevel.L1, cache)
         sc = schedule(c, nm, cache)
         if dd:
             sc = insert_dd(sc, nm)
@@ -1007,8 +1022,14 @@ def test_stacked_folds_after_a_resumed_trail(monkeypatch, dd):
     # call of run_products forms the one-qubit runs after that point alone
     resumed, plans = [], []
     resume, products = Trail.resume, simulate.run_products
-    monkeypatch.setattr(Trail, "resume",
-                        lambda self, *a: resumed.append(resume(self, *a)) or resumed[-1])
+
+    def recorded(self, *args):  # the rho trail's resumes; transpile resumes the source's
+        n = resume(self, *args)
+        if self is cache.noisy:
+            resumed.append(n)
+        return n
+
+    monkeypatch.setattr(Trail, "resume", recorded)
     monkeypatch.setattr(simulate, "run_products",
                         lambda rows, plan: plans.append(plan) or products(rows, plan))
     rho0 = random_density(3, np.random.default_rng(3))
@@ -1017,7 +1038,7 @@ def test_stacked_folds_after_a_resumed_trail(monkeypatch, dd):
     second = Circuit(3).extend(first.gates).add("SX", 2).add("ECR", 2, 0)
     second.add("RZ", 0, params=(0.3,))
     for c in (first, second):
-        check_alone(c, cache)
+        transpile(c, OptLevel.L1, cache)
         sc = schedule(c, _NOISE, cache)
         if dd:
             sc = insert_dd(sc, _NOISE)

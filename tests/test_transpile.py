@@ -139,6 +139,30 @@ class TestDecomposeCp:
         assert decompose_cp(2 * math.pi, 0, 1) == []
 
 
+def _tamper_first(monkeypatch, level, kind, change):
+    """Make the pass that emits the gates of ``level`` (the per-gate
+    decomposition at L0, the fusion at L1, the stacked resynthesis at L3)
+    emit ``change(g)`` for its first gate of ``kind``; returns the gates
+    changed.  The tampered lists are copies: emitters may share theirs."""
+    transpile_module = importlib.import_module("cyclewalk.transpile")
+    name = {OptLevel.L0: "_decompose_gate", OptLevel.L1: "_fuse_runs",
+            OptLevel.L3: "stream_to_gates"}[level]
+    emit, changed = getattr(transpile_module, name), []
+
+    def tampered(*args, **kwargs):
+        out = emit(*args, **kwargs)
+        rows = [list(gates) for gates in (out if level == OptLevel.L3 else [out])]
+        for gates in rows:
+            k = next((i for i, g in enumerate(gates) if g.kind == kind), None)
+            if k is not None and not changed:
+                changed.append(gates[k])
+                gates[k] = change(gates[k])
+        return rows if level == OptLevel.L3 else rows[0]
+
+    monkeypatch.setattr(transpile_module, name, tampered)
+    return changed
+
+
 class TestTranspile:
     @pytest.mark.parametrize("level", [OptLevel.L0, OptLevel.L1, OptLevel.L3])
     @pytest.mark.parametrize("steps", [1, 4, 9])
@@ -279,10 +303,33 @@ class TestTranspile:
             assert native.gates == alone.gates and to_text(native) == to_text(alone)
         assert calls == {"qsd_stream": 26, "lower_to_unitary": 50}
 
-    def test_semantic_guard_raises_on_tamper(self):
-        # non-unitary payloads cannot arise through the public API; the
-        # guard is exercised through the error type being exported
-        assert issubclass(TranspileError, RuntimeError)
+    @pytest.mark.parametrize("level", [OptLevel.L0, OptLevel.L1, OptLevel.L3])
+    def test_semantic_guard_raises_on_tamper(self, monkeypatch, schedule_4cycle, level):
+        # one emitted RZ shifted by 1e-6 deviates from the source
+        shifted = _tamper_first(monkeypatch, level, "RZ", lambda g: Gate(
+            "RZ", g.qubits, (g.params[0] + 1e-6,)))
+        with pytest.raises(TranspileError, match=r"deviates .* \(residual "):
+            transpile(build_walk_circuit_4cycle(schedule_4cycle, 3), level)
+        assert len(shifted) == 1
+
+    @pytest.mark.parametrize("level", [OptLevel.L0, OptLevel.L1, OptLevel.L3])
+    def test_non_native_guard_raises(self, monkeypatch, schedule_4cycle, level):
+        # one emitted SX as the equal UNITARY passes the check, not the kinds
+        swapped = _tamper_first(monkeypatch, level, "SX", lambda g: Gate(
+            "UNITARY", g.qubits, matrix=gate_matrix(g)))
+        with pytest.raises(TranspileError, match=r"non-native kinds left after transpile: "
+                                                 r"\['UNITARY'\]"):
+            transpile(build_walk_circuit_4cycle(schedule_4cycle, 3), level)
+        assert len(swapped) == 1
+
+    def test_each_level_in_one_cache_equals_it_alone(self, schedule_4cycle):
+        # one cache of a bundle of one across levels: a plan keyed without the
+        # level would hand L3 rows to the later L1 call
+        c = build_walk_circuit_4cycle(schedule_4cycle, 3)
+        cache = BundleCache(None, 3, [c])
+        for level in (OptLevel.L0, OptLevel.L1, OptLevel.L3, OptLevel.L1):
+            native, alone = transpile(c, level, cache), transpile(c, level)
+            assert native.gates == alone.gates and to_text(native) == to_text(alone)
 
     def test_wide_circuit_is_verified(self, monkeypatch):
         # above width 6 the output is checked too: a fusion pass that loses
@@ -304,23 +351,27 @@ class TestTranspile:
         # a bundle resynthesized in one stacked pass, at the tampered row's t
         # and there only, and in a circuit resynthesized alone
         transpile_module = importlib.import_module("cyclewalk.transpile")
-        resynthesize = transpile_module._resynthesize
+        native, emit = transpile_module._native, transpile_module.stream_to_gates
         circuits = [build_walk_circuit_4cycle(schedule_4cycle, t) for t in (1, 2, 3)]
         passes = []
 
-        def tampered(bundle, trail):
+        def recorded(bundle, level, trail):
             passes.append(bundle)
-            sources, rows = resynthesize(bundle, trail)
-            if circuits[1] in bundle:
-                gates = rows[bundle.index(circuits[1])]
+            return native(bundle, level, trail)
+
+        def tampered(stream, fixed_shape=False):
+            rows = emit(stream, fixed_shape)
+            if circuits[1] in passes[-1]:
+                gates = rows[passes[-1].index(circuits[1])]
                 joins = [g.n_qubits == 1 for g in gates]
                 run = next(r for r in wire_runs([g.qubits for g in gates], joins) if len(r) == 5)
                 k = run[2]
                 assert gates[k].kind == "RZ"
                 gates[k] = Gate("RZ", gates[k].qubits, (gates[k].params[0] + 1e-6,))
-            return sources, rows
+            return rows
 
-        monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
+        monkeypatch.setattr(transpile_module, "_native", recorded)
+        monkeypatch.setattr(transpile_module, "stream_to_gates", tampered)
         cache = BundleCache(None, 3, circuits)
         transpile(circuits[0], OptLevel.L3, cache)
         with pytest.raises(TranspileError, match="deviates"):
@@ -335,15 +386,15 @@ class TestTranspile:
         # the first call; a shifted RZ in row 13 raises in t = 13's call only,
         # and the message names that circuit
         transpile_module = importlib.import_module("cyclewalk.transpile")
-        resynthesize = transpile_module._resynthesize
+        emit = transpile_module.stream_to_gates
 
-        def tampered(bundle, trail):
-            sources, rows = resynthesize(bundle, trail)
+        def tampered(stream, fixed_shape=False):
+            rows = emit(stream, fixed_shape)
             k = next(i for i, g in enumerate(rows[12]) if g.kind == "RZ")
             rows[12][k] = Gate("RZ", rows[12][k].qubits, (rows[12][k].params[0] + 1e-6,))
-            return sources, rows
+            return rows
 
-        monkeypatch.setattr(transpile_module, "_resynthesize", tampered)
+        monkeypatch.setattr(transpile_module, "stream_to_gates", tampered)
         sched = parrondo_schedule("AABB", default_coins(4), 25)
         circuits = [build_walk_circuit(4, sched, t) for t in range(1, 26)]
         cache = BundleCache(NoiseModel(), 3, circuits)
