@@ -2,7 +2,9 @@
 
 Three layers, each verified against dense linear algebra:
 
-* one qubit: ZXZXZ Euler angles over the native set (RZ, SX),
+* one qubit: ZXZXZ Euler angles over the native set (RZ, SX), from one
+  stacked kernel (``zxzxz_angles``) that every one-qubit emission calls
+  through ``_emit_matrix``, at a fixed shape or in the shortest form,
 * two qubits: Cartan decomposition U = e^{ig} (A1 (x) A0) .
   exp(i(a XX + b YY + c ZZ)) . (B1 (x) B0), realized either as a logical
   template (four layers of single-qubit gates separated by three
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -59,55 +61,58 @@ ZERO_ANGLE = 1e-12
 # ---------------------------------------------------------------------------
 # one qubit
 
-def _check_unitary_2x2(u: np.ndarray, caller: str) -> None:
-    """Raise ValueError if ||u u^dag - I||_F > 1e-8 (or NaN), in plain float
-    arithmetic on the four entries: cheaper here than any numpy call."""
-    (a, b), (c, d) = u.tolist()
-    defect = math.hypot(abs(a) ** 2 + abs(b) ** 2 - 1.0, abs(c) ** 2 + abs(d) ** 2 - 1.0,
-                        math.sqrt(2.0) * abs(a * c.conjugate() + b * d.conjugate()))
-    if not defect <= 1e-8:
-        raise ValueError(f"{caller} needs a unitary matrix (defect {defect:.2e})")
-
-
-def zxzxz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Angles (a, b, c, delta) with u = e^{i delta} RZ(a) SX RZ(b) SX RZ(c).
+def zxzxz_angles(u: np.ndarray) -> np.ndarray:
+    """The canonical angles (a, b, c), each in (-pi, pi], with u = e^{i delta}
+    RZ(a) SX RZ(b) SX RZ(c) for some phase delta, of a 2x2 matrix or of each
+    matrix of an (n, 2, 2) stack, as an (n, 3) array: the one ZXZXZ kernel.
 
     Uses SX RZ(b) SX = [[sin(b/2), cos(b/2)], [cos(b/2), -sin(b/2)]], which
-    holds exactly (no leftover phase).  A non-unitary u raises ValueError.
+    holds exactly (no leftover phase).  A row that is not unitary raises
+    ValueError.  ``np.hypot`` is the scalar ``abs`` of a complex entry
+    (``np.abs`` of an array is not), vector ``arctan2`` is not ``math.atan2``
+    (so b is taken per row), and ``np.fmod`` is exact, as ``math.fmod`` is.
     """
-    _check_unitary_2x2(u, "zxzxz_angles")
-    s = abs(u[0, 0])
-    cmag = abs(u[0, 1])
-    b = 2.0 * math.atan2(s, cmag)
-    if s > _EPS and cmag > _EPS:
-        apc = np.angle(-u[1, 1] / u[0, 0])
-        amc = np.angle(u[1, 0] / u[0, 1])
-        a = 0.5 * (apc + amc)
-        c = 0.5 * (apc - amc)
-        delta = np.angle(u[0, 0]) + 0.5 * (a + c)
-        # the half-angle split leaves a branch ambiguity that flips the
-        # off-diagonal sign; detect and shift (a, c) by (+pi, -pi)
-        probe = np.exp(1j * delta) * np.exp(-0.5j * (a - c)) * cmag
-        if abs(probe - u[0, 1]) > abs(probe + u[0, 1]):
-            a += math.pi
-            c -= math.pi
-    elif s <= _EPS:
-        # anti-diagonal: b = 0, only a - c matters
-        a = float(np.angle(u[1, 0] / u[0, 1]))
-        c = 0.0
-        delta = np.angle(u[0, 1]) + 0.5 * (a - c)
-    else:
-        # diagonal: b = pi, only a + c matters
-        a = float(np.angle(-u[1, 1] / u[0, 0]))
-        c = 0.0
-        delta = np.angle(u[0, 0]) + 0.5 * (a + c)
-    return float(a), float(b), float(c), float(delta)
+    u = _stack(u, 2)
+    if (bad := _first_non_unitary(u)) is not None:
+        raise ValueError("zxzxz_angles needs a unitary matrix (defect {1:.2e})".format(*bad))
+    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    s = np.hypot(u00.real, u00.imag)
+    cmag = np.hypot(u01.real, u01.imag)
+    angles = np.zeros((len(u), 3))
+    angles[:, 1] = [2.0 * math.atan2(x, y) for x, y in zip(s.tolist(), cmag.tolist())]
+    # an anti-diagonal row (b = 0) fixes only a - c, a diagonal one (b = pi)
+    # only a + c: both take c = 0
+    anti = np.flatnonzero(s <= _EPS)
+    diag = np.flatnonzero((s > _EPS) & (cmag <= _EPS))
+    g = np.flatnonzero((s > _EPS) & (cmag > _EPS))
+    angles[anti, 0] = np.angle(u10[anti] / u01[anti])
+    angles[diag, 0] = np.angle(-u11[diag] / u00[diag])
+    apc = np.angle(-u11[g] / u00[g])
+    amc = np.angle(u10[g] / u01[g])
+    a = 0.5 * (apc + amc)
+    c = 0.5 * (apc - amc)
+    delta = np.angle(u00[g]) + 0.5 * (a + c)
+    # the half-angle split leaves a branch ambiguity that flips the
+    # off-diagonal sign; detect and shift (a, c) by (+pi, -pi).  probe may
+    # differ from a per-row scalar one in the last bits, far from any tie
+    probe = np.exp(1j * delta) * np.exp(-0.5j * (a - c)) * cmag[g]
+    minus, plus = probe - u01[g], probe + u01[g]
+    flip = np.hypot(minus.real, minus.imag) > np.hypot(plus.real, plus.imag)
+    a[flip] += math.pi
+    c[flip] -= math.pi
+    angles[g, 0], angles[g, 2] = a, c
+    angles = np.fmod(angles, 2.0 * math.pi)
+    # a value above pi lands in (-pi, 0) exactly, so the second test is the elif
+    angles[angles > math.pi] -= 2.0 * math.pi
+    angles[angles <= -math.pi] += 2.0 * math.pi
+    return angles
 
 
 def u3_params(u: np.ndarray) -> tuple[float, float, float, float]:
     """Parameters (theta, phi, lam, delta) with u = e^{i delta} U3(theta, phi, lam);
     a non-unitary u raises ValueError."""
-    _check_unitary_2x2(u, "u3_params")
+    if (bad := _first_non_unitary(np.asarray(u)[None])) is not None:
+        raise ValueError("u3_params needs a unitary matrix (defect {1:.2e})".format(*bad))
     mag00 = abs(u[0, 0])
     theta = 2.0 * math.atan2(abs(u[1, 0]), mag00)
     if mag00 > _EPS:
@@ -176,7 +181,9 @@ def _stack(u: np.ndarray, d: int) -> np.ndarray:
 
 def _first_non_unitary(u: np.ndarray) -> tuple[int, float] | None:
     """(row, defect) of a stack's first row with ||u u^dag - I||_F > 1e-8 (or NaN), or None."""
-    defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(u.shape[-1]), axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf entry gives NaN: rejected
+        defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(u.shape[-1]),
+                                axis=(1, 2))
     bad = np.flatnonzero(~(defect <= 1e-8))
     return (int(bad[0]), float(defect[bad[0]])) if bad.size else None
 
@@ -568,62 +575,26 @@ def _fixed_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     return Gate(kind, qubits)
 
 
-def _zxzxz_stack(u: np.ndarray) -> np.ndarray:
-    """The canonical ``zxzxz_angles`` (a, b, c) of each matrix of an (n, 2, 2)
-    stack, bit for bit, as an (n, 3) array: one numpy pass over the rows with
-    |u00| and |u01| above _EPS, the scalar form for the rest.  ``np.hypot``
-    is the scalar ``abs`` of a complex entry (``np.abs`` of an array is not),
-    vector ``arctan2`` is not ``math.atan2`` (so b stays scalar), and
-    ``np.fmod`` is exact, as ``math.fmod`` is."""
-    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
-    s = np.hypot(u00.real, u00.imag)
-    cmag = np.hypot(u01.real, u01.imag)
-    general = (s > _EPS) & (cmag > _EPS)
-    g = np.flatnonzero(general)
-    apc = np.angle(-u11[g] / u00[g])
-    amc = np.angle(u10[g] / u01[g])
-    a = 0.5 * (apc + amc)
-    c = 0.5 * (apc - amc)
-    delta = np.angle(u00[g]) + 0.5 * (a + c)
-    # the branch test of zxzxz_angles; probe may differ from the scalar one in
-    # the last bits, far from a tie for any row that reaches it
-    probe = np.exp(1j * delta) * np.exp(-0.5j * (a - c)) * cmag[g]
-    minus, plus = probe - u01[g], probe + u01[g]
-    flip = np.hypot(minus.real, minus.imag) > np.hypot(plus.real, plus.imag)
-    a[flip] += math.pi
-    c[flip] -= math.pi
-    angles = np.empty((len(u), 3))
-    angles[g, 0], angles[g, 2] = a, c
-    angles[:, 1] = [2.0 * math.atan2(x, y) for x, y in zip(s.tolist(), cmag.tolist())]
-    for i in np.flatnonzero(~general).tolist():
-        angles[i] = zxzxz_angles(u[i])[:3]
-    angles = np.fmod(angles, 2.0 * math.pi)
-    # a value above pi lands in (-pi, 0) exactly, so the second test is the elif
-    angles[angles > math.pi] -= 2.0 * math.pi
-    angles[angles <= -math.pi] += 2.0 * math.pi
-    return angles
-
-
-def _zxzxz_gates(wire: int, a: float, b: float, c: float) -> list[Gate]:
-    """RZ(c) SX RZ(b) SX RZ(a) on ``wire``; the angles are canonical."""
-    sx = _fixed_gate("SX", (wire,))
-    return [
-        Gate("RZ", (wire,), (c,)),
-        sx,
-        Gate("RZ", (wire,), (b,)),
-        sx,
-        Gate("RZ", (wire,), (a,)),
-    ]
-
-
-def _emit_matrix(wire: int, matrix: np.ndarray) -> list[Gate]:
-    """The shortest RZ SX RZ SX RZ form of a 2x2 unitary: a diagonal matrix
-    becomes one RZ, and zero-angle RZs are dropped."""
-    if abs(matrix[0, 1]) < 1e-12 and abs(matrix[1, 0]) < 1e-12:
-        angle = canonical_angle(float(np.angle(matrix[1, 1] / matrix[0, 0])))
-        return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
-    gates = _zxzxz_gates(wire, *map(canonical_angle, zxzxz_angles(matrix)[:3]))
-    return [g for g in gates if g.kind == "SX" or abs(g.params[0]) >= ZERO_ANGLE]
+def _emit_matrix(wires: Sequence[int], u: np.ndarray, fixed_shape: bool = False
+                 ) -> list[list[Gate]]:
+    """The gates of each 2x2 unitary of an (n, 2, 2) stack, on the wire of its
+    row: RZ(c) SX RZ(b) SX RZ(a) from one ``zxzxz_angles`` call, with
+    ``fixed_shape`` all five gates, else the shortest form, where a diagonal
+    matrix becomes one RZ and zero-angle RZs are dropped."""
+    forms = [[c, None, b, None, a] for a, b, c in zxzxz_angles(u).tolist()]  # None: an SX
+    if not fixed_shape:
+        u01, u10 = u[:, 0, 1], u[:, 1, 0]
+        d = np.flatnonzero((np.hypot(u01.real, u01.imag) < 1e-12)
+                           & (np.hypot(u10.real, u10.imag) < 1e-12))
+        for i, phi in zip(d.tolist(), np.angle(u[d, 1, 1] / u[d, 0, 0]).tolist()):
+            forms[i] = [canonical_angle(phi)]
+    rows = []
+    for wire, form in zip(wires, forms):
+        qubits = (wire,)
+        sx = _fixed_gate("SX", qubits)
+        rows.append([sx if x is None else Gate("RZ", qubits, (x,)) for x in form
+                     if fixed_shape or x is None or abs(x) >= ZERO_ANGLE])
+    return rows
 
 
 _stream_plan = functools.lru_cache(maxsize=64)(RunPlan.of_items)  # per stream skeleton
@@ -633,11 +604,11 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[list[Gate
     """Merge per-wire single-qubit runs, then emit native gates: item i of
     the result holds the gates of the stream's row i.
 
-    The skeleton is planned once, and the runs of all rows are multiplied
-    by one ``RunPlan.products`` call.  Each merged run becomes its shortest
-    form (``_emit_matrix``), or with ``fixed_shape`` exactly five gates
-    (RZ SX RZ SX RZ), their angles taken for all runs of all rows in one
-    pass, so the output shape depends only on the entangler skeleton.
+    The skeleton is planned once, the runs of all rows are multiplied by
+    one ``RunPlan.products`` call and emitted by one ``_emit_matrix`` call:
+    each merged run becomes its shortest form, or with ``fixed_shape``
+    exactly five gates (RZ SX RZ SX RZ), so the output shape depends only on
+    the entangler skeleton.
     """
     joins = tuple([item[0] == "u" for item in stream])
     wires = tuple([item[1:2] if join else item[1:] for item, join in zip(stream, joins)])
@@ -647,16 +618,11 @@ def stream_to_gates(stream: Stream, fixed_shape: bool = False) -> list[list[Gate
     for i in plan.joined:
         mats[i] = stream[i][2]  # a constant broadcasts over the rows
     runs = plan.products(mats)  # (runs, n, 2, 2)
-    if fixed_shape:
-        runs = _zxzxz_stack(runs.reshape(-1, 2, 2)).reshape(-1, n, 3).tolist()
+    emitted = _emit_matrix([wires[p[0]][0] for p in plan.runs for _ in range(n)],
+                           runs.reshape(-1, 2, 2), fixed_shape)
     rows: list[list[Gate]] = [[] for _ in range(n)]
     for positions, j in plan.items:
-        wire = wires[positions[0]]
         for i, out in enumerate(rows):
-            if j is None:
-                out.append(_fixed_gate("ECR", wire))
-            elif fixed_shape:
-                out.extend(_zxzxz_gates(wire[0], *runs[j][i]))
-            else:
-                out.extend(_emit_matrix(wire[0], runs[j][i]))
+            out.extend([_fixed_gate("ECR", wires[positions[0]])] if j is None
+                       else emitted[j * n + i])
     return rows

@@ -1,11 +1,12 @@
 """Lowering to the native gate set {ID, RZ, SX, X, ECR}, optimization
 levels, time scheduling and XY4 dynamical-decoupling insertion.
 
-Levels: L0 decomposes gate by gate.  L1 also fuses each per-wire one-qubit
-run once, keeping a resynthesis only when it is strictly shorter.  L3
-resynthesizes the whole circuit from its dense unitary (width <= 3) at a
-fixed shape, a bundle's circuits in one stacked pass, so gate count and
-depth depend only on the width; wider circuits run L1 and are named after it.
+Levels: L0 decomposes gate by gate, each distinct gate once.  L1 also
+fuses each per-wire one-qubit run once, keeping a resynthesis only when it
+is strictly shorter.  L3 resynthesizes the whole circuit from its dense
+unitary (width <= 3) at a fixed shape, a bundle's circuits in one stacked
+pass, so gate count and depth depend only on the width; wider circuits run
+L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
@@ -106,7 +107,7 @@ def decompose_1q(gate: Gate) -> list[Gate]:
         if abs(angle) < ZERO_ANGLE:
             return []
         return [Gate("RZ", gate.qubits, (angle,))]
-    return _emit_matrix(gate.qubits[0], gate_matrix(gate))
+    return _emit_matrix(gate.qubits, gate_matrix(gate)[None])[0]
 
 
 def decompose_cp(theta: float, control: int, target: int) -> list[Gate]:
@@ -186,21 +187,22 @@ def run_products(rows: Sequence[Sequence[Gate]], plan: RunPlan) -> np.ndarray:
 
 def _fuse_runs(gates: list[Gate]) -> list[Gate]:
     """Fuse per-wire runs of adjacent one-qubit gates, each run's product
-    taken from one stacked ``run_products`` call.
+    taken from one stacked ``run_products`` call and all runs of several
+    gates emitted by one ``_emit_matrix`` call.
 
     A fused run is resynthesized only when the result is strictly shorter,
     so the pass never lengthens the circuit.
     """
     plan = _one_qubit_runs(gates)
     products = run_products([gates], plan)[:, 0]
+    multi = [j for j, positions in enumerate(plan.runs) if len(positions) > 1]
+    wires = [gates[plan.runs[j][0]].qubits[0] for j in multi]
+    emitted = dict(zip(multi, _emit_matrix(wires, products[multi])))
     out: list[Gate] = []
     for positions, j in plan.items:
         run = [gates[i] for i in positions]
-        if len(run) > 1:
-            candidate = _emit_matrix(run[0].qubits[0], products[j])
-            if len(candidate) < len(run):
-                run = candidate
-        out.extend(run)
+        candidate = emitted.get(j)
+        out.extend(candidate if candidate is not None and len(candidate) < len(run) else run)
     return out
 
 
@@ -230,8 +232,8 @@ def _lower_runs(rows: Sequence[Sequence[Gate]], width: int) -> np.ndarray:
 def _native(bundle: tuple[Circuit, ...], level: OptLevel, trail: Trail | None) -> tuple:
     """The native gates of each of ``bundle``'s circuits, of one width, and the
     residual of each against its source, lowered through ``trail``: at L3 from
-    one stacked fixed-shape resynthesis, else gate by gate (fused at L1); all
-    rows checked in one stack."""
+    one stacked fixed-shape resynthesis, else gate by gate, each distinct
+    gate decomposed once (fused at L1); all rows checked in one stack."""
     sources = np.array([lower_to_unitary(c, trail) for c in bundle])
     width = bundle[0].width
     if level == OptLevel.L3:
@@ -239,7 +241,9 @@ def _native(bundle: tuple[Circuit, ...], level: OptLevel, trail: Trail | None) -
                           if width == 2 else qsd_stream(sources, [2, 1, 0]))
         rows = stream_to_gates(stream, fixed_shape=True)
     else:
-        rows = [[g for src in c.gates for g in _decompose_gate(src)] for c in bundle]
+        # each distinct source gate once: the builders share their gates across steps
+        decompose = functools.cache(_decompose_gate)
+        rows = [[g for src in c.gates for g in decompose(src)] for c in bundle]
         if level == OptLevel.L1:
             rows = [_fuse_runs(gates) for gates in rows]
     return rows, [phase_aligned_distance(u, s) for u, s in zip(_lower_runs(rows, width), sources)]

@@ -133,6 +133,15 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside circuit width"):
             c.add("H", 2)
 
+    @pytest.mark.parametrize("width, name, message", [
+        (0, "circuit", "circuit width must be >= 1, got 0"),
+        (2, "a b", "circuit name must be non-empty without spaces: 'a b'"),
+        (2, "", "circuit name must be non-empty without spaces: ''"),
+    ], ids=["width-0", "name-with-space", "empty-name"])
+    def test_bad_width_or_name_is_rejected(self, width, name, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Circuit(width, name=name)
+
     def test_repeated_measured_qubit(self):
         with pytest.raises(ValueError, match=r"measured qubit 0 repeated in \(0, 0\)"):
             Circuit(2, measured=(0, 0))

@@ -380,8 +380,14 @@ class TestCli:
             ("[experiment]\ncycle = 4\npattern =\n", "experiment.pattern: must not be empty"),
             ("[experiment]\ncycle = 4\nshot = 0\n", "experiment.shot: unknown key"),
             ("[experiment]\ncycle = 4\n[nosie]\np1 = 0.1\n", "[nosie]: unknown section"),
+            ("[experiment]\ncycle = 4\nshots = -1\n", "experiment.shots: must be >= 0"),
+            ("[experiment]\ncycle = 4\ndd = xy8\n", "experiment.dd: must be 'none' or 'xy4'"),
+            ("[coins]\nA = 0.5, 0.0, 0.0\n", "config: missing [experiment] section"),
+            # configparser's own error, wrapped as a located config error
+            ("[experiment]\ncycle = 4\ncycle = 3\n", "config: While reading from"),
         ],
-        ids=["empty-pattern", "unknown-key", "unknown-section"],
+        ids=["empty-pattern", "unknown-key", "unknown-section", "negative-shots", "unknown-dd",
+             "no-experiment-section", "duplicate-key"],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.cfg"

@@ -320,6 +320,8 @@ class TestChannels:
     def test_t2_bound_enforced(self):
         with pytest.raises(ValueError, match="t2"):
             NoiseModel(t1=100.0, t2=250.0)
+        with pytest.raises(ValueError, match=r"^t2 must not exceed 2\*t1 \(t1=10, t2=30\)$"):
+            NoiseModel(t1=10, t2=30)
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -559,6 +561,12 @@ class TestValidateDensity:
         c.add("X", 0)
         with pytest.raises(ValueError, match="Hermitian|trace|negative"):
             run_noisy(c, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), NoiseModel())
+        with pytest.raises(ValueError, match=r"^initial density has shape \(4, 4\), need \(2, 2\)$"):
+            run_noisy(c, np.eye(4, dtype=complex) / 4, NoiseModel())
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^density matrix must be square, got shape \(2, 4\)$"):
+            validate_density(np.full((2, 4), 0.25, dtype=complex))
 
 
 @pytest.mark.parametrize("n_ops", [1, 4, 16])
@@ -732,7 +740,7 @@ def test_fusion_through_the_stacked_products_is_the_per_gate_fusion(circuit, bar
             u = gate_matrix(run[0])
             for g in run[1:]:
                 u = gate_matrix(g) @ u
-            candidate = _emit_matrix(run[0].qubits[0], u)
+            candidate = _emit_matrix(run[0].qubits, u[None])[0]
             if len(candidate) < len(run):
                 run = candidate
         want.extend(run)

@@ -13,13 +13,12 @@ from cyclewalk.gates import (ECR_MATRIX, H_MATRIX, SX_MATRIX, X_MATRIX, canonica
                              u3_matrix)
 from cyclewalk.circuit import Circuit, lower_to_unitary, wire_runs
 from cyclewalk.synthesis import (
+    ZERO_ANGLE,
     _MAGIC,
     _SIGNS,
     _cartan,
-    _emit_matrix,
     _rx,
     _ry,
-    _zxzxz_stack,
     cp_template,
     cx_stream,
     cz_stream,
@@ -37,6 +36,28 @@ from cyclewalk.synthesis import (
 
 def zxzxz_matrix(a, b, c):
     return rz_matrix(a) @ SX_MATRIX @ rz_matrix(b) @ SX_MATRIX @ rz_matrix(c)
+
+
+def reference_zxzxz_angles(u):
+    """The scalar split (a, b, c, delta) with u = e^{i delta} RZ(a) SX RZ(b) SX RZ(c),
+    angles not reduced: the bit-for-bit reference of the stacked kernel."""
+    s, cmag = abs(u[0, 0]), abs(u[0, 1])
+    b = 2.0 * math.atan2(s, cmag)
+    if s > 1e-12 and cmag > 1e-12:
+        apc = np.angle(-u[1, 1] / u[0, 0])
+        amc = np.angle(u[1, 0] / u[0, 1])
+        a, c = 0.5 * (apc + amc), 0.5 * (apc - amc)
+        delta = np.angle(u[0, 0]) + 0.5 * (a + c)
+        probe = np.exp(1j * delta) * np.exp(-0.5j * (a - c)) * cmag
+        if abs(probe - u[0, 1]) > abs(probe + u[0, 1]):  # the half-angle branch
+            a, c = a + math.pi, c - math.pi
+    elif s <= 1e-12:  # anti-diagonal: b = 0, only a - c matters
+        a, c = float(np.angle(u[1, 0] / u[0, 1])), 0.0
+        delta = np.angle(u[0, 1]) + 0.5 * a
+    else:  # diagonal: b = pi, only a + c matters
+        a, c = float(np.angle(-u[1, 1] / u[0, 0])), 0.0
+        delta = np.angle(u[0, 0]) + 0.5 * a
+    return float(a), float(b), float(c), float(delta)
 
 
 def assemble_stream(stream, width, row=0):
@@ -67,17 +88,25 @@ def special_two_qubit_cases():
 
 class TestOneQubit:
     def test_zxzxz_exact_on_random(self):
+        # the reference rebuilds u with its phase, the kernel's canonical
+        # angles up to one, each stack row as the matrix alone
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            u = unitary_group.rvs(2, random_state=rng)
-            a, b, c, d = zxzxz_angles(u)
+        stack = np.array([unitary_group.rvs(2, random_state=rng) for _ in range(200)])
+        rows = zxzxz_angles(stack)
+        assert rows.shape == (200, 3)
+        for u, row in zip(stack, rows):
+            a, b, c, d = reference_zxzxz_angles(u)
             assert np.linalg.norm(np.exp(1j * d) * zxzxz_matrix(a, b, c) - u) < 1e-12
+            assert phase_aligned(zxzxz_matrix(*row), u) < 1e-12
+            assert np.array_equal(zxzxz_angles(u), row[None])
 
     def test_zxzxz_special_cases(self):
         for u in (np.diag([1, 1j]), np.array([[0, 1], [1, 0]]), H_MATRIX):
-            a, b, c, d = zxzxz_angles(np.asarray(u, dtype=complex))
+            u = np.asarray(u, dtype=complex)
+            a, b, c, d = reference_zxzxz_angles(u)
             m = np.exp(1j * d) * zxzxz_matrix(a, b, c)
             assert np.linalg.norm(m - u) < 1e-12
+            assert phase_aligned(zxzxz_matrix(*zxzxz_angles(u)[0]), u) < 1e-12
 
     def test_u3_params_exact(self):
         rng = np.random.default_rng(2)
@@ -118,8 +147,8 @@ class TestOneQubit:
             angles(u)
 
     def test_the_defect_is_the_frobenius_norm(self):
-        # the check's plain float arithmetic reports numpy's norm, and a
-        # matrix just inside the bound of 1e-8 passes
+        # the stacked check reports numpy's norm, and a matrix just inside
+        # the bound of 1e-8 passes
         rng = np.random.default_rng(4)
         for _ in range(20):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -140,8 +169,8 @@ class TestOneQubit:
         cos, sin = math.cos(0.3), math.sin(0.3)
         u = np.array([[complex(cos, -0.0), sin], [-sin, cos]])
         assert np.angle(-u[1, 1] / u[0, 0]) == -math.pi and np.angle(u[1, 0] / u[0, 1]) == math.pi
-        got = _zxzxz_stack(u[None])[0].tolist()
-        want = [canonical_angle(x) for x in zxzxz_angles(u)[:3]]
+        got = zxzxz_angles(u[None])[0].tolist()
+        want = [canonical_angle(x) for x in reference_zxzxz_angles(u)[:3]]
         assert got == want
         assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
         assert math.copysign(1.0, got[2]) == -1.0
@@ -347,6 +376,14 @@ class TestStackedCartan:
         with pytest.raises(ValueError, match=r"^row 2 of the stack is not unitary \(defect nan\)$"):
             _cartan(stack)
 
+    def test_inf_entry_is_rejected_before_lapack(self):
+        # u u^dag of an inf entry holds inf - inf: the check reads it as NaN
+        # without a numpy warning (under -W error the warning raised first)
+        stack = unitary_group.rvs(4, size=4, random_state=np.random.default_rng(9))
+        stack[1, 0, 2] = math.inf
+        with pytest.raises(ValueError, match=r"^row 1 of the stack is not unitary \(defect nan\)$"):
+            kak_stream(stack, 1, 0)
+
 
 class TestStreams:
     def test_cx_stream(self):
@@ -403,7 +440,7 @@ class TestStreams:
         st = qsd_stream(u, [2, 1, 0])
         assert phase_aligned(assemble_stream(st, 3), u) < 1e-9
 
-    @pytest.mark.parametrize("damage", ["scaled", "column", "nan"])
+    @pytest.mark.parametrize("damage", ["scaled", "column", "nan", "inf"])
     def test_qsd_stream_rejects_a_non_unitary_matrix(self, damage):
         # before the check, 1.01 U and U with column 0 scaled by 1.2 gave
         # streams 0.028 and 0.20 from their input (phase-aligned Frobenius)
@@ -413,7 +450,7 @@ class TestStreams:
         elif damage == "column":
             u[:, 0] *= 1.2
         else:
-            u[2, 5] = np.nan
+            u[2, 5] = np.nan if damage == "nan" else np.inf
         with pytest.raises(ValueError, match=r"^qsd_stream needs a unitary matrix \(defect "):
             qsd_stream(u, [2, 1, 0])
 
@@ -479,10 +516,19 @@ def degenerate_unitaries(draw):
 
 def scalar_fixed_shape(wire, u):
     """The per-run reference: RZ(c) SX RZ(b) SX RZ(a) from the scalar angles."""
-    a, b, c, _ = zxzxz_angles(u)
+    a, b, c, _ = reference_zxzxz_angles(u)
     return [Gate("RZ", (wire,), (canonical_angle(c),)), Gate("SX", (wire,)),
             Gate("RZ", (wire,), (canonical_angle(b),)), Gate("SX", (wire,)),
             Gate("RZ", (wire,), (canonical_angle(a),))]
+
+
+def scalar_shortest(wire, u):
+    """The per-run reference of the shortest form: one RZ for a diagonal u, else
+    the scalar angles' five gates, zero-angle RZs dropped."""
+    if abs(u[0, 1]) < 1e-12 and abs(u[1, 0]) < 1e-12:
+        angle = canonical_angle(float(np.angle(u[1, 1] / u[0, 0])))
+        return [Gate("RZ", (wire,), (angle,))] if abs(angle) >= ZERO_ANGLE else []
+    return [g for g in scalar_fixed_shape(wire, u) if g.kind == "SX" or abs(g.params[0]) >= ZERO_ANGLE]
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +545,8 @@ def test_fixed_shape_emission_equals_the_scalar_reference(seed, n_random, degene
         wire = int(rng.integers(3))
         stream += [("u", wire, matrices[k]), ("ecr", wire, (wire + 1) % 3)]
         expected += scalar_fixed_shape(wire, matrices[k]) + [Gate("ECR", (wire, (wire + 1) % 3))]
-    assert stream_to_gates(stream, fixed_shape=True)[0] == expected
+    got = stream_to_gates(stream, fixed_shape=True)[0]
+    assert got == expected and gate_bits(got) == gate_bits(expected)
 
 
 @st.composite
@@ -536,7 +583,7 @@ def scalar_emission(stream, fixed_shape):
         wire, m = stream[group[0]][1:]
         for i in group[1:]:
             m = stream[i][2] @ m
-        gates += scalar_fixed_shape(wire, m) if fixed_shape else _emit_matrix(wire, m)
+        gates += scalar_fixed_shape(wire, m) if fixed_shape else scalar_shortest(wire, m)
     return gates
 
 
@@ -548,7 +595,8 @@ def scalar_emission(stream, fixed_shape):
 def test_stacked_emission_equals_the_scalar_fold(stream, fixed_shape):
     # runs of several items, multiplied as stacks, emit what the scalar left
     # fold of each run emits, in both modes; a stream may have no "u" item
-    assert stream_to_gates(stream, fixed_shape)[0] == scalar_emission(stream, fixed_shape)
+    got, want = stream_to_gates(stream, fixed_shape)[0], scalar_emission(stream, fixed_shape)
+    assert got == want and gate_bits(got) == gate_bits(want)
 
 
 def resynthesis_stream(stack, width):

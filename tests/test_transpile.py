@@ -331,6 +331,29 @@ class TestTranspile:
             native, alone = transpile(c, level, cache), transpile(c, level)
             assert native.gates == alone.gates and to_text(native) == to_text(alone)
 
+    def test_l1_decomposes_each_distinct_source_gate_once(self, monkeypatch, schedule_3cycle):
+        # the builder shares its gates across steps, so the 25-step walk holds
+        # few distinct gates, each decomposed once; fresh copies of the gates
+        # (shared by no step) give the same rows, bit for bit
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        decompose, calls = transpile_module._decompose_gate, Counter()
+
+        def counted(gate):
+            calls[gate] += 1
+            return decompose(gate)
+
+        monkeypatch.setattr(transpile_module, "_decompose_gate", counted)
+        source = build_walk_circuit_3cycle(schedule_3cycle, 25)
+        (row,), _ = transpile_module._native((source,), OptLevel.L1, None)
+        assert set(calls.values()) == {1}
+        assert len(calls) == len(set(source.gates)) < len(source.gates) / 4  # 29 of 149
+        fresh = Circuit(source.width).extend(
+            [Gate(g.kind, g.qubits, g.params, None if g.matrix is None else g.matrix.copy())
+             for g in source.gates])
+        (fresh_row,), _ = transpile_module._native((fresh,), OptLevel.L1, None)
+        bits = lambda gates: [(g.kind, g.qubits, [p.hex() for p in g.params]) for g in gates]  # noqa: E731
+        assert fresh_row == row and bits(fresh_row) == bits(row)
+
     def test_wide_circuit_is_verified(self, monkeypatch):
         # above width 6 the output is checked too: a fusion pass that loses
         # a gate must not go unnoticed
