@@ -33,6 +33,7 @@ __all__ = [
     "CONSTANT_MATRICES",
     "gate_matrix",
     "canonical_angle",
+    "unitarity_defect",
     "rz_matrix",
     "phase_matrix",
     "u3_matrix",
@@ -83,6 +84,13 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
             [np.exp(0.5j * phi) * s, np.exp(0.5j * (lam + phi)) * c],
         ]
     )
+
+
+def unitarity_defect(m: np.ndarray) -> np.ndarray | float:
+    """||M M^dag - I||_F of one matrix or of each of a stack; NaN, and no
+    warning, where an entry is not finite or the product overflows."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.linalg.norm(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]), axis=(-2, -1))
 
 
 def canonical_angle(theta: float) -> float:
@@ -139,7 +147,7 @@ class Gate:
         if self.kind == "UNITARY":
             if self.matrix is None or self.matrix.shape != (2, 2):
                 raise ValueError("UNITARY gate needs a 2x2 matrix payload")
-            defect = np.linalg.norm(self.matrix @ self.matrix.conj().T - np.eye(2))
+            defect = unitarity_defect(self.matrix)
             if not (defect <= 1e-12):
                 raise ValueError(f"UNITARY payload is not unitary (defect {defect:.2e})")
         elif self.matrix is not None:

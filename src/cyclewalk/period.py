@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import unitarity_defect
+from .gates import unitarity_defect
 
 __all__ = ["PeriodResult", "EigendecompositionError", "find_period_power", "find_period_eigen"]
 

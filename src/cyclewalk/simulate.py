@@ -66,15 +66,14 @@ class Distribution:
 class BundleCache:
     """Work shared by the circuits t = 1 .. t_max of one ``run_experiment``,
     bound to its noise model (None if noiseless) and circuit width.  It holds
-    the bundle's ``circuits``, resynthesized and checked as one stack in the
-    first L3 ``transpile`` (its "native" plan: each row's gates and residual;
-    at L0 and L1 a bundle of one circuit), and their ``scheduled``
-    circuits, each group of which ``run_noisy`` runs as one stack (the
-    "noisy" plan: each row's final rho); the schedule, planned once per
-    skeleton (gate kinds and qubits); the channels' local superoperators;
-    and trails (``circuit.Trail``) of the source unitary, the statevector
-    and rho (for a stack of one), which resume after the prefix circuit t
-    shares with t - 1.
+    the bundle's ``circuits``, lowered, emitted and checked all at once in the
+    first ``transpile`` at any level (its "native" plan: each row's gates and
+    residual), and their ``scheduled`` circuits, each group of which
+    ``run_noisy`` runs as one stack (the "noisy" plan: each row's final rho);
+    the schedule, planned once per skeleton (gate kinds and qubits); the
+    channels' local superoperators; and trails (``circuit.Trail``) of the
+    statevector and rho (for a stack of one), which resume after the prefix
+    circuit t shares with t - 1.
     """
 
     def __init__(self, nm: NoiseModel | None, width: int, circuits: Sequence[Circuit] = ()) -> None:
@@ -82,7 +81,6 @@ class BundleCache:
         self.width = width
         self.circuits = tuple(circuits)
         self.scheduled: tuple[ScheduledCircuit, ...] = ()
-        self.source = Trail()
         self.state = Trail()
         self.noisy = Trail()
         self.channels: dict[tuple, np.ndarray | None] = {}

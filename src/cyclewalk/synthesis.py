@@ -39,6 +39,7 @@ from .gates import (
     canonical_angle,
     phase_matrix,
     rz_matrix,
+    unitarity_defect,
 )
 
 __all__ = [
@@ -181,9 +182,7 @@ def _stack(u: np.ndarray, d: int) -> np.ndarray:
 
 def _first_non_unitary(u: np.ndarray) -> tuple[int, float] | None:
     """(row, defect) of a stack's first row with ||u u^dag - I||_F > 1e-8 (or NaN), or None."""
-    with np.errstate(invalid="ignore", over="ignore"):  # an inf entry gives NaN: rejected
-        defect = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(u.shape[-1]),
-                                axis=(1, 2))
+    defect = unitarity_defect(u)
     bad = np.flatnonzero(~(defect <= 1e-8))
     return (int(bad[0]), float(defect[bad[0]])) if bad.size else None
 

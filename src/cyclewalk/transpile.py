@@ -1,25 +1,25 @@
 """Lowering to the native gate set {ID, RZ, SX, X, ECR}, optimization
 levels, time scheduling and XY4 dynamical-decoupling insertion.
 
-Levels: L0 decomposes gate by gate, each distinct gate once.  L1 also
-fuses each per-wire one-qubit run once, keeping a resynthesis only when it
-is strictly shorter.  L3 resynthesizes the whole circuit from its dense
+Levels: L0 decomposes gate by gate, each distinct gate of a bundle once.
+L1 also fuses each per-wire one-qubit run once, keeping a resynthesis only
+when it is strictly shorter.  L3 resynthesizes the whole circuit from its dense
 unitary (width <= 3) at a fixed shape, a bundle's circuits in one stacked
 pass, so gate count and depth depend only on the width; wider circuits run
 L1 and are named after it.
 
 Every transpile result is verified against the input unitary up to global
 phase; a residual above 1e-8 raises TranspileError.  The source is lowered
-gate by gate (once: it is also L3's input), the output run by run, all of
-an L3 bundle's t as one stack.  One kernel, ``run_products``, forms every
-one-qubit run product, for L1 fusion, the check and ``run_noisy``: the runs
-of gate lists of one skeleton, multiplied by ``circuit.RunPlan`` in one
-stacked pass.  The check forms each two-qubit gate with the runs leading
-into it, g (u_hi (x) u_lo), in one more, and applies each step to the stack
-in one ``circuit.apply_matrix`` call.  Both lowerings are dense, so a circuit
-wider than MAX_LOWER_WIDTH raises.  A bundle cache plans the rows and
-residuals of every t of an L3 bundle at once, and the schedule (times
-checked once) once per skeleton.
+gate by gate (once: it is also L3's input), the output run by run, each run
+of consecutive rows of one skeleton as one stack (at L3, all of a bundle's
+t).  One kernel, ``run_products``, forms every one-qubit run product, for L1
+fusion, the check and ``run_noisy``: the runs of gate lists of one skeleton,
+multiplied by ``circuit.RunPlan`` in one stacked pass.  The check forms each
+two-qubit gate with the runs leading into it, g (u_hi (x) u_lo), in one
+more, and applies each step to the stack in one ``circuit.apply_matrix``
+call.  Both lowerings are dense, so a circuit wider than MAX_LOWER_WIDTH
+raises.  A bundle cache plans the rows and residuals of all of a bundle's t
+at once, at every level, and the schedule (times checked once) per skeleton.
 
 A schedule is its start times and durations; its idle windows, where XY4
 pulses go and relaxation acts, are found in the pass that checks them.  The
@@ -29,6 +29,7 @@ start times come from the ASAP pass that ``circuit.depth_report`` also runs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -208,32 +209,33 @@ def _fuse_runs(gates: list[Gate]) -> list[Gate]:
 
 def _lower_runs(rows: Sequence[Sequence[Gate]], width: int) -> np.ndarray:
     """The (n, 2**w, 2**w) stack of the dense unitaries of ``rows``, gate lists
-    of one skeleton on ``width`` qubits, applied one check step of the plan at
-    a time to all rows: the runs as their 2x2 products u from one
-    ``run_products`` call, each two-qubit gate g as g (u_hi (x) u_lo), formed
-    in one stacked pass."""
-    first, n, skeleton = rows[0], len(rows), _skeleton(rows[0])
-    if any(_skeleton(row) != skeleton for row in rows[1:]):
-        raise TranspileError("the circuits checked in one stack differ in skeleton")
-    plan, check, fused = _check_plan(first)
-    ops = run_products(rows, plan)  # padded adds the identity as run -1: no run leads in
-    padded = np.concatenate([ops, np.broadcast_to(CONSTANT_MATRICES["ID"], (1, n, 2, 2))])
-    entanglers = np.reshape([gate_matrix(r[i]) for i in fused[0] for r in rows], (-1, n, 4, 4))
-    stacks = (ops, entanglers @ _kron2(*padded[fused[1:]]))  # g (u_hi (x) u_lo)
-    out = np.array([np.eye(1 << width, dtype=complex)] * n)
-    for is_fused, k, qubits in check:
-        out = apply_matrix(out, stacks[is_fused][k], qubits, width)
-    return out
+    on ``width`` qubits.  Each run of consecutive rows of one skeleton is one
+    stack, applied one check step of its plan at a time: the runs as their
+    2x2 products u from one ``run_products`` call, each two-qubit gate g as
+    g (u_hi (x) u_lo), formed in one stacked pass."""
+    done = []
+    for group in (list(g) for _, g in itertools.groupby(rows, _skeleton)):
+        plan, check, fused = _check_plan(group[0])
+        ops, n = run_products(group, plan), len(group)  # padded adds the identity as run -1
+        padded = np.concatenate([ops, np.broadcast_to(CONSTANT_MATRICES["ID"], (1, n, 2, 2))])
+        entanglers = np.reshape([gate_matrix(r[i]) for i in fused[0] for r in group], (-1, n, 4, 4))
+        stacks = (ops, entanglers @ _kron2(*padded[fused[1:]]))  # g (u_hi (x) u_lo)
+        out = np.array([np.eye(1 << width, dtype=complex)] * n)
+        for is_fused, k, qubits in check:
+            out = apply_matrix(out, stacks[is_fused][k], qubits, width)
+        done.append(out)
+    return np.concatenate(done)
 
 
 # ---------------------------------------------------------------------------
 # the transpile pass: emit the native rows, check them in one stack
 
-def _native(bundle: tuple[Circuit, ...], level: OptLevel, trail: Trail | None) -> tuple:
+def _native(bundle: tuple[Circuit, ...], level: OptLevel) -> tuple:
     """The native gates of each of ``bundle``'s circuits, of one width, and the
-    residual of each against its source, lowered through ``trail``: at L3 from
-    one stacked fixed-shape resynthesis, else gate by gate, each distinct
-    gate decomposed once (fused at L1); all rows checked in one stack."""
+    residual of each against its source, lowered through one trail (none for a
+    lone circuit): at L3 from one stacked fixed-shape resynthesis, else gate by
+    gate, each distinct gate of the bundle decomposed once (fused at L1)."""
+    trail = Trail() if len(bundle) > 1 else None
     sources = np.array([lower_to_unitary(c, trail) for c in bundle])
     width = bundle[0].width
     if level == OptLevel.L3:
@@ -254,17 +256,16 @@ def transpile(
 ) -> Circuit:
     """Rewrite a circuit over the native gate set at the given level (L3 above
     width 3 runs L1, and the result's name ends in ``-native1``).  With a
-    bundle ``cache``, the source lowering resumes its trail; at L3 the first
-    call for one of its ``circuits`` lowers, resynthesizes and checks them
-    all, each pass one stack, and each call takes its own row's gates and
-    residual from the cache's plan.
+    bundle ``cache``, the first call for one of its ``circuits`` lowers,
+    emits and checks them all, at every level, and each call takes its own
+    row's gates and residual from the cache's plan and raises only for its
+    own row.
     """
     level = OptLevel(level)
     if level == OptLevel.L3 and circuit.width > 3:
         level = OptLevel.L1
-    bundle = (cache.circuits if level == OptLevel.L3 and cache is not None
-              and circuit in cache.circuits else (circuit,))
-    build = lambda: _native(bundle, level, None if cache is None else cache.source)  # noqa: E731
+    bundle = cache.circuits if cache is not None and circuit in cache.circuits else (circuit,)
+    build = lambda: _native(bundle, level)  # noqa: E731
     rows, residuals = build() if cache is None else cache.plan("native", (level, bundle), build)
     out = Circuit(circuit.width, name=f"{circuit.name}-native{int(level)}",
                   measured=circuit.measured)

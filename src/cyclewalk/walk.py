@@ -35,7 +35,6 @@ __all__ = [
     "return_probability",
     "parrondo_schedule",
     "padded_dim",
-    "unitarity_defect",
 ]
 
 
@@ -253,8 +252,3 @@ def return_probability(
     """Probability of finding the walker at position 0, marginal over the coin."""
     dim_p = _position_dim(n_nodes, embedding)
     return float(abs(state[0]) ** 2 + abs(state[dim_p]) ** 2)
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of M M^dag - I; ~0 for unitary M."""
-    return float(np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0])))

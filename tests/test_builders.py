@@ -198,6 +198,11 @@ class TestWalkCircuits:
         with pytest.raises(ValueError, match=">= 0"):
             build_walk_circuit_3cycle(schedule_3cycle, -2)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_even_builder_takes_2_or_3_position_qubits(self, schedule_4cycle, n):
+        with pytest.raises(ValueError, match=f"supports 2 or 3 position qubits, got {n}$"):
+            build_walk_circuit_even(n, schedule_4cycle, 1)
+
     def test_measured_qubits_are_position(self, schedule_4cycle):
         assert build_walk_circuit_4cycle(schedule_4cycle, 2).measured == (0, 1)
 

@@ -177,6 +177,13 @@ class TestGateHash:
         assert hash(x) == hash(h) and x != h
         assert x == Gate("UNITARY", (0,), matrix=X_MATRIX.copy())
 
+    @pytest.mark.parametrize("gate", [Gate("RZ", (1,), (0.5,)), Gate("ECR", (0, 1)),
+                                      Gate("UNITARY", (0,), matrix=H_MATRIX)],
+                             ids=["RZ", "ECR", "UNITARY"])
+    def test_pickled_gate_round_trips(self, gate):
+        back = pickle.loads(pickle.dumps(gate))
+        assert back == gate and hash(back) == hash(gate) and back is not gate
+
     def test_unpickled_gate_hashes_as_this_process(self):
         # a gate pickled under another string-hash seed is rebuilt here, so
         # its hash is this process's and dict lookups find it
@@ -492,10 +499,22 @@ class TestSerialization:
                 r"line 2: RZ parameters must be at most 1e\+06 in magnitude, "
                 r"got \(1000000000.0,\): 'RZ 0 1e9'",
             ),
+            ("width=1\nH 0\n@t=1 @t=2\n", "line 3: no gate kind: '@t=1 @t=2'"),
+            ("width=1\nUNITARY 0 1 0 0 0 0 0\n", "line 2: UNITARY line needs 8 floats"),
+            # M M^dag is NaN or overflows: a located error, never a numpy warning
+            (
+                "width=1\nUNITARY 0 inf 0 0 0 0 0 1 0\n",
+                r"line 2: UNITARY payload is not unitary \(defect nan\)",
+            ),
+            (
+                "width=1\nUNITARY 0 1e200 0 0 0 0 0 1 0\n",
+                r"line 2: UNITARY payload is not unitary \(defect nan\)",
+            ),
         ],
         ids=[
             "header-item", "header-width", "header-key", "unknown-kind", "qubit-token", "qubits",
-            "params", "range", "repeated-measure", "non-finite", "too-large",
+            "params", "range", "repeated-measure", "non-finite", "too-large", "only-times",
+            "unitary-6-floats", "unitary-inf", "unitary-overflow",
         ],
     )
     def test_malformed_line_is_located(self, text, message):

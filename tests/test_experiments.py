@@ -410,9 +410,10 @@ class TestCli:
             ["depth-report", "--cycle", "4", "--pattern", ""],
             ["depth-report", "--cycle", "4", "--t-max", "0"],
             ["depth-report", "--cycle", "5"],
+            ["period-scan", "--cycle", "4", "--coin", "x,0,0"],
         ],
         ids=["scan-t-max-0", "scan-cycle-2", "depth-empty-pattern", "depth-t-max-0",
-             "depth-cycle-5"],
+             "depth-cycle-5", "scan-coin-not-a-number"],
     )
     def test_out_of_range_arguments_exit_2(self, argv, capsys):
         assert main(argv) == 2
@@ -445,6 +446,25 @@ class TestCli:
 
     def test_period_scan_bad_coin(self, capsys):
         assert main(["period-scan", "--cycle", "4", "--coin", "0.5"]) == 2
+
+    def test_runtime_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # any error other than a config error is printed and exits 1
+        import cyclewalk.cli as cli
+
+        def fails(cfg):
+            raise ArithmeticError("statevector norm drifted to nan")
+
+        monkeypatch.setattr(cli, "run_experiment", fails)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config_to_text(small_config(tmp_path, t_max=2, shots=0)))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: statevector norm drifted to nan\n"
+
+    def test_depth_report_out_dir(self, tmp_path, capsys):
+        assert main(["depth-report", "--cycle", "3", "--t-max", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "depth_report.csv"
+        assert capsys.readouterr().out == f"csv: {path}\n"
+        assert path.read_text() == run_depth_report(3, "AABB", 3, "logical")
 
     def test_depth_report_stdout(self, capsys):
         assert main(["depth-report", "--cycle", "3", "--t-max", "3"]) == 0
@@ -699,6 +719,13 @@ class TestOverlay:
         overlay.write_text(f"t,value\n1,0.5\n{row}\n")
         cfg = small_config(tmp_path, t_max=2, shots=0, overlay=str(overlay))
         with pytest.raises(ConfigError, match="overlay: .*device.csv line 3: "):
+            run_experiment(cfg)
+
+    def test_header_only_overlay_is_config_error(self, tmp_path):
+        overlay = tmp_path / "device.csv"
+        overlay.write_text("# label=device\nt,value\n")
+        cfg = small_config(tmp_path, t_max=2, shots=0, overlay=str(overlay))
+        with pytest.raises(ConfigError, match="^overlay: no t,value rows in .*device.csv$"):
             run_experiment(cfg)
 
     def test_bad_overlay_fails_before_the_bundle(self, tmp_path, monkeypatch):

@@ -90,6 +90,10 @@ class TestTraceDistance:
         rho = np.diag([0.5, 0.5]).astype(complex)
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"^density dimensions differ: \(2, 2\) vs \(4, 4\)$"):
+            trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         # a NaN in sigma read as distance 0.0

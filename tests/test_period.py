@@ -101,6 +101,13 @@ def test_non_unitary_rejected():
             finder(with_nan, t_max=10)
 
 
+@pytest.mark.parametrize("finder", [find_period_power, find_period_eigen])
+def test_a_non_finite_operator_is_rejected_without_a_warning(finder):
+    # inf in M M^dag gives NaN: the defect check raises, numpy does not warn
+    with pytest.raises(ValueError, match=r"^operator is not unitary \(defect nan\)$"):
+        finder(np.diag([np.inf, 1.0]), t_max=10)
+
+
 def test_bad_t_max():
     with pytest.raises(ValueError, match="t_max"):
         find_period_power(np.eye(2, dtype=complex), t_max=0)

@@ -38,8 +38,8 @@ from cyclewalk import simulate
 from cyclewalk.simulate import (BundleCache, _apply_kraus, _check_density, _liouville,
                                 _noisy_events)
 from cyclewalk.synthesis import _emit_matrix
-from cyclewalk.transpile import (ScheduledCircuit, TranspileError, _check_plan, _fuse_runs,
-                                 _lower_runs, run_products)
+from cyclewalk.transpile import (ScheduledCircuit, _check_plan, _fuse_runs, _lower_runs,
+                                 run_products)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,6 +253,10 @@ class TestMeasurePositions:
         with pytest.raises(ValueError, match="6 basis probabilities: size is not a power of two"):
             measure_positions(np.ones(6, dtype=complex) / math.sqrt(6), (0,))
 
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="^shots must be >= 0, got -1$"):
+            measure_positions(np.array([1, 0j]), (0,), shots=-1, seed=0)
+
     @pytest.mark.parametrize("shots", [0, 10])
     def test_unnormalized_state(self, shots):
         # |1|^2 + |1j|^2 = 2: neither the exact marginal nor a sample of it
@@ -316,6 +320,10 @@ class TestChannels:
         # nor a negative duration the identity
         with pytest.raises(ValueError, match=f"relaxation .*{named}"):
             thermal_relaxation_kraus(t1, t2, duration)
+
+    def test_thermal_relaxation_rejects_t2_above_2_t1(self):
+        with pytest.raises(ValueError, match=r"^t2=3.0 exceeds 2\*t1=2.0$"):
+            thermal_relaxation_kraus(1.0, 3.0, 1.0)
 
     def test_t2_bound_enforced(self):
         with pytest.raises(ValueError, match="t2"):
@@ -720,10 +728,21 @@ def test_each_row_of_a_check_stack_is_its_check_alone(circuit, barriers, n, seed
         assert np.abs(u - lower_to_unitary(row)).max() <= 1e-12
 
 
-def test_a_check_stack_needs_one_skeleton():
+def test_a_mixed_skeleton_stack_gives_each_groups_check_alone():
+    # each run of consecutive rows of one skeleton is checked as one stack:
+    # rows of two skeletons, in three groups, give each group's check alone
+    # and each row its check alone, bit for bit
     c = _repeated_gates()
-    with pytest.raises(TranspileError, match="differ in skeleton"):
-        _lower_runs([c.gates, c.gates[:-1]], c.width)
+    other = _with_angles(c, iter([0.5, -1.25, 2.0]))
+    rows = [c.gates, other.gates, c.gates[:-1], other.gates[:-1], c.gates]
+    groups = [rows[:2], rows[2:4], rows[4:]]
+    stack = _lower_runs(rows, c.width)
+    assert isinstance(stack, np.ndarray) and stack.shape == (5, 8, 8)
+    assert np.array_equal(stack, np.concatenate([_lower_runs(g, c.width) for g in groups]))
+    for gates, u in zip(rows, stack):
+        alone = check_alone(Circuit(c.width).extend(gates))
+        assert np.array_equal(u, alone)
+        assert np.abs(u - lower_to_unitary(Circuit(c.width).extend(gates))).max() <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)

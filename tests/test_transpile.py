@@ -256,8 +256,8 @@ class TestTranspile:
     def test_source_lowered_once(self, monkeypatch, schedule_4cycle, level):
         # one lowering of each source (L3 input and check reference) and one
         # run-wise check, on the gates that transpile returns: per circuit
-        # alone or at L1, per bundle at L3.  The package attribute
-        # ``transpile`` is the function, so import the module by name
+        # alone, per bundle with a cache, at every level.  The package
+        # attribute ``transpile`` is the function, so import the module by name
         transpile_module = importlib.import_module("cyclewalk.transpile")
         calls = {"lower_to_unitary": [], "_lower_runs": []}
         for name, record in calls.items():
@@ -281,8 +281,22 @@ class TestTranspile:
         cache = BundleCache(None, 3, sources)
         natives = [transpile(c, level, cache).gates for c in sources]
         assert ids([calls["lower_to_unitary"]]) == ids([sources])
-        stacks = [natives] if level == OptLevel.L3 else [[gates] for gates in natives]
-        assert [ids(rows) for rows in calls["_lower_runs"]] == [ids(rows) for rows in stacks]
+        assert [ids(rows) for rows in calls["_lower_runs"]] == [ids(natives)]
+        # the check stacks rows of one skeleton: all t at L3, each row alone at L1
+        firsts, plan = [], transpile_module._check_plan
+        monkeypatch.setattr(transpile_module, "_check_plan", lambda gates:
+                            firsts.append(gates) or plan(gates))
+        transpile_module._lower_runs(natives, 3)
+        assert ids([firsts]) == ids([natives[:1] if level == OptLevel.L3 else natives])
+
+    def test_a_lone_circuit_is_lowered_without_a_trail(self, schedule_4cycle, monkeypatch):
+        # a bundle of one (no cache, a cache of one, or a circuit outside the
+        # cache's) keeps no intermediate arrays: creating a Trail would raise
+        monkeypatch.setattr(importlib.import_module("cyclewalk.transpile"), "Trail", None)
+        c = build_walk_circuit_4cycle(schedule_4cycle, 3)
+        for level in OptLevel:
+            for cache in (None, BundleCache(None, 3, [c]), BundleCache(None, 3)):
+                assert transpile(c, level, cache).gates == transpile(c, level).gates
 
     def test_bundle_resynthesis_equals_each_circuit_alone(self, monkeypatch):
         # the 4-cycle bundle's 25 circuits take one stacked qsd_stream and one
@@ -344,15 +358,34 @@ class TestTranspile:
 
         monkeypatch.setattr(transpile_module, "_decompose_gate", counted)
         source = build_walk_circuit_3cycle(schedule_3cycle, 25)
-        (row,), _ = transpile_module._native((source,), OptLevel.L1, None)
+        (row,), _ = transpile_module._native((source,), OptLevel.L1)
         assert set(calls.values()) == {1}
         assert len(calls) == len(set(source.gates)) < len(source.gates) / 4  # 29 of 149
         fresh = Circuit(source.width).extend(
             [Gate(g.kind, g.qubits, g.params, None if g.matrix is None else g.matrix.copy())
              for g in source.gates])
-        (fresh_row,), _ = transpile_module._native((fresh,), OptLevel.L1, None)
+        (fresh_row,), _ = transpile_module._native((fresh,), OptLevel.L1)
         bits = lambda gates: [(g.kind, g.qubits, [p.hex() for p in g.params]) for g in gates]  # noqa: E731
         assert fresh_row == row and bits(fresh_row) == bits(row)
+
+    def test_l1_bundle_decomposes_each_distinct_gate_of_all_t_once(
+        self, monkeypatch, schedule_3cycle
+    ):
+        # one L1 bundle of the 3-cycle walk at t = 1 .. 25: the first call
+        # decomposes each distinct source gate of the whole bundle once (29
+        # of them), and its rows equal each circuit transpiled alone
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        decompose, calls = transpile_module._decompose_gate, Counter()
+        monkeypatch.setattr(transpile_module, "_decompose_gate",
+                            lambda gate: calls.update([gate]) or decompose(gate))
+        circuits = [build_walk_circuit_3cycle(schedule_3cycle, t) for t in range(1, 26)]
+        cache = BundleCache(None, circuits[0].width, circuits)
+        natives = [transpile(c, OptLevel.L1, cache) for c in circuits]
+        distinct = {g for c in circuits for g in c.gates}
+        assert set(calls) == distinct and set(calls.values()) == {1} and len(distinct) == 29
+        for c, native in zip(circuits, natives):
+            alone = transpile(c, OptLevel.L1)
+            assert native.gates == alone.gates and to_text(native) == to_text(alone)
 
     def test_wide_circuit_is_verified(self, monkeypatch):
         # above width 6 the output is checked too: a fusion pass that loses
@@ -378,9 +411,9 @@ class TestTranspile:
         circuits = [build_walk_circuit_4cycle(schedule_4cycle, t) for t in (1, 2, 3)]
         passes = []
 
-        def recorded(bundle, level, trail):
+        def recorded(bundle, level):
             passes.append(bundle)
-            return native(bundle, level, trail)
+            return native(bundle, level)
 
         def tampered(stream, fixed_shape=False):
             rows = emit(stream, fixed_shape)
@@ -428,6 +461,35 @@ class TestTranspile:
                     transpile(c, OptLevel.L3, cache)
             else:
                 assert transpile(c, OptLevel.L3, cache).name == f"walk4cycle-t{t}-native3"
+
+    @pytest.mark.parametrize("level", [OptLevel.L0, OptLevel.L1])
+    def test_a_tampered_l0_or_l1_row_raises_at_its_t_alone(self, monkeypatch, schedule_3cycle,
+                                                           level):
+        # an L0/L1 bundle is emitted and checked in the first call too: an RZ
+        # shifted by 1e-6 in the decomposition of a gate that only t = 3 holds
+        # (its first B coin) raises in t = 3's call only
+        transpile_module = importlib.import_module("cyclewalk.transpile")
+        decompose = transpile_module._decompose_gate
+        circuits = [build_walk_circuit_3cycle(schedule_3cycle, t) for t in (1, 2, 3)]
+        only_last = set(circuits[2].gates) - set(circuits[1].gates)
+        shifted = []
+
+        def tampered(gate):
+            out = decompose(gate)
+            k = next((i for i, g in enumerate(out) if g.kind == "RZ"), None)
+            if gate in only_last and k is not None and not shifted:
+                shifted.append(gate)
+                out = [*out[:k], Gate("RZ", out[k].qubits, (out[k].params[0] + 1e-6,)),
+                       *out[k + 1:]]
+            return out
+
+        monkeypatch.setattr(transpile_module, "_decompose_gate", tampered)
+        cache = BundleCache(None, 3, circuits)
+        for c in circuits[:2]:
+            transpile(c, level, cache)
+        with pytest.raises(TranspileError, match=f"walk3cycle-t3-native{int(level)} deviates"):
+            transpile(circuits[2], level, cache)
+        assert len(shifted) == 1
 
     def test_too_wide_to_verify_raises(self):
         with pytest.raises(ValueError, match="refusing to lower"):

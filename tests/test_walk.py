@@ -17,7 +17,8 @@ from cyclewalk import (
     parrondo_schedule,
 )
 from cyclewalk import walk
-from cyclewalk.walk import NORM_TOL, unitarity_defect
+from cyclewalk.gates import unitarity_defect
+from cyclewalk.walk import NORM_TOL
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -154,6 +155,14 @@ class TestSchedule:
     def test_unbound_label(self, coins_4cycle):
         with pytest.raises(KeyError, match="C"):
             parrondo_schedule("AC", coins_4cycle, 4)
+
+    @pytest.mark.parametrize("pattern, length, message", [
+        ((), 4, "^schedule pattern must not be empty$"),
+        (("A",), -1, "^schedule length must be >= 0, got -1$"),
+    ], ids=["empty-pattern", "negative-length"])
+    def test_bad_pattern_or_length(self, coins_4cycle, pattern, length, message):
+        with pytest.raises(ValueError, match=message):
+            walk.CoinSchedule(pattern, coins_4cycle, length)
 
 
 class TestEvolve:
